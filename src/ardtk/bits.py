@@ -66,6 +66,16 @@ class BitWord:
     def random(cls, rng, n: int) -> "BitWord":
         return cls(n, rng.getrandbits(n) if n else 0)
 
+    @classmethod
+    def join(cls, words: Iterable["BitWord"]) -> "BitWord":
+        """Concatenation w_1 w_2 ... w_k; the empty join is the empty word."""
+        n = 0
+        value = 0
+        for w in words:
+            value = (value << w.n) | w.value
+            n += w.n
+        return cls(n, value)
+
     # -- views ---------------------------------------------------------
 
     def bit(self, i: int) -> int:

@@ -863,12 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="RNG seed (default: $ARDTK_SEED, else 0)",
     )
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker threads to allow; runs execute sequentially today",
-    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser(

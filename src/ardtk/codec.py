@@ -514,7 +514,9 @@ def _zle_flush_run(out: list, run: int):
             run = (run - 2) >> 1
 
 
-def _zle_decode(syms) -> bytearray:
+def _zle_decode(syms, limit: int) -> bytearray:
+    """Inverse of _zle_encode; a zero run that would take the output past
+    limit bytes is rejected before it is materialized."""
     out = bytearray()
     run = 0
     place = 1
@@ -524,15 +526,21 @@ def _zle_decode(syms) -> bytearray:
             place <<= 1
             continue
         if run:
-            out.extend(b"\x00" * run)
+            _zle_flush_zeros(out, run, limit)
             run = 0
             place = 1
         if s - 1 > 255:
             raise MalformedCodewordError("bad zero-run literal")
         out.append(s - 1)
     if run:
-        out.extend(b"\x00" * run)
+        _zle_flush_zeros(out, run, limit)
     return out
+
+
+def _zle_flush_zeros(out: bytearray, run: int, limit: int):
+    if len(out) + run > limit:
+        raise MalformedCodewordError("zero run overflows block")
+    out.extend(b"\x00" * run)
 
 
 def _entropy_bits(syms) -> float:
@@ -590,7 +598,7 @@ def _decode_bwt(r: _BitReader, n: int, params: CodecParams) -> int:
             dec.consume(lo, lo + model._count(sym), model.total)
             model.update(sym)
             syms.append(sym)
-        mtf = _zle_decode(syms)
+        mtf = _zle_decode(syms, blen)
         if len(mtf) != blen:
             raise MalformedCodewordError("block length mismatch")
         packed.extend(_bwt_decode(bytes(_mtf_decode(mtf)), idx))

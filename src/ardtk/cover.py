@@ -42,29 +42,6 @@ class CoverError(RuntimeError):
     """Raised when the randomized construction exhausts its retries."""
 
 
-_POP16 = None
-
-
-def _pop16():
-    global _POP16
-    if _POP16 is None:
-        t = np.arange(1 << 16, dtype=np.uint16)
-        pop = np.zeros(1 << 16, dtype=np.uint8)
-        for shift in range(16):
-            pop += ((t >> shift) & 1).astype(np.uint8)
-        _POP16 = pop
-    return _POP16
-
-
-def popcount_array(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint32 array via a 16-bit table."""
-    pop = _pop16()
-    return pop[values & 0xFFFF] + pop[(values >> 16) & 0xFFFF]
-
-
-_popcount = popcount_array
-
-
 def round_to_grid_half_down(t: Fraction, n: int) -> Fraction:
     """Nearest multiple of 1/n; exact halves round toward zero."""
     i = -((1 - 2 * t * n) // 2)  # ceil(t*n - 1/2) in exact arithmetic
@@ -179,7 +156,7 @@ def _cover_shell(
             for c in cands:
                 if rem_vals.size == 0:
                     break
-                covered = _popcount(rem_vals ^ c) <= dn
+                covered = np.bitwise_count(rem_vals ^ c) <= dn
                 if covered.any():
                     centers.append(int(c))
                     keep = ~covered
@@ -200,7 +177,7 @@ def _prune(target_vals: np.ndarray, centers: "list[int]", dn: int) -> "list[int]
     counts = np.zeros(len(target_vals), dtype=np.int64)
     covered_by = []
     for c in centers:
-        cov = _popcount(target_vals ^ np.uint32(c)) <= dn
+        cov = np.bitwise_count(target_vals ^ np.uint32(c)) <= dn
         covered_by.append(cov)
         counts += cov
     keep = [True] * len(centers)
@@ -287,7 +264,7 @@ def cover_ball(
 def _uncovered_index(target_vals: np.ndarray, centers: "list[int]", dn: int):
     covered = np.zeros(len(target_vals), dtype=bool)
     for c in centers:
-        covered |= _popcount(target_vals ^ np.uint32(c)) <= dn
+        covered |= np.bitwise_count(target_vals ^ np.uint32(c)) <= dn
         if covered.all():
             return None
     missing = np.flatnonzero(~covered)

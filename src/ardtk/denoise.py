@@ -73,9 +73,7 @@ def deficiency_estimate(
             raise ValueError(
                 f"member-list conditioning needs n <= {MEMBER_CONDITION_MAX_N}"
             )
-        cond = BitWord.zeros(0)
-        for m in ball.members():
-            cond = cond.concat(m)
+        cond = BitWord.join(ball.members())
     else:
         cond = ball.descriptor()
     bits = conditional_codelength(x, cond, params)

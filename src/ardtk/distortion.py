@@ -185,10 +185,7 @@ class Ball:
         if self.spec.family == LIST:
             if self.full_cube:
                 return _leb_word(self.spec.n)
-            out = BitWord.zeros(0)
-            for m in sorted(self.list_members):
-                out = out.concat(m)
-            return out
+            return BitWord.join(sorted(self.list_members))
         if self.spec.family == HAMMING:
             r = int(self.radius * self.spec.n)
         else:
@@ -269,12 +266,18 @@ def ball_members(spec: DistortionSpec, center: BitWord, delta: Fraction):
 
 
 def admissible_radii(spec: DistortionSpec) -> "list[Fraction]":
-    """The radius grid on which ball sizes actually change."""
+    """The radius grid a curve is swept over, in sweep order.
+
+    hamming: every flip fraction i/n up to 1/2.  list: every integer
+    log-cardinality 0..n.  euclid: 0, then the dyadic radii 2^-(n+1),
+    2^-n, ..., 1/2 (the full i/2^n grid has 2^n points).  Curve searches
+    seed each level from its index, so the order is part of the result.
+    """
     n = spec.n
     if spec.family == HAMMING:
         return [Fraction(i, n) for i in range(n // 2 + 1)]
     if spec.family == EUCLID:
-        return [Fraction(i, 1 << n) for i in range((1 << n) + 1)]
+        return [Fraction(0)] + [Fraction(1, 1 << j) for j in range(n + 1, 0, -1)]
     return [Fraction(l) for l in range(n + 1)]
 
 

@@ -77,10 +77,6 @@ class GameTranscript:
         return sum(len(m.marks) for m in self.moves)
 
     @property
-    def marked_indices(self) -> "list[int]":
-        return sorted({p for m in self.moves for p in m.marks})
-
-    @property
     def won(self) -> bool:
         return all(m.win for m in self.moves)
 

@@ -34,6 +34,7 @@ from .distortion import (
     LIST,
     Ball,
     DistortionSpec,
+    admissible_radii,
     ball_cardinality,
     binary_entropy,
     distance,
@@ -58,10 +59,7 @@ class Candidate:
     def digest(self) -> str:
         w = self.destination
         if isinstance(w, tuple):
-            acc = BitWord.zeros(0)
-            for m in w:
-                acc = acc.concat(m)
-            w = acc
+            w = BitWord.join(w)
         return w.digest()
 
 
@@ -73,17 +71,10 @@ def make_candidate(x: BitWord, spec: DistortionSpec, destination: Destination,
         dist = distance(spec, x, destination)
     else:
         members = tuple(sorted(destination))
-        score = _list_score(members, params)
+        score = codelength(BitWord.join(members), params)
         dist = distance(spec, x, members)
         destination = members
     return Candidate(destination=destination, score=score, distortion=dist)
-
-
-def _list_score(members: "tuple[BitWord, ...]", params) -> int:
-    acc = BitWord.zeros(0)
-    for m in members:
-        acc = acc.concat(m)
-    return codelength(acc, params)
 
 
 @dataclass(frozen=True)
@@ -102,12 +93,6 @@ class CurveEstimate:
     budget_used: int
     seed: int
     slack_bits: float = 0.0
-
-    def value_at(self, axis_value):
-        for p in self.points:
-            if p.axis_value == axis_value:
-                return p
-        raise MissingGridPointError(axis_value)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +299,6 @@ def _child_seed(seed: int, salt: int) -> int:
     return (seed * 1_000_003 + salt) & 0x7FFFFFFF
 
 
-def _level_grid(spec: DistortionSpec) -> "list[Fraction]":
-    if spec.family == HAMMING:
-        return [Fraction(i, spec.n) for i in range(spec.n // 2 + 1)]
-    if spec.family == EUCLID:
-        return [Fraction(0)] + [Fraction(1, 1 << j) for j in range(spec.n + 1, 0, -1)]
-    return [Fraction(l) for l in range(spec.n + 1)]
-
-
 def distortion_rate_curve(
     x: BitWord,
     spec: DistortionSpec,
@@ -344,7 +321,7 @@ def distortion_rate_curve(
     if rate_grid is not None and list(rate_grid) != sorted(rate_grid):
         raise ValueError("rate_grid must be sorted")
     if levels is None:
-        search_levels = _level_grid(spec)
+        search_levels = admissible_radii(spec)
     else:
         search_levels = [Fraction(l) for l in levels]
     extra_seeds = tuple(extra_seeds)
@@ -452,10 +429,8 @@ def transform_rate_distortion(
     n = spec.n
     table = {p.axis_value: p for p in ghat.points}
     if deltas is None:
-        if spec.family == HAMMING:
-            deltas = [Fraction(i, n) for i in range(n // 2 + 1)]
-        elif spec.family == LIST:
-            deltas = [Fraction(l) for l in range(n + 1)]
+        if spec.family != EUCLID:
+            deltas = admissible_radii(spec)
         elif n <= 8:
             deltas = [Fraction(i, 1 << n) for i in range((1 << n) // 2 + 1)]
         else:

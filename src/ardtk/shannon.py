@@ -25,7 +25,6 @@ import numpy as np
 
 from .bits import BitWord
 from .codec import CodecParams, codelength
-from .cover import popcount_array
 from .distortion import HAMMING, DistortionSpec, binary_entropy
 from .rdsearch import search_min_rate
 
@@ -240,7 +239,7 @@ def _exact_code_map_entropy(n, delta, weights, lengths):
     chunk = 512
     for start in range(0, size, chunk):
         block = vals[start : start + chunk]
-        dist = popcount_array(block[:, None] ^ vals[None, :])
+        dist = np.bitwise_count(block[:, None] ^ vals[None, :])
         masked = np.where(dist <= dn, lengths[None, :], big)
         img = np.argmin(masked, axis=1)
         np.add.at(mass, img, weights[start : start + chunk])
@@ -305,7 +304,7 @@ def expected_rate_comparison(
             dtype=np.int64,
         )
         p1 = float(src.pmf[1])
-        pops = popcount_array(np.arange(1 << n, dtype=np.uint32)).astype(float)
+        pops = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(float)
         weights = (p1**pops) * ((1 - p1) ** (n - pops))
         d2 = []
         sup = []

@@ -65,3 +65,16 @@ def test_concat_parts_recoverable(na, nb, seed):
     c = a.concat(b)
     assert c.n == na + nb
     assert c.to01() == a.to01() + b.to01()
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers()), max_size=8),
+)
+def test_join_equals_folded_concat(shapes):
+    # empty list and zero-length parts included
+    parts = [BitWord.random(random.Random(seed), n) for n, seed in shapes]
+    folded = BitWord.zeros(0)
+    for p in parts:
+        folded = folded.concat(p)
+    assert BitWord.join(parts) == folded
+    assert BitWord.join(iter(parts)) == folded

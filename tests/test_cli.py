@@ -548,7 +548,6 @@ class TestSeedsAndUsage:
     def test_usage_errors_exit_2(self, capsys):
         assert main(["bogus"]) == 2
         assert main(["curve"]) == 2  # --input is required
-        assert main(["codec", "roundtrip", "--input", "x", "--threads", "0"]) == 2
         capsys.readouterr()
 
     def test_help_exits_0(self, capsys):

@@ -81,7 +81,7 @@ def test_bwt_mtf_zle_stages():
         mtf = codec._mtf_encode(data)
         assert bytes(codec._mtf_decode(mtf)) == data
         syms = codec._zle_encode(mtf)
-        assert codec._zle_decode(syms) == mtf
+        assert codec._zle_decode(syms, len(mtf)) == mtf
     # periodic input: all rotations collide
     data = b"\xaa" * 32
     last, idx = codec._bwt_encode(data)
@@ -180,6 +180,29 @@ def test_malformed_bad_lz_distance():
     out.write_leb(0)  # no literals
     out.write_leb(0)  # match length 4
     out.write_leb(5)  # distance beyond produced output
+    data, nbits = out.getvalue()
+    with pytest.raises(MalformedCodewordError):
+        decompress(Codeword(data, nbits))
+
+
+def test_malformed_huge_zero_run():
+    # one 32-byte BWT block whose symbols are 70 RUNB digits: a zero run
+    # of 2 * (2^70 - 1) bytes, far past the block and past any index size
+    from ardtk.codec import _ArithmeticEncoder, _BitWriter, _FenwickModel
+
+    syms = [codec._ZLE_RUNB] * 70
+    out = _BitWriter()
+    out.write_bits(codec.MODE_BWT, 2)
+    out.write_leb(256)
+    out.write_leb(0)  # BWT index
+    out.write_leb(len(syms))
+    enc = _ArithmeticEncoder(out, codec.DEFAULT_PARAMS.coder_precision)
+    model = _FenwickModel(codec._ZLE_ALPHABET)
+    for s in syms:
+        lo, hi = model.interval(s)
+        enc.encode(lo, hi, model.total)
+        model.update(s)
+    enc.finish()
     data, nbits = out.getvalue()
     with pytest.raises(MalformedCodewordError):
         decompress(Codeword(data, nbits))

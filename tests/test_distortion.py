@@ -12,6 +12,7 @@ from ardtk.distortion import (
     Ball,
     DistortionSpec,
     SizeGuardError,
+    admissible_radii,
     ball_cardinality,
     ball_members,
     distance,
@@ -192,6 +193,29 @@ def test_full_cube_ball():
     assert cube.log_cardinality() == 8.0
     assert cube.contains(BitWord.zeros(8))
     assert len(cube.members()) == 256
+
+
+# -- admissible_radii --------------------------------------------------------
+
+
+def test_admissible_radii_hamming():
+    F = Fraction
+    assert admissible_radii(DistortionSpec(dst.HAMMING, 5)) == [F(0), F(1, 5), F(2, 5)]
+    assert admissible_radii(DistortionSpec(dst.HAMMING, 4)) == [F(0), F(1, 4), F(1, 2)]
+
+
+def test_admissible_radii_euclid_sweeps_dyadic_radii_upward():
+    F = Fraction
+    assert admissible_radii(DistortionSpec(dst.EUCLID, 3)) == [
+        F(0), F(1, 16), F(1, 8), F(1, 4), F(1, 2)
+    ]
+    assert admissible_radii(DistortionSpec(dst.EUCLID, 1)) == [F(0), F(1, 4), F(1, 2)]
+
+
+def test_admissible_radii_list():
+    assert admissible_radii(DistortionSpec(dst.LIST, 3)) == [
+        Fraction(0), Fraction(1), Fraction(2), Fraction(3)
+    ]
 
 
 # -- radius_for_log_cardinality -----------------------------------------------------

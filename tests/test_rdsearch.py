@@ -14,6 +14,7 @@ from ardtk.distortion import (
     HAMMING,
     LIST,
     DistortionSpec,
+    admissible_radii,
     distance,
 )
 from ardtk.rdsearch import (
@@ -181,6 +182,15 @@ class TestDistortionRateCurve:
         with pytest.raises(ValueError):
             distortion_rate_curve(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
                                   [10, 5], budget=8, seed=0)
+
+    @pytest.mark.parametrize("family", [HAMMING, EUCLID, LIST])
+    def test_default_levels_are_admissible_radii(self, family):
+        spec = DistortionSpec(family, 6)
+        x = BitWord.from_str("110100")
+        a = distortion_rate_curve(x, spec, None, budget=16, seed=3)
+        b = distortion_rate_curve(x, spec, None, budget=16, seed=3,
+                                  levels=admissible_radii(spec))
+        assert a == b
 
     def test_deterministic(self):
         x = BitWord.from_str("111000111000")
