@@ -39,8 +39,9 @@ from typing import Optional, Sequence
 from . import __version__
 from .bits import BitWord
 from .codec import (
+    BWT_BLOCK_BITS,
+    CODER_PRECISION,
     CONDITIONAL_CLAMP_BITS,
-    DEFAULT_PARAMS,
     codelength,
     compress,
     decompress,
@@ -304,8 +305,8 @@ def write_manifest(out_dir: Path, args, argv, seed, inputs, outputs) -> Path:
         "seed": seed,
         "flags": flags,
         "codec_params": {
-            "block_size": DEFAULT_PARAMS.block_size,
-            "coder_precision": DEFAULT_PARAMS.coder_precision,
+            "block_size": BWT_BLOCK_BITS,
+            "coder_precision": CODER_PRECISION,
         },
         "slack": {
             "conditional_clamp_bits": CONDITIONAL_CLAMP_BITS,

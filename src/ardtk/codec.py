@@ -13,15 +13,18 @@ Methods:
     3  lz       greedy byte-level LZ with unbounded window
 
 compress() tries every method eligible for the input size and keeps the
-shortest encoding (ties broken by the smaller tag), so codelength is a
-total deterministic function of the input and the parameters.  The raw
-method bounds codelength(x) by |x| plus a small header for every input;
-the lz method makes concatenation duplicates cheap, which is what the
-conditional codelength estimate relies on.
+shortest encoding (ties broken by the smaller tag).  The codec is one
+fixed program with no settings: BWT blocks hold BWT_BLOCK_BITS (32768)
+input bits, the arithmetic coder keeps a CODER_PRECISION (32) bit
+state, and words longer than MAX_WORD_BITS (2^24) are refused by both
+compress and decompress.  So codelength is a total deterministic
+function of the input word alone.  The raw method bounds codelength(x)
+by |x| plus a small header for every input; the lz method makes
+concatenation duplicates cheap, which is what the conditional
+codelength estimate relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
 
@@ -39,6 +42,14 @@ _LZ_MIN = 64
 
 _LZ_MIN_MATCH = 4
 
+BWT_BLOCK_BITS = 32768     # input bits per BWT block
+CODER_PRECISION = 32       # arithmetic coder state size in bits
+MAX_WORD_BITS = 1 << 24    # longest word compress accepts or decompress yields
+
+_MASK = (1 << CODER_PRECISION) - 1
+_HALF = 1 << (CODER_PRECISION - 1)
+_QUARTER = 1 << (CODER_PRECISION - 2)
+
 # fixed self-delimiting separator used by conditional_codelength
 SEPARATOR = BitWord.from_str("10100101")
 
@@ -48,21 +59,6 @@ CONDITIONAL_CLAMP_BITS = 16
 
 class MalformedCodewordError(ValueError):
     """Raised when a codeword fails structural validation during decode."""
-
-
-@dataclass(frozen=True)
-class CodecParams:
-    block_size: int = 32768      # bits per BWT block
-    coder_precision: int = 32    # arithmetic coder state size in bits
-
-    def __post_init__(self):
-        if self.block_size < 64:
-            raise ValueError("block_size must be at least 64 bits")
-        if self.coder_precision < 16:
-            raise ValueError("coder_precision must be at least 16 bits")
-
-
-DEFAULT_PARAMS = CodecParams()
 
 
 class Codeword:
@@ -111,30 +107,24 @@ class _BitWriter:
         self._nbits = 0
         self._out = bytearray()
 
-    def write_bit(self, b: int):
-        self._acc = (self._acc << 1) | b
-        self._nbits += 1
-        if self._nbits == 8:
-            self._out.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
-
     def write_bits(self, value: int, count: int):
-        for i in range(count - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
-
-    def write_byte(self, byte: int):
-        if self._nbits == 0:
-            self._out.append(byte)
-        else:
-            self.write_bits(byte, 8)
+        """Append the count low bits of value (0 <= value < 2^count)."""
+        acc = (self._acc << count) | value
+        nbits = self._nbits + count
+        if nbits >= 8:
+            keep = nbits & 7
+            self._out += (acc >> keep).to_bytes(nbits >> 3, "big")
+            acc &= (1 << keep) - 1
+            nbits = keep
+        self._acc = acc
+        self._nbits = nbits
 
     def write_leb(self, n: int):
         """LEB128: 7-bit groups, low group first, high bit = continue."""
         while True:
             group = n & 0x7F
             n >>= 7
-            self.write_byte(group | (0x80 if n else 0))
+            self.write_bits(group | (0x80 if n else 0), 8)
             if not n:
                 return
 
@@ -172,18 +162,19 @@ class _BitReader:
         return (self.data[p >> 3] >> (7 - (p & 7))) & 1
 
     def read_bits(self, count: int) -> int:
-        v = 0
-        for _ in range(count):
-            v = (v << 1) | self.read_bit()
-        return v
+        p = self.pos
+        self.pos = p + count
+        end = min(p + count, self.bit_length)
+        if end <= p:
+            return 0
+        hi = (end + 7) >> 3
+        chunk = int.from_bytes(self.data[p >> 3 : hi], "big")
+        v = (chunk >> (8 * hi - end)) & ((1 << (end - p)) - 1)
+        return v << (p + count - end)
 
     def read_byte(self) -> int:
         if self.pos + 8 > self.bit_length:
             raise MalformedCodewordError("truncated codeword")
-        if self.pos & 7 == 0:
-            b = self.data[self.pos >> 3]
-            self.pos += 8
-            return b
         return self.read_bits(8)
 
     def read_leb(self) -> int:
@@ -204,14 +195,11 @@ class _BitReader:
 
 
 class _ArithmeticEncoder:
-    __slots__ = ("low", "high", "pending", "out", "half", "quarter", "mask")
+    __slots__ = ("low", "high", "pending", "out")
 
-    def __init__(self, out: _BitWriter, precision: int):
-        self.mask = (1 << precision) - 1
-        self.half = 1 << (precision - 1)
-        self.quarter = 1 << (precision - 2)
+    def __init__(self, out: _BitWriter):
         self.low = 0
-        self.high = self.mask
+        self.high = _MASK
         self.pending = 0
         self.out = out
 
@@ -220,53 +208,50 @@ class _ArithmeticEncoder:
         span = high - low + 1
         high = low + span * cum_hi // total - 1
         low = low + span * cum_lo // total
-        half, quarter, mask = self.half, self.quarter, self.mask
+        pending = self.pending
         out = self.out
         while True:
-            if high < half:
-                out.write_bit(0)
-                while self.pending:
-                    out.write_bit(1)
-                    self.pending -= 1
-            elif low >= half:
-                out.write_bit(1)
-                while self.pending:
-                    out.write_bit(0)
-                    self.pending -= 1
-                low -= half
-                high -= half
-            elif low >= quarter and high < half + quarter:
-                self.pending += 1
-                low -= quarter
-                high -= quarter
+            # a settled bit goes out with its pending opposite bits
+            if high < _HALF:
+                out.write_bits((1 << pending) - 1, pending + 1)
+                pending = 0
+            elif low >= _HALF:
+                out.write_bits(1 << pending, pending + 1)
+                pending = 0
+                low -= _HALF
+                high -= _HALF
+            elif low >= _QUARTER and high < _HALF + _QUARTER:
+                pending += 1
+                low -= _QUARTER
+                high -= _QUARTER
             else:
                 break
-            low = (low << 1) & mask
-            high = ((high << 1) | 1) & mask
-        self.low, self.high = low, high
+            low = (low << 1) & _MASK
+            high = ((high << 1) | 1) & _MASK
+        self.low, self.high, self.pending = low, high, pending
 
     def finish(self):
         # classic termination: the emitted prefix pins the value inside the
         # final interval no matter what the reader pads afterwards
-        self.pending += 1
-        bit = 0 if self.low < self.quarter else 1
-        self.out.write_bit(bit)
-        while self.pending:
-            self.out.write_bit(1 - bit)
-            self.pending -= 1
+        pending = self.pending + 1
+        bits = (1 << pending) - 1 if self.low < _QUARTER else 1 << pending
+        self.out.write_bits(bits, pending + 1)
 
 
 class _ArithmeticDecoder:
-    __slots__ = ("low", "high", "code", "inp", "half", "quarter", "mask")
+    __slots__ = ("low", "high", "code", "inp")
 
-    def __init__(self, inp: _BitReader, precision: int):
-        self.mask = (1 << precision) - 1
-        self.half = 1 << (precision - 1)
-        self.quarter = 1 << (precision - 2)
+    def __init__(self, inp: _BitReader):
         self.low = 0
-        self.high = self.mask
+        self.high = _MASK
         self.inp = inp
-        self.code = inp.read_bits(precision)
+        self.code = inp.read_bits(CODER_PRECISION)
+
+    def finish(self):
+        # back to the end of the encoder's output: both sides shift alike,
+        # but this side read CODER_PRECISION bits up front and the encoder's
+        # finish() wrote only two
+        self.inp.pos -= CODER_PRECISION - 2
 
     def decode_target(self, total: int) -> int:
         span = self.high - self.low + 1
@@ -277,37 +262,38 @@ class _ArithmeticDecoder:
         span = high - low + 1
         high = low + span * cum_hi // total - 1
         low = low + span * cum_lo // total
-        half, quarter, mask = self.half, self.quarter, self.mask
         code = self.code
         inp = self.inp
         while True:
-            if high < half:
+            if high < _HALF:
                 pass
-            elif low >= half:
-                low -= half
-                high -= half
-                code -= half
-            elif low >= quarter and high < half + quarter:
-                low -= quarter
-                high -= quarter
-                code -= quarter
+            elif low >= _HALF:
+                low -= _HALF
+                high -= _HALF
+                code -= _HALF
+            elif low >= _QUARTER and high < _HALF + _QUARTER:
+                low -= _QUARTER
+                high -= _QUARTER
+                code -= _QUARTER
             else:
                 break
-            low = (low << 1) & mask
-            high = ((high << 1) | 1) & mask
-            code = ((code << 1) | inp.read_bit()) & mask
+            low = (low << 1) & _MASK
+            high = ((high << 1) | 1) & _MASK
+            code = ((code << 1) | inp.read_bit()) & _MASK
         self.low, self.high, self.code = low, high, code
+
+
+_FENWICK_INC = 32           # count added per coded symbol
+_FENWICK_LIMIT = 1 << 16    # total above which every count is halved
 
 
 class _FenwickModel:
     """Adaptive frequency table over a fixed alphabet, Fenwick-backed."""
 
-    __slots__ = ("size", "tree", "total", "inc", "limit")
+    __slots__ = ("size", "tree", "total")
 
-    def __init__(self, size: int, inc: int = 32, limit: int = 1 << 16):
+    def __init__(self, size: int):
         self.size = size
-        self.inc = inc
-        self.limit = limit
         self._rebuild([1] * size)
 
     def _rebuild(self, counts):
@@ -361,15 +347,14 @@ class _FenwickModel:
         return idx, acc
 
     def update(self, sym: int):
-        inc = self.inc
         i = sym + 1
         tree = self.tree
         size = self.size
         while i <= size:
-            tree[i] += inc
+            tree[i] += _FENWICK_INC
             i += i & -i
-        self.total += inc
-        if self.total > self.limit:
+        self.total += _FENWICK_INC
+        if self.total > _FENWICK_LIMIT:
             counts = [max(1, (self._count(s) + 1) // 2) for s in range(size)]
             self._rebuild(counts)
 
@@ -378,8 +363,8 @@ class _FenwickModel:
 # method 1: adaptive binary arithmetic coding with order-1 context
 
 
-def _encode_bitac(word: BitWord, out: _BitWriter, precision: int):
-    enc = _ArithmeticEncoder(out, precision)
+def _encode_bitac(word: BitWord, out: _BitWriter):
+    enc = _ArithmeticEncoder(out)
     c = [[1, 1], [1, 1]]  # counts per previous-bit context
     prev = 0
     n, value = word.n, word.value
@@ -399,8 +384,8 @@ def _encode_bitac(word: BitWord, out: _BitWriter, precision: int):
     enc.finish()
 
 
-def _decode_bitac(r: _BitReader, n: int, precision: int) -> int:
-    dec = _ArithmeticDecoder(r, precision)
+def _decode_bitac(r: _BitReader, n: int) -> int:
+    dec = _ArithmeticDecoder(r)
     c = [[1, 1], [1, 1]]
     prev = 0
     value = 0
@@ -555,10 +540,10 @@ def _entropy_bits(syms) -> float:
     return h * n
 
 
-def _encode_bwt(word: BitWord, out: _BitWriter, params: CodecParams) -> bool:
+def _encode_bwt(word: BitWord, out: _BitWriter) -> bool:
     """Returns False when the entropy pre-gate predicts a hopeless encode."""
     packed = word.to_bytes()
-    bs = params.block_size // 8
+    bs = BWT_BLOCK_BITS // 8
     for off in range(0, len(packed), bs):
         block = packed[off : off + bs]
         last, idx = _bwt_encode(block)
@@ -568,7 +553,7 @@ def _encode_bwt(word: BitWord, out: _BitWriter, params: CodecParams) -> bool:
             return False
         out.write_leb(idx)
         out.write_leb(len(syms))
-        enc = _ArithmeticEncoder(out, params.coder_precision)
+        enc = _ArithmeticEncoder(out)
         model = _FenwickModel(_ZLE_ALPHABET)
         for s in syms:
             lo, hi = model.interval(s)
@@ -578,9 +563,9 @@ def _encode_bwt(word: BitWord, out: _BitWriter, params: CodecParams) -> bool:
     return True
 
 
-def _decode_bwt(r: _BitReader, n: int, params: CodecParams) -> int:
+def _decode_bwt(r: _BitReader, n: int) -> int:
     nbytes = (n + 7) // 8
-    bs = params.block_size // 8
+    bs = BWT_BLOCK_BITS // 8
     packed = bytearray()
     remaining = nbytes
     while remaining > 0:
@@ -589,7 +574,7 @@ def _decode_bwt(r: _BitReader, n: int, params: CodecParams) -> int:
         count = r.read_leb()
         if count > 16 * blen + 64:
             raise MalformedCodewordError("implausible symbol count")
-        dec = _ArithmeticDecoder(r, params.coder_precision)
+        dec = _ArithmeticDecoder(r)
         model = _FenwickModel(_ZLE_ALPHABET)
         syms = []
         for _ in range(count):
@@ -598,6 +583,7 @@ def _decode_bwt(r: _BitReader, n: int, params: CodecParams) -> int:
             dec.consume(lo, lo + model._count(sym), model.total)
             model.update(sym)
             syms.append(sym)
+        dec.finish()
         mtf = _zle_decode(syms, blen)
         if len(mtf) != blen:
             raise MalformedCodewordError("block length mismatch")
@@ -644,9 +630,9 @@ def _encode_lz(word: BitWord, out: _BitWriter):
             pos += 1
     tokens.append((lit_start, n, 0, 0))
     for lit_start, lit_end, match_len, dist in tokens:
-        out.write_leb(lit_end - lit_start)
-        for b in data[lit_start:lit_end]:
-            out.write_byte(b)
+        literals = data[lit_start:lit_end]
+        out.write_leb(len(literals))
+        out.write_bits(int.from_bytes(literals, "big"), 8 * len(literals))
         if match_len:
             out.write_leb(match_len - _LZ_MIN_MATCH)
             out.write_leb(dist)
@@ -659,8 +645,9 @@ def _decode_lz(r: _BitReader, n: int) -> int:
         litlen = r.read_leb()
         if len(out) + litlen > nbytes:
             raise MalformedCodewordError("literal run overflows output")
-        for _ in range(litlen):
-            out.append(r.read_byte())
+        if r.pos + 8 * litlen > r.bit_length:
+            raise MalformedCodewordError("truncated codeword")
+        out += r.read_bits(8 * litlen).to_bytes(litlen, "big")
         if len(out) >= nbytes:
             break
         match_len = r.read_leb() + _LZ_MIN_MATCH
@@ -669,9 +656,8 @@ def _decode_lz(r: _BitReader, n: int) -> int:
             raise MalformedCodewordError("bad match distance")
         if len(out) + match_len > nbytes:
             raise MalformedCodewordError("match overflows output")
-        start = len(out) - dist
-        for i in range(match_len):
-            out.append(out[start + i])
+        # an overlapping match (dist < match_len) repeats the last dist bytes
+        out += (out[-dist:] * (match_len // dist + 1))[:match_len]
     return int.from_bytes(bytes(out), "big") >> (8 * nbytes - n)
 
 
@@ -679,25 +665,26 @@ def _decode_lz(r: _BitReader, n: int) -> int:
 # container
 
 
-def _encode_with_mode(word: BitWord, mode: int, params: CodecParams):
+def _encode_with_mode(word: BitWord, mode: int):
     out = _BitWriter()
     out.write_bits(mode, 2)
     out.write_leb(word.n)
     if mode == MODE_RAW:
         out.write_bits(word.value, word.n)
     elif mode == MODE_BITAC:
-        _encode_bitac(word, out, params.coder_precision)
+        _encode_bitac(word, out)
     elif mode == MODE_BWT:
-        if not _encode_bwt(word, out, params):
+        if not _encode_bwt(word, out):
             return None
     else:
         _encode_lz(word, out)
     return Codeword(*out.getvalue())
 
 
-def compress(word: BitWord, params: "CodecParams | None" = None) -> Codeword:
-    params = params or DEFAULT_PARAMS
+def compress(word: BitWord) -> Codeword:
     n = word.n
+    if n > MAX_WORD_BITS:
+        raise ValueError(f"word of {n} bits exceeds MAX_WORD_BITS = {MAX_WORD_BITS}")
     modes = [MODE_RAW]
     if 1 <= n <= _BITAC_MAX:
         modes.append(MODE_BITAC)
@@ -707,20 +694,19 @@ def compress(word: BitWord, params: "CodecParams | None" = None) -> Codeword:
         modes.append(MODE_LZ)
     best = None
     for mode in modes:
-        cw = _encode_with_mode(word, mode, params)
+        cw = _encode_with_mode(word, mode)
         if cw is not None and (best is None or cw.bit_length < best.bit_length):
             best = cw
     return best
 
 
-def decompress(cw: Codeword, params: "CodecParams | None" = None) -> BitWord:
-    params = params or DEFAULT_PARAMS
+def decompress(cw: Codeword) -> BitWord:
     r = _BitReader(cw.data, cw.bit_length)
     mode = r.read_bits(2)
     if cw.bit_length < 10:
         raise MalformedCodewordError("codeword shorter than header")
     n = r.read_leb()
-    if n > (1 << 40):
+    if n > MAX_WORD_BITS:
         raise MalformedCodewordError("implausible original length")
     if mode == MODE_RAW:
         if r.pos + n > cw.bit_length:
@@ -729,11 +715,11 @@ def decompress(cw: Codeword, params: "CodecParams | None" = None) -> BitWord:
     elif mode == MODE_BITAC:
         if n == 0 or n > _BITAC_MAX:
             raise MalformedCodewordError("length out of range for method")
-        value = _decode_bitac(r, n, params.coder_precision)
+        value = _decode_bitac(r, n)
     elif mode == MODE_BWT:
         if n < _BWT_MIN:
             raise MalformedCodewordError("length out of range for method")
-        value = _decode_bwt(r, n, params)
+        value = _decode_bwt(r, n)
     else:
         if n < _LZ_MIN:
             raise MalformedCodewordError("length out of range for method")
@@ -742,17 +728,15 @@ def decompress(cw: Codeword, params: "CodecParams | None" = None) -> BitWord:
 
 
 @lru_cache(maxsize=1 << 18)
-def _codelength_cached(n: int, value: int, params: CodecParams) -> int:
-    return compress(BitWord(n, value), params).bit_length
+def _codelength_cached(n: int, value: int) -> int:
+    return compress(BitWord(n, value)).bit_length
 
 
-def codelength(word: BitWord, params: "CodecParams | None" = None) -> int:
-    return _codelength_cached(word.n, word.value, params or DEFAULT_PARAMS)
+def codelength(word: BitWord) -> int:
+    return _codelength_cached(word.n, word.value)
 
 
-def conditional_codelength(
-    x: BitWord, y: BitWord, params: "CodecParams | None" = None
-) -> int:
+def conditional_codelength(x: BitWord, y: BitWord) -> int:
     """Codelength of x given y, estimated by concatenation.
 
     Base estimate: codelength(y || sep || x) - codelength(y), floored at
@@ -761,10 +745,10 @@ def conditional_codelength(
     than ignoring it.
     """
     cat = y.concat(SEPARATOR).concat(x)
-    base = codelength(cat, params) - codelength(y, params)
+    base = codelength(cat) - codelength(y)
     if base < 0:
         base = 0
-    clamp = codelength(x, params) + CONDITIONAL_CLAMP_BITS
+    clamp = codelength(x) + CONDITIONAL_CLAMP_BITS
     return base if base < clamp else clamp
 
 

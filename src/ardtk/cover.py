@@ -27,8 +27,10 @@ import numpy as np
 from .bits import BitWord
 from .distortion import (
     HAMMING,
+    MEMBER_ENUM_MAX_COUNT,
     Ball,
     DistortionSpec,
+    SizeGuardError,
     ball_cardinality,
 )
 
@@ -105,6 +107,12 @@ def _check_pair(spec: DistortionSpec, delta: Fraction, d: Fraction, seed: int):
         raise ValueError("small radius must be a multiple of 1/n")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    # the shells and the verification enumerate the whole big ball
+    if ball_cardinality(spec, delta) > MEMBER_ENUM_MAX_COUNT:
+        raise SizeGuardError(
+            f"ball of radius {delta} at n = {n} holds more than "
+            f"{MEMBER_ENUM_MAX_COUNT} words"
+        )
 
 
 def _weight_values(n: int, w: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .bits import BitWord
-from .codec import CodecParams, codelength, conditional_codelength
+from .codec import codelength, conditional_codelength
 from .distortion import HAMMING, Ball, DistortionSpec, ball_cardinality
 from .rdsearch import CurveEstimate, distortion_rate_curve
 
@@ -56,7 +56,6 @@ class DeficiencyEstimate:
 def deficiency_estimate(
     x: BitWord,
     ball: Ball,
-    params: Optional[CodecParams] = None,
     by_members: bool = False,
 ) -> DeficiencyEstimate:
     """How atypical x is inside the ball, in bits.
@@ -76,7 +75,7 @@ def deficiency_estimate(
         cond = BitWord.join(ball.members())
     else:
         cond = ball.descriptor()
-    bits = conditional_codelength(x, cond, params)
+    bits = conditional_codelength(x, cond)
     log_size = ball.log_cardinality()
     return DeficiencyEstimate(
         ball=ball,
@@ -86,9 +85,7 @@ def deficiency_estimate(
     )
 
 
-def sufficiency_gap(
-    x: BitWord, ball: Ball, params: Optional[CodecParams] = None
-) -> float:
+def sufficiency_gap(x: BitWord, ball: Ball) -> float:
     """descriptor bits + log2 |ball| - codelength(x).
 
     Small gap: the two-part description (ball, index inside it) costs
@@ -98,9 +95,9 @@ def sufficiency_gap(
     if not ball.contains(x):
         raise ValueError("x is not a member of the ball")
     return (
-        codelength(ball.descriptor(), params)
+        codelength(ball.descriptor())
         + ball.log_cardinality()
-        - codelength(x, params)
+        - codelength(x)
     )
 
 
@@ -120,7 +117,6 @@ def majority_property_check(
     ball: Ball,
     beta: float,
     property_generator: "Optional[Callable[[BitWord], bool]]" = None,
-    params: Optional[CodecParams] = None,
 ) -> MajorityCheckReport:
     """Count ball members whose conditional codelength drops more than
     beta bits below log2 |ball|.
@@ -141,7 +137,7 @@ def majority_property_check(
     desc = ball.descriptor()
     members = ball.members()
     log_size = ball.log_cardinality()
-    lengths = {m: conditional_codelength(m, desc, params) for m in members}
+    lengths = {m: conditional_codelength(m, desc) for m in members}
     threshold = log_size - beta
     violations = sum(1 for v in lengths.values() if v < threshold)
     bound = len(members) * 2.0 ** (-beta)
@@ -329,7 +325,6 @@ def denoise(
     spec: DistortionSpec,
     budget: int,
     seed: int,
-    params: Optional[CodecParams] = None,
     image_width: Optional[int] = None,
     levels: "Optional[Sequence[Fraction]]" = None,
 ) -> DenoiseResult:
@@ -355,7 +350,7 @@ def denoise(
     if levels is None:
         levels = default_denoise_levels(spec.n)
     curve = distortion_rate_curve(
-        x, spec, None, budget, seed, params, extra_seeds=extra, levels=levels
+        x, spec, None, budget, seed, extra_seeds=extra, levels=levels
     )
     if len(curve.points) == 1:
         # already incompressible-flat: the single corner is the answer
@@ -372,7 +367,7 @@ def denoise(
     w = residual.weight()
     frac = Fraction(w, spec.n)
     floor_bits = RESIDUAL_FLOOR_FACTOR * math.log2(ball_cardinality(spec, frac))
-    res_len = codelength(residual, params)
+    res_len = codelength(residual)
     zero_ball = Ball(spec, frac, center=BitWord.zeros(spec.n))
     model_ball = Ball(spec, frac, center=xhat)
     diagnostics = DenoiseDiagnostics(
@@ -381,9 +376,9 @@ def denoise(
         residual_codelength=res_len,
         residual_floor_bits=floor_bits,
         residual_typical=res_len >= floor_bits,
-        residual_deficiency=deficiency_estimate(residual, zero_ball, params),
-        model_deficiency=deficiency_estimate(x, model_ball, params),
-        model_sufficiency_gap=sufficiency_gap(x, model_ball, params),
+        residual_deficiency=deficiency_estimate(residual, zero_ball),
+        model_deficiency=deficiency_estimate(x, model_ball),
+        model_sufficiency_gap=sufficiency_gap(x, model_ball),
     )
     return DenoiseResult(
         input=x,

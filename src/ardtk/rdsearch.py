@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .bits import BitWord
-from .codec import CodecParams, codelength
+from .codec import codelength
 from .distortion import (
     EUCLID,
     HAMMING,
@@ -63,15 +63,16 @@ class Candidate:
         return w.digest()
 
 
-def make_candidate(x: BitWord, spec: DistortionSpec, destination: Destination,
-                   params: Optional[CodecParams] = None) -> Candidate:
+def make_candidate(
+    x: BitWord, spec: DistortionSpec, destination: Destination
+) -> Candidate:
     """Score a destination and recompute its distortion from scratch."""
     if isinstance(destination, BitWord):
-        score = codelength(destination, params)
+        score = codelength(destination)
         dist = distance(spec, x, destination)
     else:
         members = tuple(sorted(destination))
-        score = codelength(BitWord.join(members), params)
+        score = codelength(BitWord.join(members))
         dist = distance(spec, x, members)
         destination = members
     return Candidate(destination=destination, score=score, distortion=dist)
@@ -164,7 +165,6 @@ def _word_search(
     delta: Fraction,
     budget: int,
     seed: int,
-    params,
     extra_seeds: "Iterable[BitWord]",
     trace: Optional[list],
 ):
@@ -176,7 +176,7 @@ def _word_search(
     if feasible_count <= budget:
         best = None
         for y in ball.members():
-            score = codelength(y, params)
+            score = codelength(y)
             evals += 1
             if best is None or (score, y.value) < (best.score, best.destination.value):
                 best = Candidate(y, score, distance(spec, x, y))
@@ -216,7 +216,7 @@ def _word_search(
         if y.value not in seen:
             if evals >= budget:
                 return
-            seen[y.value] = codelength(y, params)
+            seen[y.value] = codelength(y)
             evals += 1
         score = seen[y.value]
         if best is None or (score, y.value) < (best.score, best.destination.value):
@@ -242,7 +242,6 @@ def _list_search(
     spec: DistortionSpec,
     delta: Fraction,
     budget: int,
-    params,
     trace: Optional[list],
 ):
     """Lists containing x, no larger than 2^delta, in fixed sorted order.
@@ -259,7 +258,7 @@ def _list_search(
             break
         prefix = x.value >> t << t
         members = tuple(BitWord(n, prefix | s) for s in range(1 << t))
-        cand = make_candidate(x, spec, members, params)
+        cand = make_candidate(x, spec, members)
         evals += 1
         if best is None or (cand.score, cand.destination) < (best.score, best.destination):
             best = cand
@@ -274,7 +273,6 @@ def search_min_rate(
     delta: Fraction,
     budget: int,
     seed: int,
-    params: Optional[CodecParams] = None,
     extra_seeds: "Iterable[BitWord]" = (),
     trace: Optional[list] = None,
 ) -> Candidate:
@@ -284,14 +282,20 @@ def search_min_rate(
     feasible, so the search is total.  When the whole feasible set fits
     in the budget the result is its exact minimum (ties to the
     lexicographically least destination).
+
+    trace, when given, receives (evaluations so far, best score) at each
+    improvement and once more at the end, so its last entry holds the
+    evaluations the search spent.
     """
     delta = Fraction(delta)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if spec.family == LIST:
-        best, _ = _list_search(x, spec, delta, budget, params, trace)
+        best, evals = _list_search(x, spec, delta, budget, trace)
     else:
-        best, _ = _word_search(x, spec, delta, budget, seed, params, extra_seeds, trace)
+        best, evals = _word_search(x, spec, delta, budget, seed, extra_seeds, trace)
+    if trace is not None:
+        trace.append((evals, best.score))
     return best
 
 
@@ -305,7 +309,6 @@ def distortion_rate_curve(
     rate_grid: "Optional[Sequence[int]]",
     budget: int,
     seed: int,
-    params: Optional[CodecParams] = None,
     extra_seeds: "Iterable[BitWord]" = (),
     levels: "Optional[Sequence[Fraction]]" = None,
 ) -> CurveEstimate:
@@ -330,10 +333,10 @@ def distortion_rate_curve(
     for i, level in enumerate(search_levels):
         trace: list = []
         cand = search_min_rate(
-            x, spec, level, budget, _child_seed(seed, i), params,
+            x, spec, level, budget, _child_seed(seed, i),
             extra_seeds=extra_seeds, trace=trace,
         )
-        used += trace[-1][0] if trace else 0
+        used += trace[-1][0]
         key = cand.digest()
         if key not in pool or cand.score < pool[key].score:
             pool[key] = cand
@@ -371,8 +374,6 @@ def canonical_estimate(
     l_grid: "Sequence[int]",
     budget: int,
     seed: int,
-    params: Optional[CodecParams] = None,
-    slack_c: int = DEFAULT_SLACK_C,
 ) -> CurveEstimate:
     """Estimated bits needed for a radius ball of log-cardinality <= l
     containing x, scored by its center's codelength, for each l in
@@ -390,9 +391,9 @@ def canonical_estimate(
         delta = radius_for_log_cardinality(spec, l)
         trace: list = []
         cand = search_min_rate(
-            x, spec, delta, budget, _child_seed(seed, l), params, trace=trace
+            x, spec, delta, budget, _child_seed(seed, l), trace=trace
         )
-        used += trace[-1][0] if trace else 0
+        used += trace[-1][0]
         if cand.score < best_bits:
             best_bits, best_cand = cand.score, cand
         points.append(
@@ -403,7 +404,7 @@ def canonical_estimate(
                 candidate=best_cand,
             )
         )
-    slack = slack_c * math.log2(n) if n >= 2 else float(slack_c)
+    slack = DEFAULT_SLACK_C * math.log2(n) if n >= 2 else float(DEFAULT_SLACK_C)
     return CurveEstimate(
         axis="log_cardinality",
         points=points,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bits import BitWord
-from .codec import CodecParams, codelength
+from .codec import codelength
 from .distortion import HAMMING, DistortionSpec, binary_entropy
 from .rdsearch import search_min_rate
 
@@ -255,8 +255,6 @@ def expected_rate_comparison(
     samples: int,
     budget: int,
     seed: int,
-    params: Optional[CodecParams] = None,
-    delta1_slack: float = DEFAULT_DELTA1_SLACK,
 ) -> ComparisonReport:
     """Sample words, estimate each word's rate-distortion curve, and set
     the ensemble mean against n * R(delta).
@@ -280,8 +278,7 @@ def expected_rate_comparison(
         best = math.inf
         for j, delta in enumerate(grid):
             cand = search_min_rate(
-                x, spec, delta, budget, seed=(seed * 9176 + i * 131 + j) & 0x7FFFFFFF,
-                params=params,
+                x, spec, delta, budget, seed=(seed * 9176 + i * 131 + j) & 0x7FFFFFFF
             )
             best = min(best, cand.score)
             row.append(int(best))
@@ -300,7 +297,7 @@ def expected_rate_comparison(
     support = None
     if n <= CODE_MAP_MAX_N:
         lengths = np.array(
-            [codelength(BitWord(n, v), params) for v in range(1 << n)],
+            [codelength(BitWord(n, v)) for v in range(1 << n)],
             dtype=np.int64,
         )
         p1 = float(src.pmf[1])
@@ -325,7 +322,7 @@ def expected_rate_comparison(
         min_curve=min_curve,
         max_curve=max_curve,
         shannon_nR=nR,
-        delta1_slack=delta1_slack,
+        delta1_slack=DEFAULT_DELTA1_SLACK,
         delta2=delta2,
         code_map_support=support,
     )

@@ -382,6 +382,11 @@ class TestCoverCommand:
         assert main(["cover", "space", "--n", "8", "--d", "1/4",
                      "--delta", "1/4", "--out-dir", str(tmp_path)]) == 1
 
+    def test_ball_too_large_is_domain_error(self, tmp_path, capsys):
+        assert main(["cover", "ball", "--n", "32", "--delta", "1/2",
+                     "--d", "1/4", "--out-dir", str(tmp_path)]) == 1
+        assert "more than" in capsys.readouterr().err
+
     def test_ball_requires_delta(self, tmp_path):
         assert main(["cover", "ball", "--n", "8", "--d", "1/8",
                      "--out-dir", str(tmp_path)]) == 1

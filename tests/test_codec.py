@@ -1,4 +1,6 @@
+import hashlib
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ardtk.bits import BitWord
 from ardtk import codec
 from ardtk.codec import (
-    CodecParams,
     Codeword,
     MalformedCodewordError,
     compress,
@@ -16,9 +17,9 @@ from ardtk.codec import (
 )
 
 
-def rt(w: BitWord, params=codec.DEFAULT_PARAMS) -> Codeword:
-    cw = compress(w, params)
-    assert decompress(cw, params) == w
+def rt(w: BitWord) -> Codeword:
+    cw = compress(w)
+    assert decompress(cw) == w
     return cw
 
 
@@ -43,33 +44,83 @@ def test_round_trip_structured():
         BitWord.from_str("0011" * 1024),
         BitWord.random(rng, 4096),
         BitWord.random(rng, 37),
-        BitWord.random(rng, 8 * 600),  # multi-block sized at small block_size
+        BitWord.random(rng, 8 * 600),
     ]
     for w in words:
         rt(w)
 
 
-def test_round_trip_small_block_size():
-    params = CodecParams(block_size=64)
-    rng = random.Random(3)
-    for n in (0, 64, 65, 256, 1000):
-        rt(BitWord.random(rng, n), params)
-        rt(BitWord.zeros(n), params)
+def _sparse_word(rng: random.Random, n: int, density: float) -> BitWord:
+    v = 0
+    for i in range(n):
+        if rng.random() < density:
+            v |= 1 << i
+    return BitWord(n, v)
 
 
-def test_every_method_round_trips():
-    # force each container method through its own encode/decode pair
+def test_round_trip_multi_block_bwt():
+    # two full BWT blocks and a partial third, forced through MODE_BWT
+    w = _sparse_word(random.Random(3), 2 * codec.BWT_BLOCK_BITS + 14464, 1 / 32)
+    assert w.n == 80000
+    cw = codec._encode_with_mode(w, codec.MODE_BWT)
+    assert cw is not None
+    assert decompress(cw) == w
+
+
+def _forced_mode_cases() -> "dict[int, BitWord]":
     rng = random.Random(5)
-    cases = {
+    return {
         codec.MODE_RAW: BitWord.random(rng, 40),
         codec.MODE_BITAC: BitWord.zeros(200),
         codec.MODE_BWT: BitWord.from_str("0011010" * 100),
         codec.MODE_LZ: BitWord.from_str("10110100" * 64),
     }
-    for mode, w in cases.items():
-        cw = codec._encode_with_mode(w, mode, codec.DEFAULT_PARAMS)
+
+
+def test_every_method_round_trips():
+    # force each container method through its own encode/decode pair
+    for mode, w in _forced_mode_cases().items():
+        cw = codec._encode_with_mode(w, mode)
         assert cw is not None
         assert decompress(cw) == w
+
+
+# -- pinned output -----------------------------------------------------------
+
+
+def _pinned_batch() -> "list[BitWord]":
+    """Random, sparse, periodic and repeated-chunk words of 0..5000 bits."""
+    rng = random.Random(20241018)
+    lengths = [0, 1, 2, 7, 8, 9, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 4096, 5000]
+    lengths += [rng.randint(0, 5000) for _ in range(7)]
+    words = []
+    for n in lengths:
+        words.append(BitWord.random(rng, n))
+        words.append(_sparse_word(rng, n, 1 / 32))
+        period = BitWord.random(rng, rng.randint(1, 40)).to01()
+        words.append(BitWord.from_str((period * (n // len(period) + 1))[:n]))
+        chunk = BitWord.random(rng, rng.randint(8, 300)).to01()
+        s = "".join(
+            chunk if rng.random() < 0.7 else BitWord.random(rng, len(chunk)).to01()
+            for _ in range(n // len(chunk) + 1)
+        )
+        words.append(BitWord.from_str(s[:n]))
+    return words
+
+
+# sha256 over every (word, mode) encoding of _pinned_batch; any change to
+# the codec's output, in any method, shows up here
+PINNED_CODEC_DIGEST = "baf4fe3c95ec7627c5f38ed287c025d328cc6332171784a2f33b29388a9c7b65"
+
+
+def test_codec_output_pinned():
+    h = hashlib.sha256()
+    for w in _pinned_batch():
+        for mode in (codec.MODE_RAW, codec.MODE_BITAC, codec.MODE_BWT, codec.MODE_LZ):
+            cw = codec._encode_with_mode(w, mode)
+            h.update(f"{w.n}:{mode}:".encode())
+            h.update(b"-" if cw is None else f"{cw.bit_length}:".encode() + cw.data)
+    assert h.hexdigest() == PINNED_CODEC_DIGEST
 
 
 def test_bwt_mtf_zle_stages():
@@ -196,7 +247,7 @@ def test_malformed_huge_zero_run():
     out.write_leb(256)
     out.write_leb(0)  # BWT index
     out.write_leb(len(syms))
-    enc = _ArithmeticEncoder(out, codec.DEFAULT_PARAMS.coder_precision)
+    enc = _ArithmeticEncoder(out)
     model = _FenwickModel(codec._ZLE_ALPHABET)
     for s in syms:
         lo, hi = model.interval(s)
@@ -213,8 +264,70 @@ def test_codeword_header_field():
     assert compress(w).original_length == 130
 
 
-def test_params_validated():
+def _lz_run_codeword(n: int) -> Codeword:
+    """An LZ codeword for n bits: one literal byte, then one match that
+    repeats it to the end."""
+    out = codec._BitWriter()
+    out.write_bits(codec.MODE_LZ, 2)
+    out.write_leb(n)
+    out.write_leb(1)
+    out.write_bits(0xA5, 8)
+    out.write_leb((n + 7) // 8 - 1 - 4)
+    out.write_leb(1)
+    return Codeword(*out.getvalue())
+
+
+def test_word_length_cap():
     with pytest.raises(ValueError):
-        CodecParams(block_size=32)
-    with pytest.raises(ValueError):
-        CodecParams(coder_precision=8)
+        compress(BitWord(codec.MAX_WORD_BITS + 1, 0))
+    assert decompress(_lz_run_codeword(codec.MAX_WORD_BITS)).n == codec.MAX_WORD_BITS
+    for n in (codec.MAX_WORD_BITS + 8, 1 << 40):
+        with pytest.raises(MalformedCodewordError):
+            decompress(_lz_run_codeword(n))
+
+
+# -- decoder fuzz ------------------------------------------------------------
+
+
+_FUZZ_BASES = [
+    codec._encode_with_mode(w, mode) for mode, w in _forced_mode_cases().items()
+]
+
+
+@st.composite
+def _mangled_codewords(draw) -> Codeword:
+    kind = draw(st.sampled_from(["flip", "truncate", "random", "header"]))
+    if kind == "random":
+        data = draw(st.binary(min_size=1, max_size=200))
+        return Codeword(data, 8 * len(data) - draw(st.integers(0, 7)))
+    if kind == "header":
+        # a declared length anywhere up to far past the cap, then anything
+        out = codec._BitWriter()
+        out.write_bits(draw(st.integers(0, 3)), 2)
+        out.write_leb(draw(st.one_of(
+            st.integers(0, 1 << 16),
+            st.integers(codec.MAX_WORD_BITS - 64, codec.MAX_WORD_BITS + 64),
+            st.integers(0, 1 << 62),
+        )))
+        tail = draw(st.binary(max_size=64))
+        out.write_bits(int.from_bytes(tail, "big"), 8 * len(tail))
+        return Codeword(*out.getvalue())
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    if kind == "truncate":
+        nbits = draw(st.integers(0, base.bit_length - 1))
+        head = int.from_bytes(base.data, "big") >> (8 * len(base.data) - nbits)
+        return Codeword((head << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big"), nbits)
+    data = bytearray(base.data)
+    for pos in draw(st.lists(st.integers(0, base.bit_length - 1), min_size=1, max_size=8)):
+        data[pos >> 3] ^= 0x80 >> (pos & 7)
+    return Codeword(bytes(data), base.bit_length)
+
+
+@given(_mangled_codewords())
+@settings(max_examples=400, deadline=timedelta(seconds=5))
+def test_decoder_total(cw):
+    try:
+        out = decompress(cw)
+    except MalformedCodewordError:
+        return
+    assert isinstance(out, BitWord)

@@ -1,4 +1,5 @@
 """Ball-covering construction tests."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,14 @@ from ardtk.cover import (
     shell_offset,
     verify_cover,
 )
-from ardtk.distortion import HAMMING, LIST, Ball, DistortionSpec, ball_cardinality
+from ardtk.distortion import (
+    HAMMING,
+    LIST,
+    Ball,
+    DistortionSpec,
+    SizeGuardError,
+    ball_cardinality,
+)
 
 
 def spec(n):
@@ -116,6 +124,16 @@ class TestCoverBall:
             cover_ball(s, Fraction(1, 4), Fraction(1, 8), seed=-1)
         with pytest.raises(ValueError):
             cover_ball(DistortionSpec(LIST, 8), Fraction(1, 4), Fraction(1, 8), seed=1)
+
+    def test_size_guard_fires_before_enumeration(self):
+        # b(1/2) at n = 32 is about 2^31 words; a shell enumeration alone
+        # would hold comb(32, 16) values
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError):
+            cover_ball(spec(32), Fraction(1, 2), Fraction(1, 4), seed=0)
+        with pytest.raises(SizeGuardError):
+            cover_space(spec(32), Fraction(1, 4), seed=0)
+        assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

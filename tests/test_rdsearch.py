@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ardtk import rdsearch
 from ardtk.bits import BitWord
 from ardtk.codec import codelength
 from ardtk.distortion import (
@@ -224,7 +225,7 @@ class TestCanonicalEstimate:
 
     def test_slack_reported(self):
         est = canonical_estimate(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
-                                 [0, 4, 8], budget=4, seed=0, slack_c=8)
+                                 [0, 4, 8], budget=4, seed=0)
         assert est.slack_bits == pytest.approx(8 * math.log2(8))
 
     def test_grid_validation(self):
@@ -234,6 +235,44 @@ class TestCanonicalEstimate:
         with pytest.raises(ValueError):
             canonical_estimate(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
                                [4, 0], budget=4, seed=0)
+
+
+class TestBudgetAccounting:
+    """budget_used is the number of oracle evaluations the curve spent."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(w):
+            count[0] += 1
+            return codelength(w)
+
+        monkeypatch.setattr(rdsearch, "codelength", counted)
+        return count
+
+    def test_budget_used_equals_oracle_calls(self, calls):
+        # at n = 16 and budget 64 the radius-0 and radius-1/16 levels are
+        # enumerated and the wider ones are searched heuristically
+        h16 = DistortionSpec(HAMMING, 16)
+        x = BitWord.random(random.Random(41), 16)
+        y = BitWord.random(random.Random(42), 8)
+        runs = [
+            lambda: distortion_rate_curve(x, h16, None, budget=64, seed=1),
+            lambda: canonical_estimate(x, h16, list(range(17)), budget=64, seed=2),
+            lambda: distortion_rate_curve(y, DistortionSpec(LIST, 8), None, budget=64, seed=3),
+        ]
+        for run in runs:
+            calls[0] = 0
+            est = run()
+            assert est.budget_used == calls[0] > 0
+
+    def test_trace_ends_with_evaluations_spent(self, calls):
+        x = BitWord.random(random.Random(43), 16)
+        trace = []
+        c = search_min_rate(x, DistortionSpec(HAMMING, 16), Fraction(1, 4),
+                            budget=64, seed=4, trace=trace)
+        assert trace[-1] == (calls[0], c.score)
 
 
 class TestTransform:
