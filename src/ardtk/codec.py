@@ -13,20 +13,46 @@ Methods:
     3  lz       greedy byte-level LZ with unbounded window
 
 compress() tries every method eligible for the input size and keeps the
-shortest encoding (ties broken by the smaller tag).  The codec is one
-fixed program with no settings: BWT blocks hold BWT_BLOCK_BITS (32768)
-input bits, the arithmetic coder keeps a CODER_PRECISION (32) bit
-state, and words longer than MAX_WORD_BITS (2^24) are refused by both
-compress and decompress.  So codelength is a total deterministic
-function of the input word alone.  The raw method bounds codelength(x)
-by |x| plus a small header for every input; the lz method makes
-concatenation duplicates cheap, which is what the conditional
-codelength estimate relies on.
+shortest encoding (ties broken by the smaller tag).
+
+codelength(x) equals compress(x).bit_length but writes no codeword: it
+runs the same encoders into a _BitCounter, a sink that only counts the
+bits it is given, in the order raw, bitac, lz, bwt.  BWT comes last
+because it can stop early: before coding a block it adds a floor on the
+block's coded bits to the bits counted so far, and once that reaches
+the shortest length of the other methods it gives up, since it can no
+longer lower the minimum.
+
+The floor holds for blocks of at most _ZLE_FREE (2040) zero-run symbols
+and is 0 above.  Below that count the adaptive model never rescales, so
+it is a Dirichlet mixture whose ideal length of the block is
+
+    L* = sum_i log2(257 + 32 i) - sum_sym sum_{j < k_sym} log2(1 + 32 j)
+
+with k_sym the symbol's count in the block; _zle_floor reads it off the
+histogram through lgamma.  The coder's span starts at 2^32 and is above
+2^30 before each symbol.  Coding a symbol of model probability p shrinks
+it to at most p (1 + 2^-14) of itself, since p > 2^-16; each shift
+doubles it exactly, and the final span lies in (2^30, 2^32].  So the
+block takes S shifts with S > L* - 2 - 2040 log2(1 + 2^-14) > L* - 2.2,
+and codes to S + 2 bits.  The floor is ceil(L* - 3) + 2, which leaves
+room for float error.  The same argument bounds S above by L* + 0.2, so
+the floor is never more than 3 bits below the coded length.
+
+The codec is one fixed program with no settings: BWT blocks hold
+BWT_BLOCK_BITS (32768) input bits, the arithmetic coder keeps a
+CODER_PRECISION (32) bit state, and words longer than MAX_WORD_BITS
+(2^24) are refused by compress, codelength and decompress.  So
+codelength is a total deterministic function of the input word alone.
+The raw method bounds codelength(x) by |x| plus a small header for
+every input; the lz method makes concatenation duplicates cheap, which
+is what the conditional codelength estimate relies on.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import log2
+from math import ceil, lgamma, log, log2
 
 from .bits import BitWord
 
@@ -39,6 +65,8 @@ MODE_LZ = 3
 _BITAC_MAX = 1024
 _BWT_MIN = 256
 _LZ_MIN = 64
+# the bitac coders never halve a context total (see method 1)
+assert _BITAC_MAX + 2 < 1 << 14
 
 _LZ_MIN_MATCH = 4
 
@@ -140,6 +168,22 @@ class _BitWriter:
         return out, nbits
 
 
+class _BitCounter(_BitWriter):
+    """A sink that keeps only the number of bits written to it."""
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 0
+
+    def write_bits(self, value: int, count: int):
+        self.count += count
+
+    @property
+    def bit_length(self) -> int:
+        return self.count
+
+
 class _BitReader:
     """MSB-first reader; reads past the declared end return zero bits.
 
@@ -192,50 +236,46 @@ class _BitReader:
 
 # ---------------------------------------------------------------------------
 # arithmetic coder core (integer implementation with underflow handling)
+#
+# An encoder's state is the interval [low, high] of CODER_PRECISION-bit
+# values plus the count of pending underflow bits, whose value waits on
+# the next settled bit.  The encoders keep that state in locals, narrow
+# the interval once per symbol and call _renormalise when the interval
+# has a settled or an underflow bit to shift out.
 
 
-class _ArithmeticEncoder:
-    __slots__ = ("low", "high", "pending", "out")
+def _renormalise(low: int, high: int, pending: int, out: _BitWriter):
+    """Shift every settled and underflow bit out of [low, high]; returns
+    the new (low, high, pending).
 
-    def __init__(self, out: _BitWriter):
-        self.low = 0
-        self.high = _MASK
-        self.pending = 0
-        self.out = out
+    This is the classic bit-at-a-time loop taken one run at a time.  The
+    settled bits are the leading bits low and high share: they go out in
+    one write, the first of them followed by the pending run of its
+    opposite.  The underflow bits come next: while low reads 01... and
+    high 10..., the second bit is dropped and pending grows.  An underflow
+    shift leaves low below _HALF and high above it, so no settled bit can
+    follow one.
+    """
+    k = CODER_PRECISION - (low ^ high).bit_length()
+    if k:
+        top = low >> (CODER_PRECISION - k)
+        out.write_bits(top + (((1 << pending) - 1) << (k - 1)), k + pending)
+        pending = 0
+        low = (low << k) & _MASK
+        high = ((high << k) & _MASK) | ((1 << k) - 1)
+    u = CODER_PRECISION - 1 - ((low & ~high & (_HALF - 1)) ^ (_HALF - 1)).bit_length()
+    if u:
+        pending += u
+        low = (low << u) & (_HALF - 1)
+        high = ((high << u) & (_HALF - 1)) | _HALF | ((1 << u) - 1)
+    return low, high, pending
 
-    def encode(self, cum_lo: int, cum_hi: int, total: int):
-        low, high = self.low, self.high
-        span = high - low + 1
-        high = low + span * cum_hi // total - 1
-        low = low + span * cum_lo // total
-        pending = self.pending
-        out = self.out
-        while True:
-            # a settled bit goes out with its pending opposite bits
-            if high < _HALF:
-                out.write_bits((1 << pending) - 1, pending + 1)
-                pending = 0
-            elif low >= _HALF:
-                out.write_bits(1 << pending, pending + 1)
-                pending = 0
-                low -= _HALF
-                high -= _HALF
-            elif low >= _QUARTER and high < _HALF + _QUARTER:
-                pending += 1
-                low -= _QUARTER
-                high -= _QUARTER
-            else:
-                break
-            low = (low << 1) & _MASK
-            high = ((high << 1) | 1) & _MASK
-        self.low, self.high, self.pending = low, high, pending
 
-    def finish(self):
-        # classic termination: the emitted prefix pins the value inside the
-        # final interval no matter what the reader pads afterwards
-        pending = self.pending + 1
-        bits = (1 << pending) - 1 if self.low < _QUARTER else 1 << pending
-        self.out.write_bits(bits, pending + 1)
+def _finish(low: int, pending: int, out: _BitWriter):
+    # classic termination: the emitted prefix pins the value inside the
+    # final interval no matter what the reader pads afterwards
+    pending += 1
+    out.write_bits((1 << pending) - 1 if low < _QUARTER else 1 << pending, pending + 1)
 
 
 class _ArithmeticDecoder:
@@ -250,7 +290,7 @@ class _ArithmeticDecoder:
     def finish(self):
         # back to the end of the encoder's output: both sides shift alike,
         # but this side read CODER_PRECISION bits up front and the encoder's
-        # finish() wrote only two
+        # _finish wrote only two
         self.inp.pos -= CODER_PRECISION - 2
 
     def decode_target(self, total: int) -> int:
@@ -283,125 +323,53 @@ class _ArithmeticDecoder:
         self.low, self.high, self.code = low, high, code
 
 
-_FENWICK_INC = 32           # count added per coded symbol
-_FENWICK_LIMIT = 1 << 16    # total above which every count is halved
-
-
-class _FenwickModel:
-    """Adaptive frequency table over a fixed alphabet, Fenwick-backed."""
-
-    __slots__ = ("size", "tree", "total")
-
-    def __init__(self, size: int):
-        self.size = size
-        self._rebuild([1] * size)
-
-    def _rebuild(self, counts):
-        size = self.size
-        tree = [0] * (size + 1)
-        for i, c in enumerate(counts):
-            j = i + 1
-            while j <= size:
-                tree[j] += c
-                j += j & -j
-        self.tree = tree
-        self.total = sum(counts)
-
-    def _prefix(self, i: int) -> int:
-        # sum of counts[0:i]
-        tree = self.tree
-        s = 0
-        while i:
-            s += tree[i]
-            i -= i & -i
-        return s
-
-    def interval(self, sym: int):
-        lo = self._prefix(sym)
-        hi = lo + self._count(sym)
-        return lo, hi
-
-    def _count(self, sym: int) -> int:
-        s = self.tree[sym + 1]
-        parent = sym & (sym + 1)
-        i = sym
-        while i != parent:
-            s -= self.tree[i]
-            i &= i - 1
-        return s if sym else self.tree[1]
-
-    def find(self, target: int) -> "tuple[int, int]":
-        """Symbol whose cumulative interval contains target, plus cum low."""
-        tree = self.tree
-        idx = 0
-        step = 1
-        while step * 2 <= self.size:
-            step *= 2
-        acc = 0
-        while step:
-            nxt = idx + step
-            if nxt <= self.size and acc + tree[nxt] <= target:
-                acc += tree[nxt]
-                idx = nxt
-            step >>= 1
-        return idx, acc
-
-    def update(self, sym: int):
-        i = sym + 1
-        tree = self.tree
-        size = self.size
-        while i <= size:
-            tree[i] += _FENWICK_INC
-            i += i & -i
-        self.total += _FENWICK_INC
-        if self.total > _FENWICK_LIMIT:
-            counts = [max(1, (self._count(s) + 1) // 2) for s in range(size)]
-            self._rebuild(counts)
-
-
 # ---------------------------------------------------------------------------
 # method 1: adaptive binary arithmetic coding with order-1 context
+#
+# c[2 * prev + bit] counts bit after a prev bit.  A context total starts at
+# 2 and grows by one per coded bit, so below the _BITAC_MAX cutoff it never
+# reaches the 2^14 at which an adaptive binary model would have to halve it.
 
 
 def _encode_bitac(word: BitWord, out: _BitWriter):
-    enc = _ArithmeticEncoder(out)
-    c = [[1, 1], [1, 1]]  # counts per previous-bit context
-    prev = 0
-    n, value = word.n, word.value
-    for i in range(n - 1, -1, -1):
-        b = (value >> i) & 1
-        c0, c1 = c[prev]
-        total = c0 + c1
-        if b:
-            enc.encode(c0, total, total)
+    c = [1, 1, 1, 1]
+    j = 0  # 2 * prev
+    low, high, pending = 0, _MASK, 0
+    for bit in word.to01():
+        c0 = c[j]
+        cut = low + (high - low + 1) * c0 // (c0 + c[j + 1])
+        if bit == "1":
+            low = cut
+            c[j + 1] += 1
+            j = 2
+            # low rose: a settled 1 or an underflow bit
+            if low >= _QUARTER and (low >= _HALF or high < _HALF + _QUARTER):
+                low, high, pending = _renormalise(low, high, pending, out)
         else:
-            enc.encode(0, c0, total)
-        c[prev][b] += 1
-        if total + 1 >= (1 << 14):
-            c[prev][0] = (c[prev][0] + 1) // 2
-            c[prev][1] = (c[prev][1] + 1) // 2
-        prev = b
-    enc.finish()
+            high = cut - 1
+            c[j] = c0 + 1
+            j = 0
+            # high fell: a settled 0 or an underflow bit
+            if high < _HALF + _QUARTER and (high < _HALF or low >= _QUARTER):
+                low, high, pending = _renormalise(low, high, pending, out)
+    _finish(low, pending, out)
 
 
 def _decode_bitac(r: _BitReader, n: int) -> int:
     dec = _ArithmeticDecoder(r)
-    c = [[1, 1], [1, 1]]
-    prev = 0
+    c = [1, 1, 1, 1]
+    j = 0
     value = 0
     for _ in range(n):
-        c0, c1 = c[prev]
-        total = c0 + c1
+        c0 = c[j]
+        total = c0 + c[j + 1]
         b = 1 if dec.decode_target(total) >= c0 else 0
         if b:
             dec.consume(c0, total, total)
         else:
             dec.consume(0, c0, total)
-        c[prev][b] += 1
-        if total + 1 >= (1 << 14):
-            c[prev][0] = (c[prev][0] + 1) // 2
-            c[prev][1] = (c[prev][1] + 1) // 2
-        prev = b
+        c[j + b] += 1
+        j = 2 * b
         value = (value << 1) | b
     return value
 
@@ -412,6 +380,69 @@ def _decode_bitac(r: _BitReader, n: int) -> int:
 _ZLE_RUNA = 0
 _ZLE_RUNB = 1
 _ZLE_ALPHABET = 257  # two run digits plus literals 1..255 shifted up by one
+
+_FENWICK_INC = 32           # count added per coded symbol
+_FENWICK_LIMIT = 1 << 16    # total above which every count is halved
+_FENWICK_TOP = 1 << (_ZLE_ALPHABET.bit_length() - 1)  # top power of 2 in the tree
+# the tree while every count is 1: node j sums the lowbit(j) counts below it
+_FENWICK_START = [j & -j for j in range(_ZLE_ALPHABET + 1)]
+
+
+class _FenwickModel:
+    """Adaptive frequency table over the zero-run alphabet, Fenwick-backed."""
+
+    __slots__ = ("counts", "tree", "total")
+
+    def __init__(self):
+        self.counts = [1] * _ZLE_ALPHABET
+        self.tree = _FENWICK_START.copy()
+        self.total = _ZLE_ALPHABET
+
+    def _rebuild(self):
+        tree = [0] * (_ZLE_ALPHABET + 1)
+        for i, c in enumerate(self.counts):
+            j = i + 1
+            while j <= _ZLE_ALPHABET:
+                tree[j] += c
+                j += j & -j
+        self.tree = tree
+        self.total = sum(self.counts)
+
+    def interval(self, sym: int):
+        # sum of counts[0:sym], then this symbol's share
+        tree = self.tree
+        lo = 0
+        i = sym
+        while i:
+            lo += tree[i]
+            i &= i - 1
+        return lo, lo + self.counts[sym]
+
+    def find(self, target: int) -> "tuple[int, int]":
+        """Symbol whose cumulative interval contains target, plus cum low."""
+        tree = self.tree
+        idx = 0
+        acc = 0
+        step = _FENWICK_TOP
+        while step:
+            nxt = idx + step
+            if nxt <= _ZLE_ALPHABET and acc + tree[nxt] <= target:
+                acc += tree[nxt]
+                idx = nxt
+            step >>= 1
+        return idx, acc
+
+    def update(self, sym: int):
+        self.counts[sym] += _FENWICK_INC
+        i = sym + 1
+        tree = self.tree
+        while i <= _ZLE_ALPHABET:
+            tree[i] += _FENWICK_INC
+            i += i & -i
+        self.total += _FENWICK_INC
+        if self.total > _FENWICK_LIMIT:
+            self.counts = [max(1, (c + 1) // 2) for c in self.counts]
+            self._rebuild()
 
 
 def _bwt_encode(block: bytes) -> "tuple[bytes, int]":
@@ -528,38 +559,70 @@ def _zle_flush_zeros(out: bytearray, run: int, limit: int):
     out.extend(b"\x00" * run)
 
 
-def _entropy_bits(syms) -> float:
-    counts = {}
-    for s in syms:
-        counts[s] = counts.get(s, 0) + 1
-    n = len(syms)
+def _entropy_bits(hist: Counter, count: int) -> float:
     h = 0.0
-    for c in counts.values():
-        p = c / n
+    for c in hist.values():
+        p = c / count
         h -= p * log2(p)
-    return h * n
+    return h * count
 
 
-def _encode_bwt(word: BitWord, out: _BitWriter) -> bool:
-    """Returns False when the entropy pre-gate predicts a hopeless encode."""
+# Until its first rescale, which comes after _ZLE_FREE symbols, the model
+# codes symbol i of a block with total _ZLE_ALPHABET + _FENWICK_INC * i
+# and the j-th repeat of a symbol with count 1 + _FENWICK_INC * j: it is
+# a Polya urn, so a block's ideal length has a closed form in lgamma.
+_ZLE_FREE = (_FENWICK_LIMIT - _ZLE_ALPHABET) // _FENWICK_INC + 1
+_URN_ALPHA = 1 / _FENWICK_INC                  # prior weight per symbol
+_URN_TOTAL = _ZLE_ALPHABET / _FENWICK_INC      # prior weight in all
+
+
+def _zle_floor(hist: Counter, count: int) -> int:
+    """A lower bound on the bits _encode_zle writes for the count symbols
+    of histogram hist: the ideal length less three bits, plus the two of
+    the termination (see the module docstring), or 0 past _ZLE_FREE."""
+    if count > _ZLE_FREE:
+        return 0
+    nats = lgamma(count + _URN_TOTAL) - lgamma(_URN_TOTAL) - sum(
+        lgamma(k + _URN_ALPHA) - lgamma(_URN_ALPHA) for k in hist.values()
+    )
+    return ceil(nats / log(2) - 3) + 2
+
+
+def _encode_zle(syms, out: _BitWriter):
+    """Arithmetic-code a zero-run symbol sequence under the adaptive model."""
+    model = _FenwickModel()
+    low, high, pending = 0, _MASK, 0
+    for s in syms:
+        lo, hi = model.interval(s)
+        total = model.total
+        span = high - low + 1
+        high = low + span * hi // total - 1
+        low += span * lo // total
+        if (low ^ high) < _HALF or low & ~high & _QUARTER:
+            low, high, pending = _renormalise(low, high, pending, out)
+        model.update(s)
+    _finish(low, pending, out)
+
+
+def _encode_bwt(word: BitWord, out: _BitWriter, best: "int | None" = None) -> bool:
+    """Returns False when the entropy pre-gate predicts a hopeless encode,
+    or, given best, once the bits written plus the next block's floor
+    reach best, so that this method cannot come out shorter."""
     packed = word.to_bytes()
     bs = BWT_BLOCK_BITS // 8
     for off in range(0, len(packed), bs):
         block = packed[off : off + bs]
         last, idx = _bwt_encode(block)
         syms = _zle_encode(_mtf_encode(last))
+        hist = Counter(syms)
         # incompressible blocks would only waste coder time; let raw win
-        if _entropy_bits(syms) + 64 > 8 * len(block):
+        if _entropy_bits(hist, len(syms)) + 64 > 8 * len(block):
             return False
         out.write_leb(idx)
         out.write_leb(len(syms))
-        enc = _ArithmeticEncoder(out)
-        model = _FenwickModel(_ZLE_ALPHABET)
-        for s in syms:
-            lo, hi = model.interval(s)
-            enc.encode(lo, hi, model.total)
-            model.update(s)
-        enc.finish()
+        if best is not None and out.bit_length + _zle_floor(hist, len(syms)) >= best:
+            return False
+        _encode_zle(syms, out)
     return True
 
 
@@ -575,12 +638,12 @@ def _decode_bwt(r: _BitReader, n: int) -> int:
         if count > 16 * blen + 64:
             raise MalformedCodewordError("implausible symbol count")
         dec = _ArithmeticDecoder(r)
-        model = _FenwickModel(_ZLE_ALPHABET)
+        model = _FenwickModel()
         syms = []
         for _ in range(count):
             target = dec.decode_target(model.total)
             sym, lo = model.find(target)
-            dec.consume(lo, lo + model._count(sym), model.total)
+            dec.consume(lo, lo + model.counts[sym], model.total)
             model.update(sym)
             syms.append(sym)
         dec.finish()
@@ -665,8 +728,24 @@ def _decode_lz(r: _BitReader, n: int) -> int:
 # container
 
 
-def _encode_with_mode(word: BitWord, mode: int):
-    out = _BitWriter()
+def _methods(n: int) -> "list[int]":
+    """The methods eligible for an n-bit word, BWT last, so that codelength
+    can hold the BWT floor against the best of the others."""
+    if n > MAX_WORD_BITS:
+        raise ValueError(f"word of {n} bits exceeds MAX_WORD_BITS = {MAX_WORD_BITS}")
+    modes = [MODE_RAW]
+    if 1 <= n <= _BITAC_MAX:
+        modes.append(MODE_BITAC)
+    if n >= _LZ_MIN:
+        modes.append(MODE_LZ)
+    if n >= _BWT_MIN:
+        modes.append(MODE_BWT)
+    return modes
+
+
+def _encode(word: BitWord, mode: int, out: _BitWriter, best: "int | None" = None) -> bool:
+    """Write the codeword of word under mode to out; False when the method
+    declines the word (see _encode_bwt)."""
     out.write_bits(mode, 2)
     out.write_leb(word.n)
     if mode == MODE_RAW:
@@ -674,29 +753,33 @@ def _encode_with_mode(word: BitWord, mode: int):
     elif mode == MODE_BITAC:
         _encode_bitac(word, out)
     elif mode == MODE_BWT:
-        if not _encode_bwt(word, out):
-            return None
+        return _encode_bwt(word, out, best)
     else:
         _encode_lz(word, out)
-    return Codeword(*out.getvalue())
+    return True
+
+
+def _encode_with_mode(word: BitWord, mode: int):
+    out = _BitWriter()
+    return Codeword(*out.getvalue()) if _encode(word, mode, out) else None
 
 
 def compress(word: BitWord) -> Codeword:
-    n = word.n
-    if n > MAX_WORD_BITS:
-        raise ValueError(f"word of {n} bits exceeds MAX_WORD_BITS = {MAX_WORD_BITS}")
-    modes = [MODE_RAW]
-    if 1 <= n <= _BITAC_MAX:
-        modes.append(MODE_BITAC)
-    if n >= _BWT_MIN:
-        modes.append(MODE_BWT)
-    if n >= _LZ_MIN:
-        modes.append(MODE_LZ)
-    best = None
-    for mode in modes:
+    found = []
+    for mode in _methods(word.n):
         cw = _encode_with_mode(word, mode)
-        if cw is not None and (best is None or cw.bit_length < best.bit_length):
-            best = cw
+        if cw is not None:
+            found.append((cw.bit_length, mode, cw))
+    return min(found)[2]
+
+
+def _count_codelength(word: BitWord) -> int:
+    """compress(word).bit_length, with every codeword counted, not written."""
+    best = None
+    for mode in _methods(word.n):
+        out = _BitCounter()
+        if _encode(word, mode, out, best) and (best is None or out.count < best):
+            best = out.count
     return best
 
 
@@ -729,10 +812,12 @@ def decompress(cw: Codeword) -> BitWord:
 
 @lru_cache(maxsize=1 << 18)
 def _codelength_cached(n: int, value: int) -> int:
-    return compress(BitWord(n, value)).bit_length
+    return _count_codelength(BitWord(n, value))
 
 
 def codelength(word: BitWord) -> int:
+    """compress(word).bit_length, counted without writing a codeword and
+    cached by (n, value)."""
     return _codelength_cached(word.n, word.value)
 
 

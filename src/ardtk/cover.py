@@ -183,17 +183,19 @@ def _cover_shell(
 def _prune(target_vals: np.ndarray, centers: "list[int]", dn: int) -> "list[int]":
     """Drop centers (latest first) whose coverage is already doubled up."""
     counts = np.zeros(len(target_vals), dtype=np.int64)
+    # per center, the indices of the targets it covers: a radius-dn ball
+    # holds far fewer words than the target ball, so these stay small
     covered_by = []
     for c in centers:
-        cov = np.bitwise_count(target_vals ^ np.uint32(c)) <= dn
-        covered_by.append(cov)
-        counts += cov
+        idx = np.flatnonzero(np.bitwise_count(target_vals ^ np.uint32(c)) <= dn)
+        covered_by.append(idx)
+        counts[idx] += 1
     keep = [True] * len(centers)
     for i in range(len(centers) - 1, -1, -1):
-        cov = covered_by[i]
-        if cov.any() and counts[cov].min() >= 2:
+        idx = covered_by[i]
+        if idx.size and counts[idx].min() >= 2:
             keep[i] = False
-            counts -= cov
+            counts[idx] -= 1
     return [c for c, k in zip(centers, keep) if k]
 
 

@@ -1,9 +1,10 @@
 import hashlib
 import random
+from collections import Counter
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ardtk.bits import BitWord
 from ardtk import codec
@@ -178,6 +179,131 @@ def test_counting_invariant_small():
         assert below < (1 << l)
 
 
+def _periodic_word(rng: random.Random, n: int) -> BitWord:
+    period = BitWord.random(rng, rng.randint(1, 40)).to01()
+    w = BitWord.from_str((period * (n // len(period) + 1))[:n])
+    for _ in range(rng.randint(0, 8) if n else 0):
+        w = w.flip(rng.randrange(n))
+    return w
+
+
+def _repeated_chunk_word(rng: random.Random, n: int) -> BitWord:
+    base = BitWord.random(rng, 1024).to01()
+    s = ""
+    while len(s) < n:
+        start = rng.randrange(1024 - 64)
+        s += base[start : start + rng.randint(8, 1024 - start)]
+    return BitWord.from_str(s[:n])
+
+
+_WORD_KINDS = {
+    "uniform": BitWord.random,
+    "sparse": lambda rng, n: _sparse_word(rng, n, rng.choice([1 / 256, 1 / 32, 1 / 8])),
+    "periodic": _periodic_word,
+    "repeats": _repeated_chunk_word,
+}
+
+
+def test_codelength_equals_compress():
+    # the counting oracle against the written codewords: every word of up
+    # to 16 bits from a cold cache, then drawn words up to 32768 bits, so
+    # that BWT both wins and is cut off by its floor
+    codec.clear_cache()
+    for n in range(17):
+        for v in range(1 << n):
+            w = BitWord(n, v)
+            assert codelength(w) == compress(w).bit_length, w
+    codec.clear_cache()
+
+    @given(
+        st.sampled_from(sorted(_WORD_KINDS)),
+        st.one_of(st.integers(0, 1100), st.integers(0, 32768)),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example("periodic", 32768, 1)
+    @example("sparse", 20000, 2)
+    @example("uniform", 4096, 3)
+    @example("repeats", 8192, 4)
+    def check(kind, n, seed):
+        w = _WORD_KINDS[kind](random.Random(seed), n)
+        assert codec._count_codelength(w) == compress(w).bit_length
+
+    check()
+
+
+def _renormalise_by_bits(low: int, high: int, pending: int, out):
+    """The classic coder's renormalisation, one shift per loop."""
+    half, quarter, mask = codec._HALF, codec._QUARTER, codec._MASK
+    while True:
+        if high < half:
+            out.write_bits((1 << pending) - 1, pending + 1)
+            pending = 0
+        elif low >= half:
+            out.write_bits(1 << pending, pending + 1)
+            pending = 0
+            low -= half
+            high -= half
+        elif low >= quarter and high < half + quarter:
+            pending += 1
+            low -= quarter
+            high -= quarter
+        else:
+            break
+        low = (low << 1) & mask
+        high = ((high << 1) | 1) & mask
+    return low, high, pending
+
+
+@st.composite
+def _coder_states(draw):
+    """(low, high, pending) with low < high: a shared prefix of any length,
+    then any number of underflow bits, then arbitrary tails."""
+    prec = codec.CODER_PRECISION
+    k = draw(st.integers(0, prec - 1))
+    u = draw(st.integers(0, prec - 1 - k))
+    rest = prec - k - 1 - u
+    prefix = draw(st.integers(0, (1 << k) - 1))
+    low_tail = draw(st.integers(0, (1 << rest) - 1))
+    high_tail = draw(st.integers(0, (1 << rest) - 1))
+    low = (((prefix << 1) << u | ((1 << u) - 1)) << rest) | low_tail
+    high = (((prefix << 1 | 1) << u) << rest) | high_tail
+    return low, high, draw(st.integers(0, 40))
+
+
+@given(_coder_states())
+@settings(max_examples=500, deadline=None)
+def test_renormalise_matches_bit_loop(state):
+    fast, slow = codec._BitWriter(), codec._BitWriter()
+    assert codec._renormalise(*state, fast) == _renormalise_by_bits(*state, slow)
+    assert fast.getvalue() == slow.getvalue()
+
+
+@given(
+    st.integers(0, 3000),
+    st.integers(1, codec._ZLE_ALPHABET),
+    st.floats(0, 3),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+@example(codec._ZLE_FREE, 2, 1.0, 0)
+@example(codec._ZLE_FREE + 1, 2, 1.0, 0)
+def test_bwt_floor_bounds_coded_bits(count, alphabet, skew, seed):
+    # zero-run symbol sequences from a Zipf-like law over a random alphabet
+    rng = random.Random(seed)
+    order = rng.sample(range(codec._ZLE_ALPHABET), alphabet)
+    weights = [1 / (i + 1) ** skew for i in range(alphabet)]
+    syms = rng.choices(order, weights, k=count)
+    out = codec._BitCounter()
+    codec._encode_zle(syms, out)
+    floor = codec._zle_floor(Counter(syms), count)
+    if count > codec._ZLE_FREE:
+        assert floor == 0
+    else:
+        # the proof in the module docstring bounds the gap from both sides
+        assert floor <= out.count <= floor + 3
+
+
 # -- conditional codelength ---------------------------------------------------
 
 
@@ -239,21 +365,13 @@ def test_malformed_bad_lz_distance():
 def test_malformed_huge_zero_run():
     # one 32-byte BWT block whose symbols are 70 RUNB digits: a zero run
     # of 2 * (2^70 - 1) bytes, far past the block and past any index size
-    from ardtk.codec import _ArithmeticEncoder, _BitWriter, _FenwickModel
-
     syms = [codec._ZLE_RUNB] * 70
-    out = _BitWriter()
+    out = codec._BitWriter()
     out.write_bits(codec.MODE_BWT, 2)
     out.write_leb(256)
     out.write_leb(0)  # BWT index
     out.write_leb(len(syms))
-    enc = _ArithmeticEncoder(out)
-    model = _FenwickModel(codec._ZLE_ALPHABET)
-    for s in syms:
-        lo, hi = model.interval(s)
-        enc.encode(lo, hi, model.total)
-        model.update(s)
-    enc.finish()
+    codec._encode_zle(syms, out)
     data, nbits = out.getvalue()
     with pytest.raises(MalformedCodewordError):
         decompress(Codeword(data, nbits))

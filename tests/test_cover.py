@@ -102,6 +102,15 @@ class TestCoverBall:
             assert not ok, "every kept center must cover something private"
         assert all(any(c.hamming(m) <= 1 for c in r.centers) for m in target)
 
+    def test_prune_keeps_pinned_centers(self):
+        # 34 drawn centers, 21 of them dropped as doubly covered; the kept
+        # ones and their order are pinned
+        r = cover_ball(spec(8), Fraction(1, 2), Fraction(1, 4), seed=0)
+        assert sum(sh.centers_used for sh in r.shells) + 1 == 34
+        assert [c.value for c in r.centers] == [
+            34, 33, 40, 20, 132, 96, 9, 10, 65, 3, 144, 72, 66,
+        ]
+
     def test_shell_records_match_offsets(self):
         d = Fraction(1, 12)
         r = cover_ball(spec(12), Fraction(5, 12), d, seed=9)
