@@ -204,10 +204,21 @@ _WORD_KINDS = {
 }
 
 
+def _shortest_written(w: BitWord) -> Codeword:
+    """The shortest codeword over every eligible method, each written in
+    full with no floor, ties to the smaller tag."""
+    found = []
+    for mode in codec._methods(w.n):
+        cw = codec._encode_with_mode(w, mode)
+        if cw is not None:
+            found.append((cw.bit_length, mode, cw))
+    return min(found)[2]
+
+
 def test_codelength_equals_compress():
-    # the counting oracle against the written codewords: every word of up
-    # to 16 bits from a cold cache, then drawn words up to 32768 bits, so
-    # that BWT both wins and is cut off by its floor
+    # the oracle from a cold cache on every word of up to 16 bits, then
+    # compress against every codeword written in full on drawn words up to
+    # 32768 bits, so that BWT both wins and is cut off by its floor
     codec.clear_cache()
     for n in range(17):
         for v in range(1 << n):
@@ -227,7 +238,9 @@ def test_codelength_equals_compress():
     @example("repeats", 8192, 4)
     def check(kind, n, seed):
         w = _WORD_KINDS[kind](random.Random(seed), n)
-        assert codec._count_codelength(w) == compress(w).bit_length
+        cw = compress(w)
+        assert cw == _shortest_written(w)
+        assert codelength(w) == cw.bit_length
 
     check()
 
@@ -294,14 +307,14 @@ def test_bwt_floor_bounds_coded_bits(count, alphabet, skew, seed):
     order = rng.sample(range(codec._ZLE_ALPHABET), alphabet)
     weights = [1 / (i + 1) ** skew for i in range(alphabet)]
     syms = rng.choices(order, weights, k=count)
-    out = codec._BitCounter()
+    out = codec._BitWriter()
     codec._encode_zle(syms, out)
     floor = codec._zle_floor(Counter(syms), count)
     if count > codec._ZLE_FREE:
         assert floor == 0
     else:
         # the proof in the module docstring bounds the gap from both sides
-        assert floor <= out.count <= floor + 3
+        assert floor <= out.bit_length <= floor + 3
 
 
 # -- conditional codelength ---------------------------------------------------
