@@ -377,7 +377,7 @@ def run_codec(args, out_dir: Path, seed: int):
     cw = compress(word)
     if decompress(cw) != word:
         raise ValueError("roundtrip mismatch")
-    print(codelength(word))
+    print(cw.bit_length)
     return [args.input], []
 
 

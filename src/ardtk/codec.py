@@ -9,7 +9,8 @@ Methods:
     0  raw      the input bits verbatim
     1  bitac    adaptive binary arithmetic code, order-1 bit context
     2  bwt      block sort (BWT) over the packed bytes, move-to-front,
-                zero-run coding, adaptive arithmetic code (257 symbols)
+                zero-run coding, arithmetic code under an adaptive count
+                list over the 257 zero-run symbols
     3  lz       greedy byte-level LZ with unbounded window
 
 compress() tries every method eligible for the input size and keeps the
@@ -21,9 +22,12 @@ far, and once that reaches the length it has to undercut (shorter than
 raw and bitac, no longer than lz) it gives up, since it can no longer
 win.  So the floor changes no codeword, only the time spent on losers.
 
-The floor holds for blocks of at most _ZLE_FREE (2040) zero-run symbols
-and is 0 above.  Below that count the adaptive model never rescales, so
-it is a Dirichlet mixture whose ideal length of the block is
+The BWT model is a plain list of 257 counts, every one starting at 1:
+each coded symbol adds 32 to its count, and once the total passes 2^16
+every count is halved, rounding up.  The floor holds for blocks of at
+most _ZLE_FREE (2040) zero-run symbols and is 0 above.  Below that count
+the model never rescales, so it is a Polya urn (a Dirichlet mixture)
+whose ideal length of the block is
 
     L* = sum_i log2(257 + 32 i) - sum_sym sum_{j < k_sym} log2(1 + 32 j)
 
@@ -180,13 +184,6 @@ class _BitReader:
         self.bit_length = bit_length
         self.pos = 0
 
-    def read_bit(self) -> int:
-        p = self.pos
-        self.pos = p + 1
-        if p >= self.bit_length:
-            return 0
-        return (self.data[p >> 3] >> (7 - (p & 7))) & 1
-
     def read_bits(self, count: int) -> int:
         p = self.pos
         self.pos = p + count
@@ -225,6 +222,14 @@ class _BitReader:
 # the interval once per symbol and call _renormalise when the interval
 # has a settled bit ((low ^ high) < _HALF) or an underflow bit
 # (low & ~high & _QUARTER) to shift out.
+#
+# The decoder shifts the same runs out of the same interval, and its code
+# register, the CODER_PRECISION bits it has read, shifts with them.  Code
+# lies in [low, high], so it shares their settled bits, and in an underflow
+# run it reads 01... or 10... just as they do.  A run of k settled bits is
+# code = ((code << k) & _MASK) | read_bits(k); a run of u underflow bits
+# keeps code's top bit and drops the u bits below it:
+# code = (code & _HALF) | ((code << u) & (_HALF - 1)) | read_bits(u).
 
 
 def _renormalise(low: int, high: int, pending: int, out: _BitWriter):
@@ -281,28 +286,23 @@ class _ArithmeticDecoder:
         return ((self.code - self.low + 1) * total - 1) // span
 
     def consume(self, cum_lo: int, cum_hi: int, total: int):
+        """Narrow to [cum_lo, cum_hi) of total and renormalise as
+        _renormalise does, with code shifted alongside."""
         low, high = self.low, self.high
         span = high - low + 1
         high = low + span * cum_hi // total - 1
         low = low + span * cum_lo // total
         code = self.code
-        inp = self.inp
-        while True:
-            if high < _HALF:
-                pass
-            elif low >= _HALF:
-                low -= _HALF
-                high -= _HALF
-                code -= _HALF
-            elif low >= _QUARTER and high < _HALF + _QUARTER:
-                low -= _QUARTER
-                high -= _QUARTER
-                code -= _QUARTER
-            else:
-                break
-            low = (low << 1) & _MASK
-            high = ((high << 1) | 1) & _MASK
-            code = ((code << 1) | inp.read_bit()) & _MASK
+        k = CODER_PRECISION - (low ^ high).bit_length()
+        if k:
+            low = (low << k) & _MASK
+            high = ((high << k) & _MASK) | ((1 << k) - 1)
+            code = ((code << k) & _MASK) | self.inp.read_bits(k)
+        u = CODER_PRECISION - 1 - ((low & ~high & (_HALF - 1)) ^ (_HALF - 1)).bit_length()
+        if u:
+            low = (low << u) & (_HALF - 1)
+            high = ((high << u) & (_HALF - 1)) | _HALF | ((1 << u) - 1)
+            code = (code & _HALF) | ((code << u) & (_HALF - 1)) | self.inp.read_bits(u)
         self.low, self.high, self.code = low, high, code
 
 
@@ -372,68 +372,15 @@ _ZLE_RUNA = 0
 _ZLE_RUNB = 1
 _ZLE_ALPHABET = 257  # two run digits plus literals 1..255 shifted up by one
 
-_FENWICK_INC = 32           # count added per coded symbol
-_FENWICK_LIMIT = 1 << 16    # total above which every count is halved
-_FENWICK_TOP = 1 << (_ZLE_ALPHABET.bit_length() - 1)  # top power of 2 in the tree
-# the tree while every count is 1: node j sums the lowbit(j) counts below it
-_FENWICK_START = [j & -j for j in range(_ZLE_ALPHABET + 1)]
+_ZLE_INC = 32           # count added per coded symbol
+_ZLE_LIMIT = 1 << 16    # total above which every count is halved
 
 
-class _FenwickModel:
-    """Adaptive frequency table over the zero-run alphabet, Fenwick-backed."""
-
-    __slots__ = ("counts", "tree", "total")
-
-    def __init__(self):
-        self.counts = [1] * _ZLE_ALPHABET
-        self.tree = _FENWICK_START.copy()
-        self.total = _ZLE_ALPHABET
-
-    def _rebuild(self):
-        tree = [0] * (_ZLE_ALPHABET + 1)
-        for i, c in enumerate(self.counts):
-            j = i + 1
-            while j <= _ZLE_ALPHABET:
-                tree[j] += c
-                j += j & -j
-        self.tree = tree
-        self.total = sum(self.counts)
-
-    def interval(self, sym: int):
-        # sum of counts[0:sym], then this symbol's share
-        tree = self.tree
-        lo = 0
-        i = sym
-        while i:
-            lo += tree[i]
-            i &= i - 1
-        return lo, lo + self.counts[sym]
-
-    def find(self, target: int) -> "tuple[int, int]":
-        """Symbol whose cumulative interval contains target, plus cum low."""
-        tree = self.tree
-        idx = 0
-        acc = 0
-        step = _FENWICK_TOP
-        while step:
-            nxt = idx + step
-            if nxt <= _ZLE_ALPHABET and acc + tree[nxt] <= target:
-                acc += tree[nxt]
-                idx = nxt
-            step >>= 1
-        return idx, acc
-
-    def update(self, sym: int):
-        self.counts[sym] += _FENWICK_INC
-        i = sym + 1
-        tree = self.tree
-        while i <= _ZLE_ALPHABET:
-            tree[i] += _FENWICK_INC
-            i += i & -i
-        self.total += _FENWICK_INC
-        if self.total > _FENWICK_LIMIT:
-            self.counts = [max(1, (c + 1) // 2) for c in self.counts]
-            self._rebuild()
+def _zle_halve(counts: list) -> "tuple[list, int]":
+    """The model's rescale: every count halved, rounded up so that none
+    drops below 1; returns the new counts and their total."""
+    counts = [(c + 1) // 2 for c in counts]
+    return counts, sum(counts)
 
 
 def _bwt_encode(block: bytes) -> "tuple[bytes, int]":
@@ -559,12 +506,12 @@ def _entropy_bits(hist: Counter, count: int) -> float:
 
 
 # Until its first rescale, which comes after _ZLE_FREE symbols, the model
-# codes symbol i of a block with total _ZLE_ALPHABET + _FENWICK_INC * i
-# and the j-th repeat of a symbol with count 1 + _FENWICK_INC * j: it is
+# codes symbol i of a block with total _ZLE_ALPHABET + _ZLE_INC * i
+# and the j-th repeat of a symbol with count 1 + _ZLE_INC * j: it is
 # a Polya urn, so a block's ideal length has a closed form in lgamma.
-_ZLE_FREE = (_FENWICK_LIMIT - _ZLE_ALPHABET) // _FENWICK_INC + 1
-_URN_ALPHA = 1 / _FENWICK_INC                  # prior weight per symbol
-_URN_TOTAL = _ZLE_ALPHABET / _FENWICK_INC      # prior weight in all
+_ZLE_FREE = (_ZLE_LIMIT - _ZLE_ALPHABET) // _ZLE_INC + 1
+_URN_ALPHA = 1 / _ZLE_INC              # prior weight per symbol
+_URN_TOTAL = _ZLE_ALPHABET / _ZLE_INC  # prior weight in all
 
 
 def _zle_floor(hist: Counter, count: int) -> int:
@@ -581,17 +528,20 @@ def _zle_floor(hist: Counter, count: int) -> int:
 
 def _encode_zle(syms, out: _BitWriter):
     """Arithmetic-code a zero-run symbol sequence under the adaptive model."""
-    model = _FenwickModel()
+    counts = [1] * _ZLE_ALPHABET
+    total = _ZLE_ALPHABET
     low, high, pending = 0, _MASK, 0
     for s in syms:
-        lo, hi = model.interval(s)
-        total = model.total
+        lo = sum(counts[:s])
         span = high - low + 1
-        high = low + span * hi // total - 1
+        high = low + span * (lo + counts[s]) // total - 1
         low += span * lo // total
         if (low ^ high) < _HALF or low & ~high & _QUARTER:
             low, high, pending = _renormalise(low, high, pending, out)
-        model.update(s)
+        counts[s] += _ZLE_INC
+        total += _ZLE_INC
+        if total > _ZLE_LIMIT:
+            counts, total = _zle_halve(counts)
     _finish(low, pending, out)
 
 
@@ -626,17 +576,27 @@ def _decode_bwt(r: _BitReader, n: int) -> int:
         blen = min(bs, remaining)
         idx = r.read_leb()
         count = r.read_leb()
-        if count > 16 * blen + 64:
+        # a zero run of r bytes takes at most r digits, so no valid block
+        # has more symbols than bytes
+        if count > blen:
             raise MalformedCodewordError("implausible symbol count")
         dec = _ArithmeticDecoder(r)
-        model = _FenwickModel()
+        counts = [1] * _ZLE_ALPHABET
+        total = _ZLE_ALPHABET
         syms = []
         for _ in range(count):
-            target = dec.decode_target(model.total)
-            sym, lo = model.find(target)
-            dec.consume(lo, lo + model.counts[sym], model.total)
-            model.update(sym)
-            syms.append(sym)
+            target = dec.decode_target(total)
+            s = 0
+            lo = 0
+            while lo + counts[s] <= target:
+                lo += counts[s]
+                s += 1
+            dec.consume(lo, lo + counts[s], total)
+            counts[s] += _ZLE_INC
+            total += _ZLE_INC
+            if total > _ZLE_LIMIT:
+                counts, total = _zle_halve(counts)
+            syms.append(s)
         dec.finish()
         mtf = _zle_decode(syms, blen)
         if len(mtf) != blen:

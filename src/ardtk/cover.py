@@ -291,7 +291,6 @@ def cover_space(
     bitwise complement (which covers the ball around 1^n)."""
     d = Fraction(d)
     n = spec.n
-    _check_pair(spec, Fraction(1, 2), d, seed)
     half = cover_ball(spec, Fraction(1, 2), d, seed, draw_exponent)
     mask = (1 << n) - 1
     vals: "list[int]" = []

@@ -315,10 +315,6 @@ class DenoiseResult:
     residual: BitWord            # input xor denoised, length n
     diagnostics: DenoiseDiagnostics
 
-    @property
-    def knee_rate(self) -> float:
-        return self.knee.rate
-
 
 def denoise(
     x: BitWord,

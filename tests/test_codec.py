@@ -59,9 +59,14 @@ def _sparse_word(rng: random.Random, n: int, density: float) -> BitWord:
     return BitWord(n, v)
 
 
+def _multi_block_word() -> BitWord:
+    """Two full BWT blocks and a partial third."""
+    return _sparse_word(random.Random(3), 2 * codec.BWT_BLOCK_BITS + 14464, 1 / 32)
+
+
 def test_round_trip_multi_block_bwt():
-    # two full BWT blocks and a partial third, forced through MODE_BWT
-    w = _sparse_word(random.Random(3), 2 * codec.BWT_BLOCK_BITS + 14464, 1 / 32)
+    # forced through MODE_BWT
+    w = _multi_block_word()
     assert w.n == 80000
     cw = codec._encode_with_mode(w, codec.MODE_BWT)
     assert cw is not None
@@ -122,6 +127,31 @@ def test_codec_output_pinned():
             h.update(f"{w.n}:{mode}:".encode())
             h.update(b"-" if cw is None else f"{cw.bit_length}:".encode() + cw.data)
     assert h.hexdigest() == PINNED_CODEC_DIGEST
+
+
+def _bwt_block_symbols(block: bytes) -> int:
+    last, _ = codec._bwt_encode(block)
+    return len(codec._zle_encode(codec._mtf_encode(last)))
+
+
+# sha256 over the MODE_BWT encodings of sparse words whose blocks run past
+# _ZLE_FREE symbols, so the model halves its counts; computed before the
+# model became a count list
+PINNED_RESCALE_DIGEST = "b34d92b3ada7ed1d6a91d5bd42f770b4be8b3c47f333c404a52df58d6600d867"
+
+
+def test_bwt_rescale_output_pinned():
+    rng = random.Random(0)
+    words = [_sparse_word(rng, codec.BWT_BLOCK_BITS, d) for d in (1 / 8, 1 / 16, 1 / 32)]
+    for w in words:
+        assert _bwt_block_symbols(w.to_bytes()) > codec._ZLE_FREE
+    words.append(_multi_block_word())
+    h = hashlib.sha256()
+    for w in words:
+        cw = codec._encode_with_mode(w, codec.MODE_BWT)
+        h.update(f"{w.n}:".encode())
+        h.update(b"-" if cw is None else f"{cw.bit_length}:".encode() + cw.data)
+    assert h.hexdigest() == PINNED_RESCALE_DIGEST
 
 
 def test_bwt_mtf_zle_stages():
@@ -292,6 +322,45 @@ def test_renormalise_matches_bit_loop(state):
     assert fast.getvalue() == slow.getvalue()
 
 
+def _consume_by_bits(low: int, high: int, code: int, inp):
+    """The classic decoder's renormalisation, one shift and one read per
+    loop."""
+    half, quarter, mask = codec._HALF, codec._QUARTER, codec._MASK
+    while True:
+        if high < half:
+            pass
+        elif low >= half:
+            low -= half
+            high -= half
+            code -= half
+        elif low >= quarter and high < half + quarter:
+            low -= quarter
+            high -= quarter
+            code -= quarter
+        else:
+            break
+        low = (low << 1) & mask
+        high = ((high << 1) | 1) & mask
+        code = ((code << 1) | inp.read_bits(1)) & mask
+    return low, high, code
+
+
+@given(_coder_states(), st.data(), st.binary(max_size=12), st.integers(1, 1 << 16))
+@settings(max_examples=500, deadline=None)
+def test_consume_matches_bit_loop(state, data, stream, total):
+    # consume(0, total, total) keeps the interval and only renormalises
+    low, high, _ = state
+    code = data.draw(st.integers(low, high))
+    nbits = data.draw(st.integers(0, 8 * len(stream)))
+    dec = codec._ArithmeticDecoder(codec._BitReader(stream, nbits))
+    dec.low, dec.high, dec.code = low, high, code
+    dec.inp.pos = 0
+    dec.consume(0, total, total)
+    slow = codec._BitReader(stream, nbits)
+    assert (dec.low, dec.high, dec.code) == _consume_by_bits(low, high, code, slow)
+    assert dec.inp.pos == slow.pos
+
+
 @given(
     st.integers(0, 3000),
     st.integers(1, codec._ZLE_ALPHABET),
@@ -375,19 +444,30 @@ def test_malformed_bad_lz_distance():
         decompress(Codeword(data, nbits))
 
 
-def test_malformed_huge_zero_run():
-    # one 32-byte BWT block whose symbols are 70 RUNB digits: a zero run
-    # of 2 * (2^70 - 1) bytes, far past the block and past any index size
-    syms = [codec._ZLE_RUNB] * 70
+def _bwt_block_codeword(syms) -> Codeword:
+    """A BWT codeword for 256 bits: one 32-byte block, index 0, whose
+    zero-run symbols are syms."""
     out = codec._BitWriter()
     out.write_bits(codec.MODE_BWT, 2)
     out.write_leb(256)
     out.write_leb(0)  # BWT index
     out.write_leb(len(syms))
     codec._encode_zle(syms, out)
-    data, nbits = out.getvalue()
-    with pytest.raises(MalformedCodewordError):
-        decompress(Codeword(data, nbits))
+    return Codeword(*out.getvalue())
+
+
+def test_malformed_huge_zero_run():
+    # 32 RUNB digits, as many symbols as the block may hold: a zero run of
+    # 2 * (2^32 - 1) bytes, rejected before it is allocated
+    with pytest.raises(MalformedCodewordError, match="zero run overflows block"):
+        decompress(_bwt_block_codeword([codec._ZLE_RUNB] * 32))
+
+
+def test_malformed_bwt_symbol_count():
+    # 33 literals in a 32-byte block: no valid block has more symbols
+    # than bytes
+    with pytest.raises(MalformedCodewordError, match="implausible symbol count"):
+        decompress(_bwt_block_codeword([2] * 33))
 
 
 def test_codeword_header_field():

@@ -320,7 +320,7 @@ class TestDenoise:
         assert res.residual.n == 64
         assert res.diagnostics.residual_weight == res.input.hamming(res.denoised)
         point = res.curve.points[res.knee.index]
-        assert res.knee_rate == float(point.bits)
+        assert res.knee.rate == float(point.bits)
         assert res.denoised == point.candidate.destination
         assert Fraction(res.diagnostics.residual_weight, 64) == point.distortion
 
