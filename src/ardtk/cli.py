@@ -601,7 +601,6 @@ def run_cover(args, out_dir: Path, seed: int):
             "size_bound": result.size_bound,
             "volume_lower": result.volume_lower,
             "verified": result.verified,
-            "witness": result.witness.to01() if result.witness else None,
         },
     )
     print(

@@ -86,7 +86,6 @@ class CoverResult:
     size_bound: int
     volume_lower: int
     verified: Optional[bool] = None
-    witness: Optional[BitWord] = None
 
     @property
     def size(self) -> int:
@@ -241,19 +240,13 @@ def cover_ball(
             centers.extend(got)
             shells.append(ShellRecord(delta_shell, f, len(got), budget, draws, retries))
 
-    target = Ball(spec, delta, center=BitWord.zeros(n))
     verified = None
-    witness = None
     if n <= VERIFY_MAX_N:
+        target = Ball(spec, delta, center=BitWord.zeros(n))
         target_vals = np.array([m.value for m in target.members()], dtype=np.uint32)
-        if deltan != dn and dn > 0:
-            centers = _prune(target_vals, centers, dn)
-        ok_idx = _uncovered_index(target_vals, centers, dn)
-        verified = ok_idx is None
-        if ok_idx is not None:
-            witness = BitWord(n, int(target_vals[ok_idx]))
-
-    result = CoverResult(
+        centers = _prune_and_verify(target_vals, centers, dn, n)
+        verified = True
+    return CoverResult(
         spec=spec,
         delta=delta,
         d=d,
@@ -264,20 +257,30 @@ def cover_ball(
         size_bound=size_bound,
         volume_lower=volume_lower,
         verified=verified,
-        witness=witness,
     )
-    if verified is False:
-        raise CoverError(f"constructed cover misses {witness!r}")
-    return result
 
 
-def _uncovered_index(target_vals: np.ndarray, centers: "list[int]", dn: int):
+def _prune_and_verify(
+    target_vals: np.ndarray, centers: "list[int]", dn: int, n: int
+) -> "list[int]":
+    """Prune the centers (distinct radius-0 centers never overlap), then
+    raise CoverError naming the first uncovered target."""
+    if dn > 0:
+        centers = _prune(target_vals, centers, dn)
+    bad = _first_uncovered(target_vals, centers, dn)
+    if bad is not None:
+        raise CoverError(f"constructed cover misses {BitWord(n, bad)!r}")
+    return centers
+
+
+def _first_uncovered(target_vals: np.ndarray, centers: "list[int]", dn: int):
+    """The first target value within dn of no center, or None."""
     covered = np.zeros(len(target_vals), dtype=bool)
     for c in centers:
         covered |= np.bitwise_count(target_vals ^ np.uint32(c)) <= dn
         if covered.all():
             return None
-    missing = np.flatnonzero(~covered)
+    missing = target_vals[~covered]
     return int(missing[0]) if missing.size else None
 
 
@@ -303,16 +306,11 @@ def cover_space(
     b_d = ball_cardinality(spec, d)
     dn = int(d * n)
     verified = None
-    witness = None
     if n <= VERIFY_MAX_N:
         target_vals = np.arange(1 << n, dtype=np.uint32)
-        if dn > 0:
-            vals = _prune(target_vals, vals, dn)
-        bad = _uncovered_index(target_vals, vals, dn)
-        verified = bad is None
-        if bad is not None:
-            witness = BitWord(n, bad)
-    result = CoverResult(
+        vals = _prune_and_verify(target_vals, vals, dn, n)
+        verified = True
+    return CoverResult(
         spec=spec,
         delta=Fraction(1, 2),
         d=d,
@@ -323,11 +321,7 @@ def cover_space(
         size_bound=n**ALPHA_EXPONENT * (1 << n) // b_d + 1,
         volume_lower=ceil((1 << n) / b_d),
         verified=verified,
-        witness=witness,
     )
-    if verified is False:
-        raise CoverError(f"constructed cover misses {witness!r}")
-    return result
 
 
 def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[BitWord]]":
@@ -341,8 +335,7 @@ def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[Bi
         raise ValueError(f"verification is exhaustive; need n <= {VERIFY_MAX_N}")
     dn = int(Fraction(d) * n)
     target_vals = np.array([m.value for m in target.members()], dtype=np.uint32)
-    vals = [c.value for c in centers]
-    bad = _uncovered_index(target_vals, vals, dn)
+    bad = _first_uncovered(target_vals, [c.value for c in centers], dn)
     if bad is None:
         return True, None
-    return False, BitWord(n, int(target_vals[bad]))
+    return False, BitWord(n, bad)

@@ -214,7 +214,7 @@ def play_game(
             covered |= sets[p - 1]
         win = frequent <= covered
         record = MoveRecord(
-            alice_set=tuple(sorted(BitWord(params.n, v) for v in s)),
+            alice_set=tuple(BitWord(params.n, v) for v in sorted(s)),
             marks=marks,
             win=win,
         )
@@ -240,23 +240,28 @@ def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
     if params.n > 16:
         raise ValueError("exhaustive verification needs n <= 16")
     counts: Counter = Counter()
+    frequent: "set[int]" = set()
     covered: "set[int]" = set()
     sets: "list[frozenset[int]]" = []
+    threshold = params.frequency_threshold
     if len(tr.moves) > params.max_moves:
         return VerifyResult(False, params.max_moves + 1, None, "too many moves")
     for t, move in enumerate(tr.moves, start=1):
         s = _as_int_set(move.alice_set, params.n)
         sets.append(s)
-        counts.update(s)
+        for x in s:
+            counts[x] += 1
+            if counts[x] >= threshold:
+                frequent.add(x)
         for p in move.marks:
             if not 1 <= p <= t:
                 return VerifyResult(False, t, None, f"mark {p} not yet produced")
             covered |= sets[p - 1]
-        for x in range(1 << params.n):
-            if counts[x] >= params.frequency_threshold and x not in covered:
-                return VerifyResult(
-                    False, t, BitWord(params.n, x), "frequent element uncovered"
-                )
+        missed = frequent - covered
+        if missed:
+            return VerifyResult(
+                False, t, BitWord(params.n, min(missed)), "frequent element uncovered"
+            )
         if not move.win:
             return VerifyResult(False, t, None, "recorded win flag is false")
     if tr.strategy == "det" and tr.total_marks > mark_bound(params):

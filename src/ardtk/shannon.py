@@ -11,7 +11,7 @@ Shannon curve side by side: it samples words from the source, estimates
 each word's minimal rate at every distortion on the grid, and reports
 the ensemble mean against n * R(delta).  The two differ by slack terms
 that are uncomputable in general; at n <= 12 the code-map term
-H(L) - H(S) is materialized exactly from the proxy minimizer.
+H(L) - H(S) is materialized exactly from the proxy minimizer, by dilation.
 """
 from __future__ import annotations
 
@@ -230,19 +230,18 @@ def _exact_code_map_entropy(n, delta, weights, lengths):
 
     For every x the destination is the lexicographically first word of
     minimal codelength within distortion delta; S is the image measure.
+    A radius-k ball is k radius-1 dilations of the key L[y] << n | y,
+    whose low n bits then hold the destination.
     """
     size = 1 << n
-    vals = np.arange(size, dtype=np.uint32)
-    dn = int(Fraction(delta) * n)
-    big = np.int64(1) << 40
-    mass = np.zeros(size, dtype=float)
-    chunk = 512
-    for start in range(0, size, chunk):
-        block = vals[start : start + chunk]
-        dist = np.bitwise_count(block[:, None] ^ vals[None, :])
-        masked = np.where(dist <= dn, lengths[None, :], big)
-        img = np.argmin(masked, axis=1)
-        np.add.at(mass, img, weights[start : start + chunk])
+    vals = np.arange(size, dtype=np.int64)
+    key = (lengths.astype(np.int64) << n) | vals
+    for _ in range(int(Fraction(delta) * n)):
+        grown = key.copy()
+        for i in range(n):
+            np.minimum(grown, key[vals ^ (1 << i)], out=grown)
+        key = grown
+    mass = np.bincount(key & (size - 1), weights=weights, minlength=size)
     used = mass[mass > 0]
     h_s = float(-(used * np.log2(used)).sum())
     return h_s, int((mass > 0).sum())

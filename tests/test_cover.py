@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ardtk.cover as cover
 from ardtk.bits import BitWord
 from ardtk.cover import (
     CoverError,
@@ -154,6 +155,22 @@ class TestCoverBall:
         r = cover_ball(spec(n), Fraction(deltan, n), Fraction(dn, n), seed=seed)
         assert r.verified is True
         assert r.volume_lower <= r.size <= r.size_bound
+
+    def test_miss_raises_naming_first_uncovered(self, monkeypatch):
+        # with no shell centers only 0^6 is left; the first target member
+        # outside its radius-1 ball is 000011
+        monkeypatch.setattr(cover, "_cover_shell", lambda *args: ([], 0, 0))
+        with pytest.raises(CoverError, match="misses BitWord\\('000011'\\)"):
+            cover_ball(spec(6), Fraction(1, 2), Fraction(1, 6), seed=0)
+        half = cover.CoverResult(
+            spec=spec(6), delta=Fraction(1, 2), d=Fraction(1, 6),
+            centers=[BitWord.zeros(6)], shells=[], seed=0, draw_exponent=1,
+            size_bound=0, volume_lower=0,
+        )
+        monkeypatch.setattr(cover, "cover_ball", lambda *args: half)
+        with pytest.raises(CoverError, match="misses BitWord\\('000011'\\)"):
+            cover_space(spec(6), Fraction(1, 6), seed=0)
+
 
 
 class TestCoverSpace:

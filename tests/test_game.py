@@ -1,6 +1,7 @@
 """Marking-game engine tests."""
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,24 @@ from ardtk.game import (
 
 def words(n, *vals):
     return frozenset(BitWord(n, v) for v in vals)
+
+
+def scan_first_uncovered(tr, params):
+    """Reference: rescan the whole cube after every move for a word seen
+    in 2^m sets but in no marked set; (move index, least such word)."""
+    counts: Counter = Counter()
+    covered: "set[int]" = set()
+    sets = []
+    for t, move in enumerate(tr.moves, start=1):
+        s = frozenset(w.value for w in move.alice_set)
+        sets.append(s)
+        counts.update(s)
+        for p in move.marks:
+            covered |= sets[p - 1]
+        for x in range(1 << params.n):
+            if counts[x] >= params.frequency_threshold and x not in covered:
+                return t, BitWord(params.n, x)
+    return None
 
 
 class TestHelpers:
@@ -193,6 +212,29 @@ class TestVerifyTranscript:
         bad.moves[-1] = MoveRecord(last.alice_set, last.marks, False)
         res = verify_transcript(bad, p)
         assert not res.ok and res.reason == "recorded win flag is false"
+
+    def test_witness_is_least_uncovered_frequent_word(self):
+        rng = random.Random(5)
+        misses = 0
+        for seed in range(40):
+            k = rng.randint(2, 5)
+            p = GameParams(n=rng.randint(2, 5), k=k, m=rng.randint(0, 2))
+            tr = play_game(adversary_random(p, seed), p, "det")
+            dropped = GameTranscript(params=p, strategy="det", seed=None)
+            dropped.moves = [
+                MoveRecord(mv.alice_set, mv.marks if rng.random() < 0.5 else (), True)
+                for mv in tr.moves
+            ]
+            res = verify_transcript(dropped, p)
+            ref = scan_first_uncovered(dropped, p)
+            if ref is None:
+                assert res.ok
+            else:
+                misses += 1
+                assert not res.ok
+                assert (res.move_index, res.element) == ref
+                assert res.reason == "frequent element uncovered"
+        assert misses >= 10
 
     def test_large_n_guard(self):
         with pytest.raises(ValueError):

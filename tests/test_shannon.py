@@ -249,19 +249,36 @@ class TestComparison:
             assert -1e-9 <= d2 <= 8 + 1e-9
             assert used >= 1
 
-    def test_code_map_matches_brute_force(self, report):
-        lengths = np.array(
-            [codelength(BitWord(6, v)) for v in range(64)], dtype=np.int64
-        )
-        pops = np.array([v.bit_count() for v in range(64)], dtype=float)
-        weights = (0.5**pops) * (0.5 ** (6 - pops))
-        for delta in (Fraction(0), Fraction(1, 6), Fraction(1, 2)):
-            h_fast, used_fast = shannon._exact_code_map_entropy(
-                6, delta, weights, lengths
+    def test_code_map_matches_brute_force(self):
+        for n in range(1, 9):
+            lengths = np.array(
+                [codelength(BitWord(n, v)) for v in range(1 << n)], dtype=np.int64
             )
-            h_ref, used_ref = brute_code_map_entropy(6, delta, 0.5)
-            assert h_fast == pytest.approx(h_ref, abs=1e-9)
-            assert used_fast == used_ref
+            pops = np.array([v.bit_count() for v in range(1 << n)], dtype=float)
+            for p_one in (0.5, 0.2, 0.0, 1.0):
+                weights = (p_one**pops) * ((1 - p_one) ** (n - pops))
+                for k in range(n // 2 + 1):
+                    delta = Fraction(k, n)
+                    h_fast, used_fast = shannon._exact_code_map_entropy(
+                        n, delta, weights, lengths
+                    )
+                    h_ref, used_ref = brute_code_map_entropy(n, delta, p_one)
+                    assert h_fast == pytest.approx(h_ref, abs=1e-9)
+                    # the reference also counts images that receive no
+                    # mass; at p in {0, 1} one word carries all of it
+                    assert used_fast == (used_ref if 0 < p_one < 1 else 1)
+
+    def test_code_map_pinned_n12(self):
+        src = SourceModel.bernoulli(Fraction(1, 3), n=12)
+        spec = DistortionSpec("hamming", 12)
+        grid = [Fraction(i, 12) for i in range(7)]
+        rep = expected_rate_comparison(src, spec, grid, samples=1, budget=8, seed=0)
+        assert repr(rep.delta2) == (
+            "(0.98044999134612, 3.0876893357204374, 5.63897120496923, "
+            "7.818483996495461, 9.599678436885863, 10.902474936686762, "
+            "11.647475135741866)"
+        )
+        assert rep.code_map_support == (4096, 1791, 491, 131, 41, 12, 2)
 
     def test_envelopes(self, report):
         lo = report.lower_envelope()
