@@ -17,18 +17,31 @@ probability 2^(-m) * (n+1) * ln 2 (clamped to 1).  It wins after every
 move with probability > 1/2 and stays below 2^(k-m+1) * (n+1) * ln 2
 marks with probability > 1/2; both are separate coin-flip facts, so a
 single run may satisfy either, both, or neither.
+
+The engine holds each of Alice's sets as one Python int of 2^n bits, bit
+v set iff word v is in the set, so a move costs 2^n/8 bytes of memory
+(8 KiB at n = GAME_MAX_N = 16).  Word frequencies are tallied bit-sliced:
+one int per counter bit, each bit position a word's counter, with the
+carry out of the top plane marking the words that reach the threshold.
+Greedy cover sizes are popcounts of mask intersections.  The transcript
+still lists each set as a sorted tuple of BitWords.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .bits import BitWord
 
 LN2 = math.log(2)
+
+# largest word length the game plays or verifies: one set is a 2^n-bit mask
+GAME_MAX_N = 16
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class GameOverflowError(RuntimeError):
@@ -113,40 +126,79 @@ def probabilistic_mark_cap(params: GameParams) -> float:
     return 2.0 ** (params.k - params.m + 1) * (params.n + 1) * LN2
 
 
-def _as_int_set(alice_set, n: int) -> "frozenset[int]":
-    vals = set()
+def _check_size(params: GameParams):
+    if params.n > GAME_MAX_N:
+        raise ValueError(f"the marking game needs n <= {GAME_MAX_N}, got {params.n}")
+
+
+def _as_mask(alice_set, n: int, words: "Optional[dict]" = None) -> int:
+    """Bitmask of one of Alice's sets: bit v is set iff word v is in it.
+
+    words, when given, maps each element's value to a BitWord: the
+    caller's own object, or a new one for an int element.
+    """
+    size = 1 << n
+    flags = bytearray(size)    # one 0/1 byte per word, read back as binary digits
     for w in alice_set:
         if isinstance(w, BitWord):
             if w.n != n:
                 raise ValueError(f"set element has length {w.n}, expected {n}")
-            vals.add(w.value)
+            v = w.value
+            if words is not None:
+                words[v] = w
         else:
             v = int(w)
-            if not 0 <= v < 1 << n:
+            if not 0 <= v < size:
                 raise ValueError("set element out of range")
-            vals.add(v)
-    return frozenset(vals)
+            if words is not None and v not in words:
+                words[v] = BitWord(n, v)
+        flags[v] = 1
+    return int(flags.translate(_DIGITS)[::-1], 2)
 
 
-def _greedy_marks(sets: "Sequence[frozenset[int]]", params: GameParams) -> "tuple[int, ...]":
+def _counter(threshold: int, n: int) -> "list[int]":
+    """Bit planes, low first, of one counter per word of {0,1}^n.
+
+    Each counter starts at 2^b - threshold in b = ceil(log2 threshold)
+    planes, so a word first carries out of the top plane (see _tally)
+    on the threshold-th set that contains it.
+    """
+    b = (threshold - 1).bit_length()
+    start = (1 << b) - threshold
+    full = (1 << (1 << n)) - 1
+    return [full if start >> i & 1 else 0 for i in range(b)]
+
+
+def _tally(planes: "list[int]", s: int) -> int:
+    """Add one to the counter of every word in s; return the carry out."""
+    carry = s
+    for i, p in enumerate(planes):
+        if not carry:
+            break
+        planes[i] = p ^ carry
+        carry &= p
+    return carry
+
+
+def _greedy_marks(sets: "Sequence[int]", params: GameParams) -> "tuple[int, ...]":
     """Marks for move t = len(sets), given all of Alice's sets so far."""
     t = len(sets)
     block = largest_pow2_dividing(t)
     start = t - block          # block covers global indices start+1 .. t
-    occurrences: Counter = Counter()
+    # words in at least ceil(2^m / k) block sets, i.e. count * k >= 2^m
+    planes = _counter(-(-params.frequency_threshold // params.k), params.n)
+    target = 0
     for s in sets[start:]:
-        occurrences.update(s)
-    threshold = params.frequency_threshold
-    target = {x for x, c in occurrences.items() if c * params.k >= threshold}
+        target |= _tally(planes, s)
     marks: "list[int]" = []
     while target:
         best_p, best_cover = 0, -1
         for i in range(block):
-            cover = len(sets[start + i] & target)
+            cover = (sets[start + i] & target).bit_count()
             if cover > best_cover:
                 best_p, best_cover = start + i + 1, cover
         marks.append(best_p)
-        target -= sets[best_p - 1]
+        target &= ~sets[best_p - 1]
     return tuple(marks)
 
 
@@ -156,10 +208,11 @@ def bob_deterministic_step(history, params: GameParams) -> "tuple[int, ...]":
     Accepts a GameTranscript or any sequence of word collections.  Pure
     function of the history: replaying it reproduces the transcript.
     """
+    _check_size(params)
     if isinstance(history, GameTranscript):
-        sets = [_as_int_set(m.alice_set, params.n) for m in history.moves]
+        sets = [_as_mask(m.alice_set, params.n) for m in history.moves]
     else:
-        sets = [_as_int_set(s, params.n) for s in history]
+        sets = [_as_mask(s, params.n) for s in history]
     if not sets:
         raise ValueError("history must include the current move's set")
     if len(sets) > params.max_moves:
@@ -183,40 +236,37 @@ def play_game(
     """Run one full game and return the per-move transcript.
 
     alice yields collections of BitWords (or raw values).  Raises
-    GameOverflowError on the 2^k-th set.
+    GameOverflowError on the 2^k-th set, and ValueError before drawing
+    any set when n > GAME_MAX_N.
     """
+    _check_size(params)
     if strategy not in ("det", "prob"):
         raise ValueError("strategy must be 'det' or 'prob'")
     rng = random.Random(seed) if strategy == "prob" else None
     tr = GameTranscript(params=params, strategy=strategy, seed=seed)
-    sets: "list[frozenset[int]]" = []
-    counts: Counter = Counter()
-    frequent: "set[int]" = set()
-    covered: "set[int]" = set()
-    threshold = params.frequency_threshold
+    sets: "list[int]" = []
+    planes = _counter(params.frequency_threshold, params.n)
+    frequent = covered = 0
     for raw in alice:
         t = len(sets) + 1
         if t > params.max_moves:
             raise GameOverflowError(
                 f"adversary produced move {t}; limit is {params.max_moves}"
             )
-        s = _as_int_set(raw, params.n)
+        words: "dict[int, BitWord]" = {}
+        s = _as_mask(raw, params.n, words)
         sets.append(s)
-        for x in s:
-            counts[x] += 1
-            if counts[x] >= threshold:
-                frequent.add(x)
+        frequent |= _tally(planes, s)
         if strategy == "det":
             marks = _greedy_marks(sets, params)
         else:
             marks = (t,) if bob_probabilistic_step(params, rng) else ()
         for p in marks:
             covered |= sets[p - 1]
-        win = frequent <= covered
         record = MoveRecord(
-            alice_set=tuple(BitWord(params.n, v) for v in sorted(s)),
+            alice_set=tuple(sorted(words.values(), key=attrgetter("value"))),
             marks=marks,
-            win=win,
+            win=not frequent & ~covered,
         )
         tr.moves.append(record)
     return tr
@@ -237,30 +287,25 @@ def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
     """Replay a transcript from scratch and check the win condition after
     every move, mark causality, recorded win flags, and the total-marks
     bound (deterministic strategy only)."""
-    if params.n > 16:
-        raise ValueError("exhaustive verification needs n <= 16")
-    counts: Counter = Counter()
-    frequent: "set[int]" = set()
-    covered: "set[int]" = set()
-    sets: "list[frozenset[int]]" = []
-    threshold = params.frequency_threshold
+    _check_size(params)
+    planes = _counter(params.frequency_threshold, params.n)
+    frequent = covered = 0
+    sets: "list[int]" = []
     if len(tr.moves) > params.max_moves:
         return VerifyResult(False, params.max_moves + 1, None, "too many moves")
     for t, move in enumerate(tr.moves, start=1):
-        s = _as_int_set(move.alice_set, params.n)
+        s = _as_mask(move.alice_set, params.n)
         sets.append(s)
-        for x in s:
-            counts[x] += 1
-            if counts[x] >= threshold:
-                frequent.add(x)
+        frequent |= _tally(planes, s)
         for p in move.marks:
             if not 1 <= p <= t:
                 return VerifyResult(False, t, None, f"mark {p} not yet produced")
             covered |= sets[p - 1]
-        missed = frequent - covered
+        missed = frequent & ~covered
         if missed:
+            least = (missed & -missed).bit_length() - 1
             return VerifyResult(
-                False, t, BitWord(params.n, min(missed)), "frequent element uncovered"
+                False, t, BitWord(params.n, least), "frequent element uncovered"
             )
         if not move.win:
             return VerifyResult(False, t, None, "recorded win flag is false")

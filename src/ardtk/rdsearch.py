@@ -27,13 +27,14 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .bits import BitWord
-from .codec import codelength
+from .codec import MAX_WORD_BITS, codelength
 from .distortion import (
     EUCLID,
     HAMMING,
     LIST,
     Ball,
     DistortionSpec,
+    SizeGuardError,
     admissible_radii,
     ball_cardinality,
     binary_entropy,
@@ -251,6 +252,12 @@ def _list_search(
     regular, so codelength falls as the allowed size grows.
     """
     n = spec.n
+    t_max = min(n, math.floor(delta), budget - 1)   # the loop's last cylinder
+    if t_max >= 0 and n << t_max > MAX_WORD_BITS:
+        raise SizeGuardError(
+            f"a list of 2^{t_max} words of {n} bits joins to more than "
+            f"MAX_WORD_BITS = {MAX_WORD_BITS}"
+        )
     best = None
     evals = 0
     for t in range(0, n + 1):

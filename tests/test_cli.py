@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -286,6 +287,13 @@ class TestGameCommand:
                      "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert "length 3" in capsys.readouterr().err
+
+    def test_oversized_n_fails_before_playing(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        code = main(["game", "--k", "20", "--m", "1", "--n", "17",
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1 and time.perf_counter() - t0 < 1.0
+        assert "n <= 16" in capsys.readouterr().err
 
     def test_file_mode_requires_path(self, tmp_path):
         assert main(["game", "--k", "3", "--m", "1", "--n", "4",

@@ -1,4 +1,5 @@
 """Marking-game engine tests."""
+import hashlib
 import math
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ardtk.bits import BitWord
 from ardtk.game import (
     ADVERSARIES,
+    GAME_MAX_N,
     GameOverflowError,
     GameParams,
     GameTranscript,
@@ -49,6 +51,86 @@ def scan_first_uncovered(tr, params):
             if counts[x] >= params.frequency_threshold and x not in covered:
                 return t, BitWord(params.n, x)
     return None
+
+
+def reference_play(alice, params, strategy="det", seed=None):
+    """Reference engine on frozensets of ints and a Counter tally, as the
+    game was first written; returns (sorted values, marks, win) per move."""
+    def as_int_set(alice_set):
+        vals = set()
+        for w in alice_set:
+            if isinstance(w, BitWord):
+                if w.n != params.n:
+                    raise ValueError(f"set element has length {w.n}, expected {params.n}")
+                vals.add(w.value)
+            else:
+                v = int(w)
+                if not 0 <= v < 1 << params.n:
+                    raise ValueError("set element out of range")
+                vals.add(v)
+        return frozenset(vals)
+
+    def greedy(sets):
+        t = len(sets)
+        block = largest_pow2_dividing(t)
+        start = t - block
+        occurrences: Counter = Counter()
+        for s in sets[start:]:
+            occurrences.update(s)
+        target = {
+            x for x, c in occurrences.items()
+            if c * params.k >= params.frequency_threshold
+        }
+        marks = []
+        while target:
+            best_p, best_cover = 0, -1
+            for i in range(block):
+                cover = len(sets[start + i] & target)
+                if cover > best_cover:
+                    best_p, best_cover = start + i + 1, cover
+            marks.append(best_p)
+            target -= sets[best_p - 1]
+        return tuple(marks)
+
+    rng = random.Random(seed)
+    sets, out = [], []
+    counts: Counter = Counter()
+    covered: "set[int]" = set()
+    for raw in alice:
+        sets.append(as_int_set(raw))
+        counts.update(sets[-1])
+        t = len(sets)
+        if strategy == "det":
+            marks = greedy(sets)
+        else:
+            marks = (t,) if bob_probabilistic_step(params, rng) else ()
+        for p in marks:
+            covered |= sets[p - 1]
+        frequent = {x for x, c in counts.items() if c >= params.frequency_threshold}
+        out.append((tuple(sorted(sets[-1])), marks, frequent <= covered))
+    return out
+
+
+def values(move):
+    return tuple(w.value for w in move.alice_set)
+
+
+def mixed_forms(stream, rng):
+    """Each set as ints, as a list with duplicates, or as a mixed
+    int/BitWord collection, chosen at random per set."""
+    for s in stream:
+        form = rng.randrange(4)
+        if form == 0:
+            yield s
+        elif form == 1:
+            yield {w.value for w in s}
+        elif form == 2:
+            items = list(s)
+            yield items + rng.choices(items, k=len(items) // 2 + 1) if items else items
+        else:
+            yield [w.value if rng.random() < 0.5 else w for w in s] + [
+                w.value for w in s if rng.random() < 0.25
+            ]
 
 
 class TestHelpers:
@@ -170,10 +252,81 @@ class TestDeterministicStrategy:
         with pytest.raises(GameOverflowError):
             play_game(stream, p, "det")
 
+    def test_transcript_reuses_caller_words(self):
+        p = GameParams(n=4, k=2, m=0)
+        a, b = BitWord(4, 9), BitWord(4, 2)
+        tr = play_game([[a, 9, 5, b, 2, a]], p, "det")
+        (move,) = tr.moves
+        assert move.alice_set == (BitWord(4, 2), BitWord(4, 5), BitWord(4, 9))
+        assert move.alice_set[0] is b and move.alice_set[2] is a
+
     def test_rejects_wrong_length_words(self):
         p = GameParams(n=3, k=2, m=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 4, expected 3"):
             play_game([frozenset([BitWord(4, 0)])], p, "det")
+        with pytest.raises(ValueError, match="out of range"):
+            play_game([[1, 8]], p, "det")
+
+
+class TestBitsetEngine:
+    """The bitset engine against the frozenset/Counter reference."""
+
+    def test_matches_reference_engine(self):
+        rng = random.Random(2024)
+        games = 0
+        for n in range(1, 9):
+            for name in sorted(ADVERSARIES):
+                for _ in range(5):
+                    k = rng.randint(1, 8)
+                    p = GameParams(n=n, k=k, m=rng.randint(0, k))
+                    seed = rng.randrange(1 << 16)
+                    strategy = rng.choice(["det", "prob"])
+                    stream = list(ADVERSARIES[name](p, seed))
+                    if rng.random() < 0.5:
+                        stream = list(mixed_forms(stream, rng))
+                    tr = play_game(stream, p, strategy, seed=seed)
+                    got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
+                    assert got == reference_play(stream, p, strategy, seed), (n, name, p)
+                    games += 1
+        assert games == 120
+
+    def test_matches_reference_when_coins_lose(self):
+        # coin probability below 1 and thresholds the stream reaches, so
+        # some moves record a loss
+        rng = random.Random(7)
+        lost_moves = 0
+        for seed in range(30):
+            k = rng.randint(5, 8)
+            p = GameParams(n=rng.randint(1, 6), k=k, m=rng.randint(3, k - 2))
+            stream = list(mixed_forms(adversary_random(p, seed), rng))
+            tr = play_game(stream, p, "prob", seed=seed)
+            got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
+            assert got == reference_play(stream, p, "prob", seed)
+            lost_moves += sum(not mv.win for mv in tr.moves)
+        assert lost_moves >= 100
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "b23b7bddad211712007e05d5ec1cf3c5f4a3795397d3fb868d692c52f5963559"),
+        (1, "9467f0106c3b5972041e9aaa9b60335f786f3bc10231c68aa2b0cc713e520dab"),
+        (2, "93284aeeb3aea1ee1211d739ad0d81a262f0c7b1e100a249e89af53e251bfce9"),
+    ])
+    def test_pinned_marks_at_n10(self, seed, digest):
+        p = GameParams(n=10, k=10, m=4)
+        tr = play_game(adversary_random(p, seed), p, "det")
+        marks = repr([mv.marks for mv in tr.moves]).encode()
+        assert hashlib.sha256(marks).hexdigest() == digest
+
+    def test_size_guard_draws_nothing(self):
+        p = GameParams(n=GAME_MAX_N + 1, k=1, m=0)
+
+        def untouchable():
+            raise AssertionError("alice was iterated")
+            yield
+
+        with pytest.raises(ValueError, match="n <= 16"):
+            play_game(untouchable(), p, "det")
+        with pytest.raises(ValueError, match="n <= 16"):
+            bob_deterministic_step(untouchable(), p)
 
 
 class TestVerifyTranscript:

@@ -1,6 +1,7 @@
 """Curve-search tests, with exhaustive oracles at n <= 12."""
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ardtk.distortion import (
     HAMMING,
     LIST,
     DistortionSpec,
+    SizeGuardError,
     admissible_radii,
     distance,
 )
@@ -127,6 +129,18 @@ class TestSearchMinRate:
         assert c4.score <= c0.score
         assert all(x in c4.destination for _ in [0])
         assert c4.distortion <= 4
+
+    def test_list_size_guard_fires_before_enumerating(self):
+        # the last cylinder, 2^20 words of 32 bits, joins to 2^25 bits
+        spec = DistortionSpec(LIST, 32)
+        x = BitWord(32, 0xDEADBEEF)
+        t0 = time.perf_counter()
+        with pytest.raises(SizeGuardError):
+            search_min_rate(x, spec, Fraction(20), budget=100, seed=0)
+        assert time.perf_counter() - t0 < 1.0
+        # a budget of 3 stops at the 2^2 cylinder, which fits
+        c = search_min_rate(x, spec, Fraction(20), budget=3, seed=0)
+        assert x in c.destination and c.distortion <= 2
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
