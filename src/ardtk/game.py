@@ -18,30 +18,37 @@ move with probability > 1/2 and stays below 2^(k-m+1) * (n+1) * ln 2
 marks with probability > 1/2; both are separate coin-flip facts, so a
 single run may satisfy either, both, or neither.
 
-The engine holds each of Alice's sets as one Python int of 2^n bits, bit
-v set iff word v is in the set, so a move costs 2^n/8 bytes of memory
-(8 KiB at n = GAME_MAX_N = 16).  Word frequencies are tallied bit-sliced:
-one int per counter bit, each bit position a word's counter, with the
-carry out of the top plane marking the words that reach the threshold.
-Greedy cover sizes are popcounts of mask intersections.  The transcript
-still lists each set as a sorted tuple of BitWords.
+The engine holds Alice's sets in one of two forms, picked per game from
+their sizes (_form).  When the sets average at least 2^n/512 words, so
+that 2^n-bit masks take no more memory than frozensets would, each set is
+one Python int, bit v set iff word v is in it: a move costs 2^n/8 bytes
+(8 KiB at n = GAME_MAX_N = 16) whatever the set holds, word frequencies
+are tallied bit-sliced (one int per counter bit, the carry out of the top
+plane marking the words that reach the threshold), and greedy cover sizes
+are popcounts of mask intersections.  Sparser streams, such as the repeat
+and balls adversaries at n = 16, keep frozensets of word values and a
+dict of counts, whose cost follows the set sizes.  Both forms give the
+same marks.  The transcript lists each set as a sorted tuple of BitWords.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence, Sized
+
+import numpy as np
 
 from .bits import BitWord
 
 LN2 = math.log(2)
 
-# largest word length the game plays or verifies: one set is a 2^n-bit mask
+# largest word length the game plays or verifies: the frequency tally and
+# a set's mask hold 2^n bits
 GAME_MAX_N = 16
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# bytes a frozenset of word values takes per word, about (CPython); see _form
+_SET_BYTES_PER_WORD = 64
 
 
 class GameOverflowError(RuntimeError):
@@ -131,74 +138,133 @@ def _check_size(params: GameParams):
         raise ValueError(f"the marking game needs n <= {GAME_MAX_N}, got {params.n}")
 
 
-def _as_mask(alice_set, n: int, words: "Optional[dict]" = None) -> int:
-    """Bitmask of one of Alice's sets: bit v is set iff word v is in it.
+def _as_words(alice_set, n: int) -> "dict[int, BitWord]":
+    """The words of one of Alice's sets, keyed by value and checked against n.
 
-    words, when given, maps each element's value to a BitWord: the
-    caller's own object, or a new one for an int element.
+    The first element with each value is kept; an int element becomes a
+    new BitWord.
     """
-    size = 1 << n
-    flags = bytearray(size)    # one 0/1 byte per word, read back as binary digits
-    for w in alice_set:
-        if isinstance(w, BitWord):
-            if w.n != n:
-                raise ValueError(f"set element has length {w.n}, expected {n}")
-            v = w.value
-            if words is not None:
-                words[v] = w
-        else:
+    words: "dict[int, BitWord]" = {}
+    for w in reversed(list(alice_set)):     # the first element is stored last
+        if not isinstance(w, BitWord):
             v = int(w)
-            if not 0 <= v < size:
+            if not 0 <= v < 1 << n:
                 raise ValueError("set element out of range")
-            if words is not None and v not in words:
-                words[v] = BitWord(n, v)
-        flags[v] = 1
-    return int(flags.translate(_DIGITS)[::-1], 2)
+            w = BitWord(n, v)
+        elif w.n != n:
+            raise ValueError(f"set element has length {w.n}, expected {n}")
+        words[w.value] = w
+    return words
 
 
-def _counter(threshold: int, n: int) -> "list[int]":
-    """Bit planes, low first, of one counter per word of {0,1}^n.
+class _Masks:
+    """Sets as ints of 2^n bits, bit v set iff word v is in the set."""
 
-    Each counter starts at 2^b - threshold in b = ceil(log2 threshold)
-    planes, so a word first carries out of the top plane (see _tally)
-    on the threshold-th set that contains it.
-    """
-    b = (threshold - 1).bit_length()
-    start = (1 << b) - threshold
-    full = (1 << (1 << n)) - 1
-    return [full if start >> i & 1 else 0 for i in range(b)]
+    empty = int                 # empty(): a new empty set
+    size = int.bit_count        # size(s): how many words s holds
+
+    @staticmethod
+    def make(values: "Collection[int]", n: int) -> int:
+        flags = np.zeros(1 << n, np.uint8)
+        flags[np.fromiter(values, np.intp, len(values))] = 1
+        return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+    @staticmethod
+    def missed(a: int, b: int) -> int:
+        return a & ~b
+
+    @staticmethod
+    def least(s: int) -> int:
+        return (s & -s).bit_length() - 1
+
+    @staticmethod
+    def counter(threshold: int, n: int):
+        """add(s) counts one more set for every word in s and returns the
+        words whose count reaches threshold with it.
+
+        Bit-sliced: plane i holds bit i of every word's counter.  Counters
+        start at 2^b - threshold in b = ceil(log2 threshold) planes, so a
+        word carries out of the top plane on the threshold-th set that
+        contains it.
+        """
+        b = (threshold - 1).bit_length()
+        start = (1 << b) - threshold
+        full = (1 << (1 << n)) - 1
+        planes = [full if start >> i & 1 else 0 for i in range(b)]
+
+        def add(s: int) -> int:
+            carry = s
+            for i, p in enumerate(planes):
+                if not carry:
+                    break
+                planes[i] = p ^ carry
+                carry &= p
+            return carry
+
+        return add
 
 
-def _tally(planes: "list[int]", s: int) -> int:
-    """Add one to the counter of every word in s; return the carry out."""
-    carry = s
-    for i, p in enumerate(planes):
-        if not carry:
-            break
-        planes[i] = p ^ carry
-        carry &= p
-    return carry
+class _Sets:
+    """Sets as frozensets of word values, tallied in a dict."""
+
+    empty = set
+    size = len
+    least = min                 # least(s): the least word value in s
+
+    @staticmethod
+    def make(values: "Collection[int]", n: int) -> "frozenset[int]":
+        return frozenset(values)
+
+    @staticmethod
+    def missed(a: "set[int]", b: "set[int]") -> "set[int]":
+        return a - b
+
+    @staticmethod
+    def counter(threshold: int, n: int):
+        """As _Masks.counter, with one dict entry per word seen."""
+        counts: "dict[int, int]" = {}
+
+        def add(s: "frozenset[int]") -> "set[int]":
+            reached = set()
+            for v in s:
+                c = counts[v] = counts.get(v, 0) + 1
+                if c == threshold:
+                    reached.add(v)
+            return reached
+
+        return add
 
 
-def _greedy_marks(sets: "Sequence[int]", params: GameParams) -> "tuple[int, ...]":
+def _form(alice_sets: "Sequence[Sized]", n: int):
+    """_Masks if the sets' masks take no more memory than frozensets of their
+    words would, else _Sets: masks for an average of at least 2^n/512 words
+    a set."""
+    words = sum(map(len, alice_sets))
+    if len(alice_sets) << n <= 8 * _SET_BYTES_PER_WORD * words:
+        return _Masks
+    return _Sets
+
+
+def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...]":
     """Marks for move t = len(sets), given all of Alice's sets so far."""
     t = len(sets)
     block = largest_pow2_dividing(t)
     start = t - block          # block covers global indices start+1 .. t
     # words in at least ceil(2^m / k) block sets, i.e. count * k >= 2^m
-    planes = _counter(-(-params.frequency_threshold // params.k), params.n)
-    target = 0
+    add = form.counter(-(-params.frequency_threshold // params.k), params.n)
+    target = form.empty()
     for s in sets[start:]:
-        target |= _tally(planes, s)
+        target |= add(s)
+    size = form.size
     marks: "list[int]" = []
     while target:
         best_p, best_cover = 0, -1
         for i in range(block):
-            cover = (sets[start + i] & target).bit_count()
+            cover = size(sets[start + i] & target)
             if cover > best_cover:
                 best_p, best_cover = start + i + 1, cover
         marks.append(best_p)
-        target &= ~sets[best_p - 1]
+        target -= target & sets[best_p - 1]     # drop the words it covers
     return tuple(marks)
 
 
@@ -210,14 +276,14 @@ def bob_deterministic_step(history, params: GameParams) -> "tuple[int, ...]":
     """
     _check_size(params)
     if isinstance(history, GameTranscript):
-        sets = [_as_mask(m.alice_set, params.n) for m in history.moves]
-    else:
-        sets = [_as_mask(s, params.n) for s in history]
-    if not sets:
+        history = [m.alice_set for m in history.moves]
+    word_sets = [_as_words(s, params.n) for s in history]
+    if not word_sets:
         raise ValueError("history must include the current move's set")
-    if len(sets) > params.max_moves:
-        raise GameOverflowError(f"move {len(sets)} exceeds limit {params.max_moves}")
-    return _greedy_marks(sets, params)
+    if len(word_sets) > params.max_moves:
+        raise GameOverflowError(f"move {len(word_sets)} exceeds limit {params.max_moves}")
+    form = _form(word_sets, params.n)
+    return _greedy_marks([form.make(ws, params.n) for ws in word_sets], params, form)
 
 
 def bob_probabilistic_step(params: GameParams, rng) -> bool:
@@ -235,40 +301,41 @@ def play_game(
 ) -> GameTranscript:
     """Run one full game and return the per-move transcript.
 
-    alice yields collections of BitWords (or raw values).  Raises
-    GameOverflowError on the 2^k-th set, and ValueError before drawing
-    any set when n > GAME_MAX_N.
+    alice yields collections of BitWords (or raw values).  The whole
+    stream is read before Bob's first move, to pick the form the sets are
+    held in; his marks at move t still depend on her first t sets only.
+    Raises GameOverflowError on the 2^k-th set, and ValueError before
+    drawing any set when n > GAME_MAX_N.
     """
     _check_size(params)
     if strategy not in ("det", "prob"):
         raise ValueError("strategy must be 'det' or 'prob'")
+    alice_sets: "list[tuple[BitWord, ...]]" = []
+    for raw in alice:
+        if len(alice_sets) == params.max_moves:
+            raise GameOverflowError(
+                f"adversary produced move {params.max_moves + 1}; "
+                f"limit is {params.max_moves}"
+            )
+        words = _as_words(raw, params.n)
+        alice_sets.append(tuple(map(words.__getitem__, sorted(words))))
+    form = _form(alice_sets, params.n)
     rng = random.Random(seed) if strategy == "prob" else None
     tr = GameTranscript(params=params, strategy=strategy, seed=seed)
-    sets: "list[int]" = []
-    planes = _counter(params.frequency_threshold, params.n)
-    frequent = covered = 0
-    for raw in alice:
-        t = len(sets) + 1
-        if t > params.max_moves:
-            raise GameOverflowError(
-                f"adversary produced move {t}; limit is {params.max_moves}"
-            )
-        words: "dict[int, BitWord]" = {}
-        s = _as_mask(raw, params.n, words)
-        sets.append(s)
-        frequent |= _tally(planes, s)
+    sets: "list" = []
+    add = form.counter(params.frequency_threshold, params.n)
+    frequent, covered = form.empty(), form.empty()
+    for t, alice_set in enumerate(alice_sets, start=1):
+        sets.append(form.make([w.value for w in alice_set], params.n))
+        frequent |= add(sets[-1])
         if strategy == "det":
-            marks = _greedy_marks(sets, params)
+            marks = _greedy_marks(sets, params, form)
         else:
             marks = (t,) if bob_probabilistic_step(params, rng) else ()
         for p in marks:
             covered |= sets[p - 1]
-        record = MoveRecord(
-            alice_set=tuple(sorted(words.values(), key=attrgetter("value"))),
-            marks=marks,
-            win=not frequent & ~covered,
-        )
-        tr.moves.append(record)
+        win = not form.missed(frequent, covered)
+        tr.moves.append(MoveRecord(alice_set=alice_set, marks=marks, win=win))
     return tr
 
 
@@ -288,24 +355,24 @@ def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
     every move, mark causality, recorded win flags, and the total-marks
     bound (deterministic strategy only)."""
     _check_size(params)
-    planes = _counter(params.frequency_threshold, params.n)
-    frequent = covered = 0
-    sets: "list[int]" = []
     if len(tr.moves) > params.max_moves:
         return VerifyResult(False, params.max_moves + 1, None, "too many moves")
+    form = _form([m.alice_set for m in tr.moves], params.n)
+    add = form.counter(params.frequency_threshold, params.n)
+    frequent, covered = form.empty(), form.empty()
+    sets: "list" = []
     for t, move in enumerate(tr.moves, start=1):
-        s = _as_mask(move.alice_set, params.n)
-        sets.append(s)
-        frequent |= _tally(planes, s)
+        sets.append(form.make(_as_words(move.alice_set, params.n), params.n))
+        frequent |= add(sets[-1])
         for p in move.marks:
             if not 1 <= p <= t:
                 return VerifyResult(False, t, None, f"mark {p} not yet produced")
             covered |= sets[p - 1]
-        missed = frequent & ~covered
+        missed = form.missed(frequent, covered)
         if missed:
-            least = (missed & -missed).bit_length() - 1
             return VerifyResult(
-                False, t, BitWord(params.n, least), "frequent element uncovered"
+                False, t, BitWord(params.n, form.least(missed)),
+                "frequent element uncovered",
             )
         if not move.win:
             return VerifyResult(False, t, None, "recorded win flag is false")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ardtk import game
 from ardtk.bits import BitWord
 from ardtk.game import (
     ADVERSARIES,
@@ -259,6 +260,9 @@ class TestDeterministicStrategy:
         (move,) = tr.moves
         assert move.alice_set == (BitWord(4, 2), BitWord(4, 5), BitWord(4, 9))
         assert move.alice_set[0] is b and move.alice_set[2] is a
+        # the first element with a value is kept, an int as a new BitWord
+        (move,) = play_game([[9, a]], p, "det").moves
+        assert move.alice_set == (a,) and move.alice_set[0] is not a
 
     def test_rejects_wrong_length_words(self):
         p = GameParams(n=3, k=2, m=1)
@@ -268,10 +272,61 @@ class TestDeterministicStrategy:
             play_game([[1, 8]], p, "det")
 
 
-class TestBitsetEngine:
-    """The bitset engine against the frozenset/Counter reference."""
+@pytest.fixture(params=["masks", "sets"])
+def form(request, monkeypatch):
+    """Hold every game's sets in one form, whatever their sizes."""
+    chosen = {"masks": game._Masks, "sets": game._Sets}[request.param]
+    monkeypatch.setattr(game, "_form", lambda alice_sets, n: chosen)
+    return chosen
 
-    def test_matches_reference_engine(self):
+
+class TestEngineForms:
+    """Both set forms against the frozenset/Counter reference."""
+
+    def test_form_follows_set_sizes(self):
+        dense = GameParams(n=10, k=4, m=2)
+        assert game._form(list(adversary_random(dense, 0)), 10) is game._Masks
+        sparse = GameParams(n=16, k=4, m=2)
+        for adversary in (adversary_repeat, adversary_balls):
+            assert game._form(list(adversary(sparse, 0)), 16) is game._Sets
+        # masks from an average of 2^n / 512 words a set
+        assert game._form([range(2)] * 3, 10) is game._Masks
+        assert game._form([range(2), range(1)], 10) is game._Sets
+
+    def test_sparse_streams_at_n16_match_reference(self):
+        for name in ("repeat", "balls"):
+            for m in (0, 2, 5):
+                p = GameParams(n=16, k=6, m=m)
+                stream = list(ADVERSARIES[name](p, m))
+                tr = play_game(stream, p, "det")
+                got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
+                assert got == reference_play(stream, p, "det"), (name, m)
+                assert verify_transcript(tr, p).ok
+
+    def test_verifier_and_step_agree_across_forms(self, monkeypatch):
+        rng = random.Random(11)
+        witnesses = 0
+        for _ in range(30):
+            k = rng.randint(2, 6)
+            p = GameParams(n=rng.randint(1, 6), k=k, m=rng.randint(0, 2))
+            tr = play_game(adversary_random(p, rng.randrange(1 << 16)), p, "det")
+            cut = GameTranscript(p, "det", None, [
+                MoveRecord(mv.alice_set, tuple(q for q in mv.marks if rng.random() < 0.7),
+                           mv.win)
+                for mv in tr.moves
+            ])
+            t = rng.randint(1, len(tr.moves))
+            results = []
+            for chosen in (game._Masks, game._Sets):
+                monkeypatch.setattr(game, "_form", lambda alice_sets, n: chosen)
+                step = bob_deterministic_step([mv.alice_set for mv in tr.moves[:t]], p)
+                results.append((verify_transcript(cut, p), step))
+            assert results[0] == results[1]
+            assert results[0][1] == tr.moves[t - 1].marks
+            witnesses += results[0][0].element is not None
+        assert witnesses >= 10
+
+    def test_matches_reference_engine(self, form):
         rng = random.Random(2024)
         games = 0
         for n in range(1, 9):
@@ -290,7 +345,7 @@ class TestBitsetEngine:
                     games += 1
         assert games == 120
 
-    def test_matches_reference_when_coins_lose(self):
+    def test_matches_reference_when_coins_lose(self, form):
         # coin probability below 1 and thresholds the stream reaches, so
         # some moves record a loss
         rng = random.Random(7)
