@@ -611,11 +611,12 @@ def run_cover(args, out_dir: Path, seed: int):
 
 
 def read_adversary_file(path, n: int) -> "list[frozenset[BitWord]]":
-    """One set per line: comma or space separated n-bit '0'/'1' words."""
+    """One set per line: comma or space separated n-bit '0'/'1' words; a
+    blank line is the empty set, a '#' line a comment."""
     sets = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         words = [BitWord.from_str(tok) for tok in line.replace(",", " ").split()]
         for w in words:

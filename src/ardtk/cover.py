@@ -16,7 +16,6 @@ of the ball around 0^n to its bitwise complement.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
@@ -31,6 +30,7 @@ from .distortion import (
     Ball,
     DistortionSpec,
     SizeGuardError,
+    _shell,
     ball_cardinality,
 )
 
@@ -114,17 +114,6 @@ def _check_pair(spec: DistortionSpec, delta: Fraction, d: Fraction, seed: int):
         )
 
 
-def _weight_values(n: int, w: int) -> np.ndarray:
-    """All n-bit values of Hamming weight w."""
-    vals = np.empty(comb(n, w), dtype=np.uint32)
-    for j, positions in enumerate(itertools.combinations(range(n), w)):
-        v = 0
-        for p in positions:
-            v |= 1 << p
-        vals[j] = v
-    return vals
-
-
 def _sample_weighted(rng: np.random.Generator, n: int, w: int, count: int) -> np.ndarray:
     """count uniform n-bit values of weight w."""
     if w == 0:
@@ -138,15 +127,14 @@ def _sample_weighted(rng: np.random.Generator, n: int, w: int, count: int) -> np
 
 def _cover_shell(
     n: int,
-    shell_w: int,
+    shell_vals: np.ndarray,
     f_w: int,
     dn: int,
     draw_budget: int,
     seed_seq,
 ) -> "tuple[list[int], int, int]":
-    """Centers at weight f_w covering the weight-shell_w shell; returns
+    """Centers at weight f_w covering the shell values; returns
     (centers, draws_used, retries)."""
-    shell_vals = _weight_values(n, shell_w)
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(list(seed_seq) + [attempt])
         remaining = np.ones(len(shell_vals), dtype=bool)
@@ -174,7 +162,7 @@ def _cover_shell(
         if not remaining.any():
             return centers, draws, attempt
     raise CoverError(
-        f"shell at weight {shell_w} not covered within "
+        f"shell at weight {int(shell_vals[0]).bit_count()} not covered within "
         f"{MAX_RETRIES} retries of {draw_budget} draws"
     )
 
@@ -215,15 +203,16 @@ def cover_ball(
     size_bound = n**ALPHA_EXPONENT * b_delta // b_d + 1
     volume_lower = ceil(b_delta / b_d)
     shells: "list[ShellRecord]" = []
+    # the target ball's values, shell by shell
+    by_weight = [np.fromiter(_shell(n, w), np.uint32, comb(n, w)) for w in range(deltan + 1)]
 
     if deltan == dn:
         centers = [0]
     elif dn == 0:
         # radius-0 balls cover single points: every member is a center
         centers = []
-        for w in range(deltan + 1):
-            vals = _weight_values(n, w)
-            centers.extend(int(v) for v in vals)
+        for w, vals in enumerate(by_weight):
+            centers.extend(vals.tolist())
             shells.append(
                 ShellRecord(Fraction(w, n), Fraction(w, n), len(vals), len(vals), len(vals), 0)
             )
@@ -235,15 +224,14 @@ def cover_ball(
             f = shell_offset(d, delta_shell, n)
             f_w = int(f * n)
             got, draws, retries = _cover_shell(
-                n, w, f_w, dn, budget, (seed, deltan, dn, w)
+                n, by_weight[w], f_w, dn, budget, (seed, deltan, dn, w)
             )
             centers.extend(got)
             shells.append(ShellRecord(delta_shell, f, len(got), budget, draws, retries))
 
     verified = None
     if n <= VERIFY_MAX_N:
-        target = Ball(spec, delta, center=BitWord.zeros(n))
-        target_vals = np.array([m.value for m in target.members()], dtype=np.uint32)
+        target_vals = np.sort(np.concatenate(by_weight))
         centers = _prune_and_verify(target_vals, centers, dn, n)
         verified = True
     return CoverResult(

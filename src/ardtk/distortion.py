@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, log2
+from math import inf, log2
 from typing import Iterable, Optional, Sequence
 
 from .bits import BitWord
@@ -60,16 +60,35 @@ def _check_radius(spec: DistortionSpec, delta: Fraction):
             raise ValueError("list radius must be nonnegative")
 
 
+def _log_size(size: int):
+    """log2 of a list size: an exact Fraction for a power of two, else a float."""
+    if size & (size - 1) == 0:
+        return Fraction(size.bit_length() - 1)
+    return log2(size)
+
+
+def _shell(n: int, w: int):
+    """The n-bit values of weight w, in itertools.combinations order of bits 1 << p."""
+    return map(sum, itertools.combinations([1 << p for p in range(n)], w))
+
+
+def _volumes(n: int):
+    """Hamming-ball volumes sum_{j <= i} C(n, j) for i = 0, 1, ..., n, each
+    binomial from the last by C(n, i + 1) = C(n, i) (n - i) / (i + 1)."""
+    c = volume = 1
+    for i in range(n + 1):
+        yield volume
+        c = c * (n - i) // (i + 1)
+        volume += c
+
+
 def distance(spec: DistortionSpec, x: BitWord, y):
     """Exact distortion between x and destination y (word or word set)."""
     if spec.family == LIST:
         members = list(y)
         if x not in members:
             return inf
-        size = len(members)
-        if size & (size - 1) == 0:
-            return Fraction(size.bit_length() - 1)
-        return log2(size)
+        return _log_size(len(members))
     if not isinstance(y, BitWord) or x.n != y.n or x.n != spec.n:
         return inf
     if spec.family == HAMMING:
@@ -88,7 +107,7 @@ def ball_cardinality(spec: DistortionSpec, delta: Fraction) -> int:
     n = spec.n
     if spec.family == HAMMING:
         r = int(delta * n)  # radius floor: only whole bit flips count
-        return sum(comb(n, i) for i in range(r + 1))
+        return next(itertools.islice(_volumes(n), r, None))
     if spec.family == EUCLID:
         steps = int(delta * (1 << n))
         return min(2 * steps + 1, 1 << n)
@@ -206,17 +225,9 @@ class Ball:
         if spec.family == EUCLID:
             lo, hi = _ball_value_range(spec, self.center, self.radius)
             return [BitWord(spec.n, v) for v in range(lo, hi + 1)]
-        n = spec.n
+        n, c = spec.n, self.center.value
         r = int(self.radius * n)
-        values = []
-        base = self.center.value
-        for k in range(r + 1):
-            for flips in itertools.combinations(range(n), k):
-                mask = 0
-                for i in flips:
-                    mask |= 1 << (n - 1 - i)
-                values.append(base ^ mask)
-        values.sort()
+        values = sorted(c ^ v for w in range(r + 1) for v in _shell(n, w))
         return [BitWord(n, v) for v in values]
 
 
@@ -248,12 +259,7 @@ def list_ball(members: Iterable[BitWord]) -> Ball:
     n = members[0].n
     if any(m.n != n for m in members):
         raise ValueError("members must share one length")
-    size = len(members)
-    radius = (
-        Fraction(size.bit_length() - 1)
-        if size & (size - 1) == 0
-        else Fraction(log2(size))
-    )
+    radius = Fraction(_log_size(len(members)))
     return Ball(DistortionSpec(LIST, n), radius, list_members=members)
 
 
@@ -299,8 +305,7 @@ def radius_for_log_cardinality(spec: DistortionSpec, l: int) -> Fraction:
         i = 1 if l == 1 else 1 << (l - 2)
         return Fraction(i, 1 << spec.n)
     n = spec.n
-    for i in range(n // 2 + 1):
-        b = sum(comb(n, j) for j in range(i + 1))
+    for i, b in zip(range(n // 2 + 1), _volumes(n)):
         if (b - 1).bit_length() >= l:
             return Fraction(i, n)
     return Fraction(n // 2, n)

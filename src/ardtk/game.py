@@ -392,11 +392,11 @@ def adversary_random(params: GameParams, seed: int):
     """Full-length stream of uniformly random subsets of {0,1}^n."""
     rng = random.Random(seed)
     size = 1 << params.n
+    words = [BitWord(params.n, v) for v in range(size)]
     for _ in range(params.max_moves):
-        mask = rng.getrandbits(size)
-        yield frozenset(
-            BitWord(params.n, v) for v in range(size) if (mask >> v) & 1
-        )
+        # bit v of the mask, read least significant first, selects word v
+        bits = reversed(format(rng.getrandbits(size), f"0{size}b"))
+        yield frozenset(w for w, b in zip(words, bits) if b == "1")
 
 
 def adversary_repeat(params: GameParams, seed: int):

@@ -35,6 +35,8 @@ from .distortion import (
     Ball,
     DistortionSpec,
     SizeGuardError,
+    _ball_value_range,
+    _check_radius,
     admissible_radii,
     ball_cardinality,
     binary_entropy,
@@ -193,8 +195,7 @@ def _word_search(
         def neighbor(y: BitWord) -> BitWord:
             return _project_hamming(x, y.flip(rng.randrange(n)), max_flips)
     else:
-        steps = int(delta * (1 << n))
-        lo, hi = max(0, x.value - steps), min((1 << n) - 1, x.value + steps)
+        lo, hi = _ball_value_range(spec, x, delta)
         pool = _euclid_pool(x, lo, hi, rng)
 
         def neighbor(y: BitWord) -> BitWord:
@@ -297,6 +298,7 @@ def search_min_rate(
     delta = Fraction(delta)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_radius(spec, delta)
     if spec.family == LIST:
         best, evals = _list_search(x, spec, delta, budget, trace)
     else:

@@ -279,6 +279,16 @@ class TestGameCommand:
         assert len(doc["moves"]) == 2
         assert doc["moves"][0]["set_size"] == 2
 
+    def test_adversary_file_blank_lines_are_empty_sets(self, tmp_path):
+        adv = tmp_path / "adv.txt"
+        adv.write_text("# comment\n0101 1100\n\n   \n# another\n0011\n\n")
+        out = tmp_path / "run"
+        assert main(["game", "--k", "3", "--m", "1", "--n", "4",
+                     "--adversary", "file", "--adversary-file", str(adv),
+                     "--seed", "0", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "transcript.json").read_text())
+        assert [m["set_size"] for m in doc["moves"]] == [2, 0, 0, 1, 0]
+
     def test_adversary_file_bad_width(self, tmp_path, capsys):
         adv = tmp_path / "adv.txt"
         adv.write_text("010\n")

@@ -1,4 +1,5 @@
 """Ball-covering construction tests."""
+import hashlib
 import time
 from fractions import Fraction
 
@@ -155,6 +156,19 @@ class TestCoverBall:
         r = cover_ball(spec(n), Fraction(deltan, n), Fraction(dn, n), seed=seed)
         assert r.verified is True
         assert r.volume_lower <= r.size <= r.size_bound
+
+    @pytest.mark.parametrize("d, want", [
+        # d = 0 takes its center order straight from the shell enumeration
+        (Fraction(0), "1c1e3bc531770705c3262d2dd9f914efa205d1a85583cfe38756c3c496637d94"),
+        (Fraction(1, 10), "e0b31d598764965e7c22f72e31616501cc541b6e1766eecda1dd950a1104638e"),
+    ])
+    def test_pinned_centers_and_shells(self, d, want):
+        r = cover_ball(spec(10), Fraction(3, 10), d, seed=0)
+        h = hashlib.sha256(" ".join(c.to01() for c in r.centers).encode())
+        for sh in r.shells:
+            h.update(repr((sh.delta_shell, sh.offset, sh.centers_used,
+                           sh.draw_budget, sh.draws_used, sh.retries)).encode())
+        assert h.hexdigest() == want
 
     def test_miss_raises_naming_first_uncovered(self, monkeypatch):
         # with no shell centers only 0^6 is left; the first target member

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from math import comb, inf
 
@@ -85,6 +87,21 @@ def test_cardinality_matches_enumeration():
             members = ball_members(spec, center, delta)
             assert len(members) == ball_cardinality(spec, delta)
             assert len(set(members)) == len(members)
+
+
+def test_hamming_cardinality_matches_binomial_sum():
+    for n in range(1, 65):
+        spec = DistortionSpec(dst.HAMMING, n)
+        for i in range(n // 2 + 1):
+            want = sum(comb(n, j) for j in range(i + 1))
+            assert ball_cardinality(spec, Fraction(i, n)) == want
+
+
+def test_shell_values_in_combinations_order():
+    for n in range(1, 11):
+        for w in range(n + 1):
+            want = [sum(1 << p for p in c) for c in itertools.combinations(range(n), w)]
+            assert list(dst._shell(n, w)) == want
 
 
 def test_euclid_cardinality_interior():
@@ -244,6 +261,31 @@ def test_radius_for_level_is_minimal():
             else:
                 # odd-n top level: clamped at the largest admissible radius
                 assert i == n // 2 and n % 2 == 1 and l == n
+
+
+def _radius_by_per_radius_sums(n, l):
+    """Reference: re-sum the binomials for every candidate radius."""
+    for i in range(n // 2 + 1):
+        b = sum(comb(n, j) for j in range(i + 1))
+        if (b - 1).bit_length() >= l:
+            return Fraction(i, n)
+    return Fraction(n // 2, n)
+
+
+def test_radius_for_level_matches_per_radius_sums():
+    for n in range(1, 41):
+        spec = DistortionSpec(dst.HAMMING, n)
+        for l in range(n + 1):
+            assert radius_for_log_cardinality(spec, l) == _radius_by_per_radius_sums(n, l)
+
+
+def test_radius_for_every_level_at_n1024_is_fast():
+    spec = DistortionSpec(dst.HAMMING, 1024)
+    t0 = time.perf_counter()
+    radii = [radius_for_log_cardinality(spec, l) for l in range(1025)]
+    assert time.perf_counter() - t0 < 2.0
+    assert radii == sorted(radii)
+    assert radii[0] == 0 and radii[-1] == Fraction(1, 2)
 
 
 def test_radius_for_level_euclid():

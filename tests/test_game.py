@@ -492,9 +492,34 @@ class TestProbabilisticStrategy:
         )
 
 
+def reference_adversary_random(params, seed):
+    """Reference: test each bit of the mask and build a fresh word per element."""
+    rng = random.Random(seed)
+    size = 1 << params.n
+    for _ in range(params.max_moves):
+        mask = rng.getrandbits(size)
+        yield frozenset(
+            BitWord(params.n, v) for v in range(size) if (mask >> v) & 1
+        )
+
+
 class TestAdversaries:
     def test_zoo_registry(self):
         assert set(ADVERSARIES) == {"random", "repeat", "balls"}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_stream_matches_reference(self, n):
+        p = GameParams(n=n, k=min(n + 2, 8), m=1)
+        for seed in (0, 1, 7, 123):
+            got = list(adversary_random(p, seed))
+            want = list(reference_adversary_random(p, seed))
+            assert got == want
+            # transcripts list each set's words in iteration order
+            assert [list(s) for s in got] == [list(s) for s in want]
+
+    def test_random_stream_matches_reference_n10(self):
+        p = GameParams(n=10, k=10, m=4)
+        assert list(adversary_random(p, 0)) == list(reference_adversary_random(p, 0))
 
     def test_random_stream_length_and_domain(self):
         p = GameParams(n=3, k=3, m=1)

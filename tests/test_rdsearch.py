@@ -142,6 +142,12 @@ class TestSearchMinRate:
         c = search_min_rate(x, spec, Fraction(20), budget=3, seed=0)
         assert x in c.destination and c.distortion <= 2
 
+    @pytest.mark.parametrize("family", [HAMMING, EUCLID, LIST])
+    def test_rejects_negative_radius(self, family):
+        with pytest.raises(ValueError):
+            search_min_rate(BitWord(8, 5), DistortionSpec(family, 8),
+                            Fraction(-1), budget=5, seed=0)
+
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             search_min_rate(BitWord.zeros(4), DistortionSpec(HAMMING, 4),
