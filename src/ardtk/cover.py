@@ -30,6 +30,7 @@ from .distortion import (
     Ball,
     DistortionSpec,
     SizeGuardError,
+    _radius_steps,
     _shell,
     ball_cardinality,
 )
@@ -196,8 +197,8 @@ def cover_ball(
     delta, d = Fraction(delta), Fraction(d)
     _check_pair(spec, delta, d, seed)
     n = spec.n
-    dn = int(d * n)
-    deltan = int(delta * n)  # floor: fractional big radii shrink to the grid
+    dn = _radius_steps(spec, d)
+    deltan = _radius_steps(spec, delta)  # fractional big radii shrink to the grid
     b_delta = ball_cardinality(spec, delta)
     b_d = ball_cardinality(spec, d)
     size_bound = n**ALPHA_EXPONENT * b_delta // b_d + 1
@@ -292,7 +293,7 @@ def cover_space(
                 seen.add(v)
                 vals.append(v)
     b_d = ball_cardinality(spec, d)
-    dn = int(d * n)
+    dn = _radius_steps(spec, d)
     verified = None
     if n <= VERIFY_MAX_N:
         target_vals = np.arange(1 << n, dtype=np.uint32)
@@ -321,7 +322,7 @@ def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[Bi
     n = target.spec.n
     if n > VERIFY_MAX_N:
         raise ValueError(f"verification is exhaustive; need n <= {VERIFY_MAX_N}")
-    dn = int(Fraction(d) * n)
+    dn = _radius_steps(DistortionSpec(HAMMING, n), Fraction(d))
     target_vals = np.array([m.value for m in target.members()], dtype=np.uint32)
     bad = _first_uncovered(target_vals, [c.value for c in centers], dn)
     if bad is None:

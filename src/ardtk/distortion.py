@@ -5,7 +5,10 @@ Three families are supported:
     hamming    d(x, y) = |{i : x_i != y_i}| / n, radius 0..1/2
     euclid     words read as binary fractions in [0, 1); d(x, y) = |x - y|
     list       destinations are finite sets S of words containing x;
-               d(x, S) = log2 |S|
+               d(x, S) = log2 |S|.  A list ball with a center c and an
+               integer radius t is the suffix cylinder of the 2^t words
+               sharing c's first n - t bits; one with a member list is
+               that explicit list
 
 Distances are exact rationals (fractions.Fraction) whenever the value is
 rational; the list family returns a float for non-power-of-two sizes,
@@ -60,6 +63,14 @@ def _check_radius(spec: DistortionSpec, delta: Fraction):
             raise ValueError("list radius must be nonnegative")
 
 
+def _radius_steps(spec: DistortionSpec, delta: Fraction) -> int:
+    """Whole steps a radius floors to: bit flips (hamming) or grid steps
+    of 2^-n (euclid)."""
+    if spec.family == HAMMING:
+        return int(delta * spec.n)
+    return int(delta * (1 << spec.n))
+
+
 def _log_size(size: int):
     """log2 of a list size: an exact Fraction for a power of two, else a float."""
     if size & (size - 1) == 0:
@@ -83,8 +94,11 @@ def _volumes(n: int):
 
 
 def distance(spec: DistortionSpec, x: BitWord, y):
-    """Exact distortion between x and destination y (word or word set)."""
+    """Exact distortion between x and destination y (word, word set or
+    list ball)."""
     if spec.family == LIST:
+        if isinstance(y, Ball):
+            return _log_size(y.cardinality()) if y.contains(x) else inf
         members = list(y)
         if x not in members:
             return inf
@@ -106,11 +120,9 @@ def ball_cardinality(spec: DistortionSpec, delta: Fraction) -> int:
     _check_radius(spec, delta)
     n = spec.n
     if spec.family == HAMMING:
-        r = int(delta * n)  # radius floor: only whole bit flips count
-        return next(itertools.islice(_volumes(n), r, None))
+        return next(itertools.islice(_volumes(n), _radius_steps(spec, delta), None))
     if spec.family == EUCLID:
-        steps = int(delta * (1 << n))
-        return min(2 * steps + 1, 1 << n)
+        return min(2 * _radius_steps(spec, delta) + 1, 1 << n)
     if delta != int(delta):
         raise ValueError("list radius must be an integer log-cardinality")
     return 1 << int(delta)
@@ -138,7 +150,7 @@ def entropy_bounds(n: int, delta: Fraction) -> "tuple[float, float]":
 
 def _ball_value_range(spec: DistortionSpec, center: BitWord, delta: Fraction):
     """Clamped [lo, hi] integer grid range of a euclid ball."""
-    steps = int(delta * (1 << spec.n))
+    steps = _radius_steps(spec, delta)
     lo = max(0, center.value - steps)
     hi = min((1 << spec.n) - 1, center.value + steps)
     return lo, hi
@@ -148,49 +160,51 @@ def _ball_value_range(spec: DistortionSpec, center: BitWord, delta: Fraction):
 class Ball:
     """A destination ball: center and radius, or an explicit member list.
 
-    For the list family either an explicit (sorted) member tuple or the
-    implicit full cube {0,1}^n is stored; the full cube never needs
-    enumeration because its log-cardinality is exactly n.
+    Hamming and euclid balls have a center.  A list ball has exactly one
+    of the two: a center with integer radius t in 0..n is the suffix
+    cylinder of the 2^t words sharing the center's first n - t bits, and
+    list_members is an explicit (sorted) member tuple.
     """
 
     spec: DistortionSpec
     radius: Fraction
     center: Optional[BitWord] = None
     list_members: Optional[tuple] = None
-    full_cube: bool = False
 
     def __post_init__(self):
         _check_radius(self.spec, self.radius)
-        if self.spec.family == LIST:
-            if self.full_cube:
-                if self.radius != self.spec.n:
-                    raise ValueError("full cube radius must equal n")
-            elif self.list_members is None:
-                raise ValueError("list ball needs members")
-        else:
-            if self.center is None or self.center.n != self.spec.n:
-                raise ValueError("center must match the word length")
+        if (self.center is None) == (self.list_members is None):
+            raise ValueError("a ball needs exactly one of center and members")
+        if self.list_members is not None:
+            if self.spec.family != LIST:
+                raise ValueError("only a list ball takes members")
+            return
+        if self.center.n != self.spec.n:
+            raise ValueError("center must match the word length")
+        if self.spec.family == LIST and not (
+            self.radius == int(self.radius) <= self.spec.n
+        ):
+            raise ValueError("cylinder radius must be an integer in 0..n")
 
     def cardinality(self) -> int:
+        if self.list_members is not None:
+            return len(self.list_members)
         if self.spec.family == HAMMING:
             return ball_cardinality(self.spec, self.radius)
         if self.spec.family == EUCLID:
             lo, hi = _ball_value_range(self.spec, self.center, self.radius)
             return hi - lo + 1
-        if self.full_cube:
-            return 1 << self.spec.n
-        return len(self.list_members)
+        return 1 << int(self.radius)
 
     def log_cardinality(self) -> float:
-        if self.spec.family == LIST and self.full_cube:
-            return float(self.spec.n)
         return log2(self.cardinality())
 
     def contains(self, x: BitWord) -> bool:
-        if self.spec.family == LIST:
-            if self.full_cube:
-                return x.n == self.spec.n
+        if self.list_members is not None:
             return x in self.list_members
+        if self.spec.family == LIST:
+            t = int(self.radius)
+            return x.n == self.spec.n and x.value >> t == self.center.value >> t
         return distance(self.spec, x, self.center) <= self.radius
 
     def descriptor(self) -> BitWord:
@@ -198,35 +212,34 @@ class Ball:
 
         hamming: center bits followed by LEB128 of the flip-count radius.
         euclid:  center bits followed by LEB128 of the grid-step radius.
-        list:    concatenation of the members in lexicographic order
-                 (full cube: LEB128 of n alone).
+        list:    a cylinder is its n - t prefix bits followed by LEB128
+                 of t (the full cube: LEB128 of n alone); an explicit
+                 list is its members concatenated in lexicographic order.
         """
-        if self.spec.family == LIST:
-            if self.full_cube:
-                return _leb_word(self.spec.n)
+        if self.list_members is not None:
             return BitWord.join(sorted(self.list_members))
-        if self.spec.family == HAMMING:
-            r = int(self.radius * self.spec.n)
-        else:
-            r = int(self.radius * (1 << self.spec.n))
-        return self.center.concat(_leb_word(r))
+        if self.spec.family == LIST:
+            t = int(self.radius)
+            prefix = BitWord(self.spec.n - t, self.center.value >> t)
+            return prefix.concat(_leb_word(t))
+        return self.center.concat(_leb_word(_radius_steps(self.spec, self.radius)))
 
     def members(self) -> "list[BitWord]":
         """All members in lexicographic order (guarded against explosion)."""
-        spec = self.spec
-        if spec.family == LIST:
-            if self.full_cube:
-                if spec.n > MEMBER_ENUM_MAX_COUNT.bit_length() - 1:
-                    raise SizeGuardError("cube too large to enumerate")
-                return [BitWord(spec.n, v) for v in range(1 << spec.n)]
+        if self.list_members is not None:
             return sorted(self.list_members)
         if self.cardinality() > MEMBER_ENUM_MAX_COUNT:
             raise SizeGuardError("ball too large to enumerate")
+        spec = self.spec
+        n, c = spec.n, self.center.value
+        if spec.family == LIST:
+            t = int(self.radius)
+            prefix = c >> t << t
+            return [BitWord(n, prefix | s) for s in range(1 << t)]
         if spec.family == EUCLID:
             lo, hi = _ball_value_range(spec, self.center, self.radius)
-            return [BitWord(spec.n, v) for v in range(lo, hi + 1)]
-        n, c = spec.n, self.center.value
-        r = int(self.radius * n)
+            return [BitWord(n, v) for v in range(lo, hi + 1)]
+        r = _radius_steps(spec, self.radius)
         values = sorted(c ^ v for w in range(r + 1) for v in _shell(n, w))
         return [BitWord(n, v) for v in values]
 
@@ -264,7 +277,7 @@ def list_ball(members: Iterable[BitWord]) -> Ball:
 
 
 def full_cube(n: int) -> Ball:
-    return Ball(DistortionSpec(LIST, n), Fraction(n), full_cube=True)
+    return Ball(DistortionSpec(LIST, n), Fraction(n), center=BitWord.zeros(n))
 
 
 def ball_members(spec: DistortionSpec, center: BitWord, delta: Fraction):

@@ -27,16 +27,16 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .bits import BitWord
-from .codec import MAX_WORD_BITS, codelength
+from .codec import codelength
 from .distortion import (
     EUCLID,
     HAMMING,
     LIST,
     Ball,
     DistortionSpec,
-    SizeGuardError,
     _ball_value_range,
     _check_radius,
+    _radius_steps,
     admissible_radii,
     ball_cardinality,
     binary_entropy,
@@ -46,7 +46,7 @@ from .distortion import (
 
 DEFAULT_SLACK_C = 8
 
-Destination = Union[BitWord, "tuple[BitWord, ...]"]
+Destination = Union[BitWord, Ball]
 
 
 class MissingGridPointError(KeyError):
@@ -61,24 +61,9 @@ class Candidate:
 
     def digest(self) -> str:
         w = self.destination
-        if isinstance(w, tuple):
-            w = BitWord.join(w)
+        if isinstance(w, Ball):
+            w = w.descriptor()
         return w.digest()
-
-
-def make_candidate(
-    x: BitWord, spec: DistortionSpec, destination: Destination
-) -> Candidate:
-    """Score a destination and recompute its distortion from scratch."""
-    if isinstance(destination, BitWord):
-        score = codelength(destination)
-        dist = distance(spec, x, destination)
-    else:
-        members = tuple(sorted(destination))
-        score = codelength(BitWord.join(members))
-        dist = distance(spec, x, members)
-        destination = members
-    return Candidate(destination=destination, score=score, distortion=dist)
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ def _word_search(
 
     rng = random.Random(seed)
     if spec.family == HAMMING:
-        max_flips = int(delta * n)
+        max_flips = _radius_steps(spec, delta)
         pool = _hamming_pool(x, max_flips, rng)
 
         def neighbor(y: BitWord) -> BitWord:
@@ -204,7 +189,7 @@ def _word_search(
 
     for w in extra_seeds:
         if spec.family == HAMMING:
-            pool.append(_project_hamming(x, w, int(delta * n)))
+            pool.append(_project_hamming(x, w, max_flips))
         elif distance(spec, x, w) <= delta:
             pool.append(w)
 
@@ -213,8 +198,6 @@ def _word_search(
 
     def consider(y: BitWord):
         nonlocal best, evals
-        if distance(spec, x, y) > delta:
-            return
         if y.value not in seen:
             if evals >= budget:
                 return
@@ -246,30 +229,22 @@ def _list_search(
     budget: int,
     trace: Optional[list],
 ):
-    """Lists containing x, no larger than 2^delta, in fixed sorted order.
+    """The suffix cylinders around x of radius t = 0 .. min(n, delta,
+    budget - 1): the 2^t words sharing x's first n - t bits.
 
-    Candidates are the singleton and the suffix cylinders around x (all
-    words sharing a prefix with x): their sorted concatenation is highly
-    regular, so codelength falls as the allowed size grows.
+    A cylinder is scored by the codelength of its descriptor, those
+    n - t prefix bits followed by LEB128(t), so no member is built and
+    the score falls by about a bit per level on an incompressible x.
+    Ties go to the smaller t.
     """
-    n = spec.n
-    t_max = min(n, math.floor(delta), budget - 1)   # the loop's last cylinder
-    if t_max >= 0 and n << t_max > MAX_WORD_BITS:
-        raise SizeGuardError(
-            f"a list of 2^{t_max} words of {n} bits joins to more than "
-            f"MAX_WORD_BITS = {MAX_WORD_BITS}"
-        )
     best = None
     evals = 0
-    for t in range(0, n + 1):
-        if t > delta or evals >= budget:
-            break
-        prefix = x.value >> t << t
-        members = tuple(BitWord(n, prefix | s) for s in range(1 << t))
-        cand = make_candidate(x, spec, members)
+    for t in range(min(spec.n, math.floor(delta), budget - 1) + 1):
+        ball = Ball(spec, Fraction(t), center=x)
+        score = codelength(ball.descriptor())
         evals += 1
-        if best is None or (cand.score, cand.destination) < (best.score, best.destination):
-            best = cand
+        if best is None or score < best.score:
+            best = Candidate(ball, score, Fraction(t))
             if trace is not None:
                 trace.append((evals, best.score))
     return best, evals
@@ -289,7 +264,8 @@ def search_min_rate(
     budget counts distinct codelength evaluations.  x itself is always
     feasible, so the search is total.  When the whole feasible set fits
     in the budget the result is its exact minimum (ties to the
-    lexicographically least destination).
+    lexicographically least destination).  List-family destinations are
+    suffix-cylinder balls around x, ties going to the smaller one.
 
     trace, when given, receives (evaluations so far, best score) at each
     improvement and once more at the end, so its last entry holds the
@@ -299,6 +275,9 @@ def search_min_rate(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     _check_radius(spec, delta)
+    extra_seeds = tuple(extra_seeds)
+    if any(w.n != spec.n for w in extra_seeds):
+        raise ValueError("extra seeds must have the word length n")
     if spec.family == LIST:
         best, evals = _list_search(x, spec, delta, budget, trace)
     else:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bits import BitWord
 from .codec import codelength
-from .distortion import HAMMING, DistortionSpec, binary_entropy
+from .distortion import HAMMING, DistortionSpec, _radius_steps, binary_entropy
 from .rdsearch import search_min_rate
 
 DEFAULT_DELTA1_SLACK = 24.0    # bits; documented stand-in for the
@@ -236,7 +236,7 @@ def _exact_code_map_entropy(n, delta, weights, lengths):
     size = 1 << n
     vals = np.arange(size, dtype=np.int64)
     key = (lengths.astype(np.int64) << n) | vals
-    for _ in range(int(Fraction(delta) * n)):
+    for _ in range(_radius_steps(DistortionSpec(HAMMING, n), Fraction(delta))):
         grown = key.copy()
         for i in range(n):
             np.minimum(grown, key[vals ^ (1 << i)], out=grown)

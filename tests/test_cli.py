@@ -228,6 +228,23 @@ class TestCurveCommand:
         _, rows = read_csv(out / "curve.csv")
         assert [int(r[0]) for r in rows] == [0, 4, 8, 12, 16]
 
+    def test_list_family_canonical_curve_replays(self, tmp_path, capsys):
+        word = BitWord.random(random.Random(7), 256)
+        path = tmp_path / "w.bits"
+        write_word(path, word)
+        out = tmp_path / "run"
+        assert main(["curve", "--input", str(path), "--family", "list",
+                     "--axis", "canonical", "--budget", "257", "--seed", "0",
+                     "--out-dir", str(out)]) == 0
+        _, rows = read_csv(out / "curve.csv")
+        assert [int(r[0]) for r in rows] == list(range(257))
+        bits = [int(r[1]) for r in rows]
+        assert bits == sorted(bits, reverse=True) and bits[0] > bits[-1]
+        capsys.readouterr()
+        assert main(["replay", str(out / "manifest.json"),
+                     "--out-dir", str(tmp_path / "again")]) == 0
+        assert "replay ok" in capsys.readouterr().out
+
     def test_infeasible_rate_rows_have_blank_cells(self, tmp_path):
         word = BitWord.random(random.Random(6), 64)
         path = tmp_path / "w.bits"

@@ -212,6 +212,55 @@ def test_full_cube_ball():
     assert len(cube.members()) == 256
 
 
+@pytest.mark.parametrize("n", [1, 8, 127, 128, 1024])
+def test_full_cube_descriptor_is_leb128_of_n(n):
+    cube = full_cube(n)
+    assert cube.descriptor() == dst._leb_word(n)
+    assert cube.center == BitWord.zeros(n) and cube.radius == n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cylinder_ball_matches_brute_force(n):
+    rng = random.Random(n)
+    words = list(iter_words(n))
+    spec = DistortionSpec(dst.LIST, n)
+    for c in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(4))}:
+        center = BitWord(n, c)
+        for t in range(n + 1):
+            ball = Ball(spec, Fraction(t), center=center)
+            prefix = center.to01()[: n - t]
+            inside = [y for y in words if y.to01()[: n - t] == prefix]
+            assert ball.cardinality() == len(inside) == 1 << t
+            assert ball.log_cardinality() == t
+            assert ball.members() == inside
+            assert [y for y in words if ball.contains(y)] == inside
+            assert not ball.contains(BitWord.zeros(n + 1))
+            assert ball.descriptor() == BitWord.from_str(prefix + format(t, "08b"))
+
+
+def test_cylinder_members_guard():
+    ball = Ball(DistortionSpec(dst.LIST, 30), Fraction(23), center=BitWord.ones(30))
+    with pytest.raises(SizeGuardError):
+        ball.members()
+    assert ball.cardinality() == 1 << 23
+
+
+def test_list_ball_needs_one_of_center_and_members():
+    spec = DistortionSpec(dst.LIST, 4)
+    x = BitWord.from_str("0110")
+    with pytest.raises(ValueError):
+        Ball(spec, Fraction(1))
+    with pytest.raises(ValueError):
+        Ball(spec, Fraction(0), center=x, list_members=(x,))
+    for bad in (Fraction(1, 2), Fraction(5)):
+        with pytest.raises(ValueError):
+            Ball(spec, bad, center=x)
+    with pytest.raises(ValueError):
+        Ball(spec, Fraction(1), center=BitWord.zeros(5))
+    with pytest.raises(ValueError):
+        Ball(DistortionSpec(dst.HAMMING, 4), Fraction(1, 4), center=x, list_members=(x,))
+
+
 # -- admissible_radii --------------------------------------------------------
 
 

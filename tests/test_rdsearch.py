@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardtk import rdsearch
+from ardtk import codec, rdsearch
 from ardtk.bits import BitWord
 from ardtk.codec import codelength
 from ardtk.distortion import (
@@ -16,7 +16,6 @@ from ardtk.distortion import (
     HAMMING,
     LIST,
     DistortionSpec,
-    SizeGuardError,
     admissible_radii,
     distance,
 )
@@ -28,7 +27,6 @@ from ardtk.rdsearch import (
     ShapeFn,
     canonical_estimate,
     distortion_rate_curve,
-    make_candidate,
     nearest_staircase,
     search_min_rate,
     shape_bounds_check,
@@ -120,27 +118,52 @@ class TestSearchMinRate:
         )
         assert c.score <= codelength(hint)
 
+    @pytest.mark.parametrize("family", [HAMMING, EUCLID])
+    def test_extra_seeds_of_another_length_are_refused(self, family):
+        spec = DistortionSpec(family, 12)
+        x = BitWord.from_str("101010101011")
+        with pytest.raises(ValueError):
+            search_min_rate(x, spec, Fraction(1, 4), budget=8, seed=0,
+                            extra_seeds=[BitWord.from_str("1010101010")])
+
     def test_list_family_singleton_and_growth(self):
         spec = DistortionSpec(LIST, 12)
         x = BitWord.from_str("011011001010")
         c0 = search_min_rate(x, spec, Fraction(0), budget=20, seed=0)
-        assert c0.destination == (x,) and c0.distortion == 0
+        assert c0.destination.contains(x) and c0.destination.radius == 0
+        assert c0.destination.members() == [x] and c0.distortion == 0
         c4 = search_min_rate(x, spec, Fraction(4), budget=20, seed=0)
         assert c4.score <= c0.score
-        assert all(x in c4.destination for _ in [0])
-        assert c4.distortion <= 4
+        assert c4.destination.contains(x)
+        assert c4.distortion == c4.destination.radius <= 4
+        assert c4.distortion == distance(spec, x, c4.destination)
+        assert distance(spec, x.flip(0), c4.destination) == math.inf
 
-    def test_list_size_guard_fires_before_enumerating(self):
-        # the last cylinder, 2^20 words of 32 bits, joins to 2^25 bits
+    def test_list_cylinders_scored_by_descriptor_at_delta_20(self):
+        # the 2^20 members of the last cylinder would join to 2^25 bits;
+        # its descriptor is the 12 prefix bits and one LEB128 byte
         spec = DistortionSpec(LIST, 32)
         x = BitWord(32, 0xDEADBEEF)
         t0 = time.perf_counter()
-        with pytest.raises(SizeGuardError):
-            search_min_rate(x, spec, Fraction(20), budget=100, seed=0)
+        c = search_min_rate(x, spec, Fraction(20), budget=100, seed=0)
         assert time.perf_counter() - t0 < 1.0
-        # a budget of 3 stops at the 2^2 cylinder, which fits
+        scores = [
+            codelength(BitWord.from_str(x.to01()[: 32 - t] + format(t, "08b")))
+            for t in range(21)
+        ]
+        t = min(range(21), key=lambda t: (scores[t], t))
+        assert c.score == scores[t]
+        assert c.destination.radius == t and c.distortion == t
+        assert c.destination.center == x and c.destination.contains(x)
+        # a budget of 3 stops at the 2^2 cylinder
         c = search_min_rate(x, spec, Fraction(20), budget=3, seed=0)
-        assert x in c.destination and c.distortion <= 2
+        assert c.score == min(scores[:3]) and c.distortion <= 2
+
+    def test_list_ties_go_to_the_smaller_cylinder(self, monkeypatch):
+        spec = DistortionSpec(LIST, 8)
+        monkeypatch.setattr(rdsearch, "codelength", lambda w: 7)
+        c = search_min_rate(BitWord(8, 0x5A), spec, Fraction(8), budget=20, seed=0)
+        assert c.destination.radius == 0 and c.score == 7
 
     @pytest.mark.parametrize("family", [HAMMING, EUCLID, LIST])
     def test_rejects_negative_radius(self, family):
@@ -242,6 +265,30 @@ class TestCanonicalEstimate:
             delta = radius_for_log_cardinality(H12, p.axis_value)
             running = min(running, brute_min_rate(x, H12, delta)[0])
             assert p.bits == running
+
+    def test_list_curve_falls_a_bit_per_level(self):
+        x = BitWord(32, 0xDEADBEEF)
+        est = canonical_estimate(x, DistortionSpec(LIST, 32), list(range(33)),
+                                 budget=100, seed=0)
+        bits = [p.bits for p in est.points]
+        assert bits[0] >= 45 and bits[32] <= 20
+        assert all(0 <= a - b <= 2 for a, b in zip(bits, bits[1:]))
+        assert [p.distortion for p in est.points] == list(range(33))
+
+    def test_list_curve_of_random_word_has_the_paper_shape(self):
+        # joining the 2^t members of each cylinder could not get past t = 18
+        x = BitWord.random(random.Random(31), 64)
+        est = canonical_estimate(x, DistortionSpec(LIST, 64), list(range(65)),
+                                 budget=100, seed=0)
+        assert shape_bounds_check(est, 64).ok
+
+    def test_list_curve_spends_one_oracle_miss_per_level(self):
+        n = 96
+        x = BitWord.random(random.Random(32), n)
+        codec.clear_cache()
+        canonical_estimate(x, DistortionSpec(LIST, n), list(range(n + 1)),
+                           budget=n + 1, seed=0)
+        assert codec._codelength_cached.cache_info().misses == n + 1
 
     def test_slack_reported(self):
         est = canonical_estimate(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
