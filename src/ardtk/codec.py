@@ -41,6 +41,20 @@ and codes to S + 2 bits.  The floor is ceil(L* - 3) + 2, which leaves
 room for float error.  The same argument bounds S above by L* + 0.2, so
 the floor is never more than 3 bits below the coded length.
 
+Bitac resumes a word from a recently coded one.  A search asks for many
+words that differ from its current best in a bit or two, and the coder's
+state before the first differing bit is the same for both.  That state
+at bit p is the four context counts, the previous bit, low, high and
+pending, plus the writer's bytes and partial byte; it depends only on n
+and the first p bits, since the header (tag and LEB128 n) depends only
+on n.  So a word of more than 64 bits is coded in 64-bit steps from a
+checkpoint of that state taken before each step, and resumes from the
+last checkpoint inside the longest prefix it shares with one of the 4
+most recently used words of its length.  Every codeword is the one a
+cold start writes.  What is kept is at most 4 words with 15 checkpoints
+each, about 32 KB for 1024-bit words, and clear_cache empties it along
+with the oracle cache.
+
 The codec is one fixed program with no settings: BWT blocks hold
 BWT_BLOCK_BITS (32768) input bits, the arithmetic coder keeps a
 CODER_PRECISION (32) bit state, and words longer than MAX_WORD_BITS
@@ -161,6 +175,13 @@ class _BitWriter:
     @property
     def bit_length(self) -> int:
         return 8 * len(self._out) + self._nbits
+
+    def snapshot(self) -> tuple:
+        return bytes(self._out), self._acc, self._nbits
+
+    def restore(self, snapshot: tuple):
+        out, self._acc, self._nbits = snapshot
+        self._out = bytearray(out)
 
     def getvalue(self) -> "tuple[bytes, int]":
         nbits = self.bit_length
@@ -322,11 +343,21 @@ class _ArithmeticDecoder:
 # predicate after the branch.
 
 
-def _encode_bitac(word: BitWord, out: _BitWriter):
-    c = [1, 1, 1, 1]
-    j = 0  # 2 * prev
-    low, high, pending = 0, _MASK, 0
-    for bit in word.to01():
+_BITAC_STEP = 64   # input bits between two checkpoints of a long word
+_BITAC_KEEP = 4    # recently used long words kept with their checkpoints
+_BITAC_START = ((1, 1, 1, 1), 0, 0, _MASK, 0)
+
+# (n, value, checkpoints) of the recently used long words, most recent
+# first; checkpoints[k - 1] is (coder state, writer state) at bit 64 k
+_bitac_recent: list = []
+
+
+def _bitac_run(bits: str, state: tuple, out: _BitWriter) -> tuple:
+    """Code bits, a string of '0' and '1', from the coder state (context
+    counts, 2 * prev, low, high, pending); returns the state after them."""
+    c, j, low, high, pending = state
+    c = list(c)
+    for bit in bits:
         c0 = c[j]
         cut = low + (high - low + 1) * c0 // (c0 + c[j + 1])
         if bit == "1":
@@ -343,7 +374,48 @@ def _encode_bitac(word: BitWord, out: _BitWriter):
             # high fell: a settled 0 or an underflow bit
             if high < _HALF + _QUARTER and (high < _HALF or low >= _QUARTER):
                 low, high, pending = _renormalise(low, high, pending, out)
-    _finish(low, pending, out)
+    return tuple(c), j, low, high, pending
+
+
+def _encode_bitac(word: BitWord, out: _BitWriter):
+    """Code word after the header that _encode wrote to out.
+
+    A word longer than _BITAC_STEP resumes from the last checkpoint
+    inside the longest prefix it shares with a recent word of its length
+    (see the module docstring) and leaves its own checkpoints behind.
+    """
+    n = word.n
+    bits = word.to01()
+    if n <= _BITAC_STEP:
+        state = _bitac_run(bits, _BITAC_START, out)
+        _finish(state[2], state[4], out)
+        return
+    value = word.value
+    base, k = None, 0
+    for entry in _bitac_recent:
+        if entry[0] == n:
+            shared = min(n - (entry[1] ^ value).bit_length(), n - 1) // _BITAC_STEP
+            if shared and shared >= k:
+                base, k = entry, shared
+    if base is None:
+        checkpoints = []
+        state = _BITAC_START
+    else:
+        _bitac_recent.remove(base)
+        _bitac_recent.insert(0, base)
+        checkpoints = base[2][:k]
+        state, written = checkpoints[-1]
+        out.restore(written)
+    p = k * _BITAC_STEP
+    while True:
+        state = _bitac_run(bits[p : p + _BITAC_STEP], state, out)
+        p += _BITAC_STEP
+        if p >= n:
+            break
+        checkpoints.append((state, out.snapshot()))
+    _finish(state[2], state[4], out)
+    others = [e for e in _bitac_recent if e[:2] != (n, value)]
+    _bitac_recent[:] = [(n, value, checkpoints)] + others[: _BITAC_KEEP - 1]
 
 
 def _decode_bitac(r: _BitReader, n: int) -> int:
@@ -783,3 +855,4 @@ def conditional_codelength(x: BitWord, y: BitWord) -> int:
 
 def clear_cache():
     _codelength_cached.cache_clear()
+    _bitac_recent.clear()

@@ -100,34 +100,39 @@ def _project_hamming(x: BitWord, y: BitWord, max_flips: int) -> BitWord:
     return BitWord(x.n, x.value ^ kept)
 
 
+def _flip_mask(n: int, positions) -> int:
+    """The n-bit mask with bit index i (0 = leftmost) set for each i."""
+    mask = 0
+    for i in positions:
+        mask |= 1 << (n - 1 - i)
+    return mask
+
+
 def _hamming_pool(x: BitWord, max_flips: int, rng: random.Random) -> "list[BitWord]":
     n = x.n
     pool = [x, BitWord.zeros(n), BitWord.ones(n)]
-    ones = [i for i in range(n) if x.bit(i)]
-    zeros = [i for i in range(n) if not x.bit(i)]
+    bits = x.to01()
+    ones = [i for i, b in enumerate(bits) if b == "1"]
+    zeros = [i for i, b in enumerate(bits) if b == "0"]
     for positions in (ones, zeros):
         take = min(len(positions), max_flips)
-        head = x
-        for i in positions[:take]:
-            head = head.flip(i)
-        tail = x
-        for i in positions[len(positions) - take:]:
-            tail = tail.flip(i)
-        pool += [head, tail]
+        head = _flip_mask(n, positions[:take])
+        tail = _flip_mask(n, positions[len(positions) - take:])
+        pool += [BitWord(n, x.value ^ head), BitWord(n, x.value ^ tail)]
         for _ in range(4):
             pick = rng.sample(positions, take) if take else []
-            y = x
-            for i in pick:
-                y = y.flip(i)
-            pool.append(y)
+            pool.append(BitWord(n, x.value ^ _flip_mask(n, pick)))
+    # dyadic majority smoothings: a block of width bits (the last one
+    # shorter) turns to ones when more than half of its bits are ones
     width = 2
     while width <= n:
         v = 0
         for start in range(0, n, width):
-            block = [x.bit(i) for i in range(start, min(start + width, n))]
-            if sum(block) * 2 > len(block):
-                for i in range(start, min(start + width, n)):
-                    v |= 1 << (n - 1 - i)
+            size = min(width, n - start)
+            shift = n - start - size
+            block = (1 << size) - 1
+            if 2 * (x.value >> shift & block).bit_count() > size:
+                v |= block << shift
         pool.append(BitWord(n, v))
         width *= 2
     return [_project_hamming(x, y, max_flips) for y in pool]
@@ -228,6 +233,7 @@ def _list_search(
     delta: Fraction,
     budget: int,
     trace: Optional[list],
+    start: "tuple[int, Optional[Candidate]]" = (0, None),
 ):
     """The suffix cylinders around x of radius t = 0 .. min(n, delta,
     budget - 1): the 2^t words sharing x's first n - t bits.
@@ -235,11 +241,13 @@ def _list_search(
     A cylinder is scored by the codelength of its descriptor, those
     n - t prefix bits followed by LEB128(t), so no member is built and
     the score falls by about a bit per level on an incompressible x.
-    Ties go to the smaller t.
+    Ties go to the smaller t.  start is (t0, best): the cylinders below
+    t0 are scored already and best is the best of them, so the search
+    scores only t >= t0.
     """
-    best = None
+    t0, best = start
     evals = 0
-    for t in range(min(spec.n, math.floor(delta), budget - 1) + 1):
+    for t in range(t0, min(spec.n, math.floor(delta), budget - 1) + 1):
         ball = Ball(spec, Fraction(t), center=x)
         score = codelength(ball.descriptor())
         evals += 1
@@ -365,23 +373,36 @@ def canonical_estimate(
 ) -> CurveEstimate:
     """Estimated bits needed for a radius ball of log-cardinality <= l
     containing x, scored by its center's codelength, for each l in
-    l_grid.  budget is per grid level."""
+    l_grid.  budget is per grid level.
+
+    The list family's cylinders at one level include those of every
+    lower level, so its curve scores each cylinder once and carries the
+    best across levels: a full grid costs n + 1 evaluations.
+    """
     n = spec.n
     if any(not 0 <= l <= n for l in l_grid):
         raise ValueError("l_grid entries must lie in 0..n")
     if list(l_grid) != sorted(l_grid):
         raise ValueError("l_grid must be sorted")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     points = []
     used = 0
     best_bits = math.inf
     best_cand = None
+    scored = (0, None)  # list family: (cylinders scored, best of them)
     for l in l_grid:
         delta = radius_for_log_cardinality(spec, l)
-        trace: list = []
-        cand = search_min_rate(
-            x, spec, delta, budget, _child_seed(seed, l), trace=trace
-        )
-        used += trace[-1][0]
+        if spec.family == LIST:
+            cand, evals = _list_search(x, spec, delta, budget, None, scored)
+            scored = (scored[0] + evals, cand)
+        else:
+            trace: list = []
+            cand = search_min_rate(
+                x, spec, delta, budget, _child_seed(seed, l), trace=trace
+            )
+            evals = trace[-1][0]
+        used += evals
         if cand.score < best_bits:
             best_bits, best_cand = cand.score, cand
         points.append(

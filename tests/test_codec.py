@@ -275,6 +275,107 @@ def test_codelength_equals_compress():
     check()
 
 
+# -- bitac resumption ---------------------------------------------------------
+#
+# A bitac word longer than 64 bits resumes from a checkpoint of a recently
+# coded word; every codeword must equal the one coded from a cold start.
+
+_RESUME_LENGTHS = (63, 64, 65, 127, 128, 129, 1000, 1023, 1024)
+
+
+def _near_checkpoints(n: int) -> "list[int]":
+    """Bits 64k - 1, 64k and 64k + 1 of an n-bit word, for every k."""
+    return sorted({p for k in range(1, n // 64 + 1)
+                   for p in (64 * k - 1, 64 * k, 64 * k + 1) if p < n})
+
+
+def _cold_codewords(words) -> list:
+    """(bitac codeword, compress codeword) of each word, each from a
+    cleared cache."""
+    out = []
+    for w in words:
+        codec.clear_cache()
+        out.append((codec._encode_with_mode(w, codec.MODE_BITAC), compress(w)))
+    codec.clear_cache()
+    return out
+
+
+def _check_warm(words):
+    cold = _cold_codewords(words)
+    for w, (bitac, best) in zip(words, cold):
+        assert codec._encode_with_mode(w, codec.MODE_BITAC) == bitac, w
+        assert compress(w) == best, w
+        assert codelength(w) == best.bit_length
+        assert decompress(best) == w
+        assert decompress(bitac) == w
+
+
+@st.composite
+def _word_streams(draw):
+    """Words of one or two lengths, each a few flips from the last word of
+    its length; a step with no flips codes the same word again."""
+    lengths = draw(st.lists(st.sampled_from(_RESUME_LENGTHS), min_size=1,
+                            max_size=2, unique=True))
+    density = draw(st.sampled_from([1 / 32, 1 / 8, 1 / 2]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    last = {n: _sparse_word(rng, n, density) for n in lengths}
+    words = list(last.values())
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.sampled_from(lengths))
+        flips = st.one_of(st.sampled_from(_near_checkpoints(n) or [0]),
+                          st.integers(0, n - 1))
+        w = last[n]
+        for i in draw(st.lists(flips, max_size=3)):
+            w = w.flip(i)
+        last[n] = w
+        words.append(w)
+    return words
+
+
+@given(_word_streams())
+@settings(max_examples=120, deadline=None)
+def test_bitac_resume_matches_cold(words):
+    _check_warm(words)
+
+
+@pytest.mark.parametrize("n", _RESUME_LENGTHS)
+def test_bitac_resume_flips_near_checkpoints(n):
+    base = _sparse_word(random.Random(n), n, 1 / 8)
+    words = [base]
+    for i in _near_checkpoints(n) + [0, n - 1]:
+        words += [base.flip(i), base]
+    _check_warm(words)
+
+
+def test_bitac_resume_keeps_lengths_apart():
+    # the values of these words share their leading zeros across lengths
+    _check_warm([BitWord(n, v) for v in (1, 5) for n in (1024, 1000, 129, 128, 65)])
+
+
+def test_bitac_resume_same_word_twice():
+    # compress and then codelength on one word, as a round trip does
+    w = _sparse_word(random.Random(5), 1024, 1 / 16)
+    codec.clear_cache()
+    cw = compress(w)
+    assert codelength(w) == cw.bit_length
+    assert compress(w) == cw
+    assert decompress(cw) == w
+
+
+def test_bitac_recent_list_is_bounded_and_cleared():
+    rng = random.Random(9)
+    codec.clear_cache()
+    compress(BitWord.random(rng, 64))
+    assert codec._bitac_recent == []  # short words keep no checkpoints
+    for n in (65, 1024, 1024, 500, 700, 900):
+        compress(BitWord.random(rng, n))
+    assert len(codec._bitac_recent) == codec._BITAC_KEEP
+    for n, _, checkpoints in codec._bitac_recent:
+        assert len(checkpoints) == (n - 1) // 64
+    codec.clear_cache()
+    assert codec._bitac_recent == []
+
+
 def _renormalise_by_bits(low: int, high: int, pending: int, out):
     """The classic coder's renormalisation, one shift per loop."""
     half, quarter, mask = codec._HALF, codec._QUARTER, codec._MASK

@@ -243,6 +243,61 @@ class TestDistortionRateCurve:
         assert a.points == b.points and a.budget_used == b.budget_used
 
 
+def _hamming_pool_by_bits(x, max_flips, rng):
+    """The seed pool built one bit call and one flip at a time."""
+    n = x.n
+    pool = [x, BitWord.zeros(n), BitWord.ones(n)]
+    ones = [i for i in range(n) if x.bit(i)]
+    zeros = [i for i in range(n) if not x.bit(i)]
+    for positions in (ones, zeros):
+        take = min(len(positions), max_flips)
+        head = x
+        for i in positions[:take]:
+            head = head.flip(i)
+        tail = x
+        for i in positions[len(positions) - take:]:
+            tail = tail.flip(i)
+        pool += [head, tail]
+        for _ in range(4):
+            pick = rng.sample(positions, take) if take else []
+            y = x
+            for i in pick:
+                y = y.flip(i)
+            pool.append(y)
+    width = 2
+    while width <= n:
+        v = 0
+        for start in range(0, n, width):
+            block = [x.bit(i) for i in range(start, min(start + width, n))]
+            if sum(block) * 2 > len(block):
+                for i in range(start, min(start + width, n)):
+                    v |= 1 << (n - 1 - i)
+        pool.append(BitWord(n, v))
+        width *= 2
+    return [rdsearch._project_hamming(x, y, max_flips) for y in pool]
+
+
+@given(st.integers(0, 300), st.floats(0, 1), st.integers(0, 400), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_hamming_pool_matches_bitwise_build(n, density, max_flips, seed):
+    rng = random.Random(seed)
+    x = BitWord(n, sum(1 << i for i in range(n) if rng.random() < density))
+    a, b = random.Random(seed), random.Random(seed)
+    assert rdsearch._hamming_pool(x, max_flips, a) == _hamming_pool_by_bits(x, max_flips, b)
+    assert a.getstate() == b.getstate()
+
+
+def test_hamming_pool_matches_bitwise_build_at_1024():
+    rng = random.Random(3)
+    for density in (0.05, 0.5, 0.9):
+        x = BitWord(1024, sum(1 << i for i in range(1024) if rng.random() < density))
+        for max_flips in (0, 1, 102, 512, 1024):
+            a, b = random.Random(max_flips), random.Random(max_flips)
+            assert (rdsearch._hamming_pool(x, max_flips, a)
+                    == _hamming_pool_by_bits(x, max_flips, b))
+            assert a.getstate() == b.getstate()
+
+
 class TestCanonicalEstimate:
     def test_endpoints(self):
         rng = random.Random(17)
@@ -286,9 +341,28 @@ class TestCanonicalEstimate:
         n = 96
         x = BitWord.random(random.Random(32), n)
         codec.clear_cache()
-        canonical_estimate(x, DistortionSpec(LIST, n), list(range(n + 1)),
-                           budget=n + 1, seed=0)
+        est = canonical_estimate(x, DistortionSpec(LIST, n), list(range(n + 1)),
+                                 budget=n + 1, seed=0)
         assert codec._codelength_cached.cache_info().misses == n + 1
+        assert est.budget_used == n + 1
+
+    @pytest.mark.parametrize("n,grid,budget", [
+        (40, range(41), 100), (40, range(41), 7), (40, [0, 3, 3, 17, 40], 100),
+        (64, [5, 9, 60], 12), (1, [0, 1], 1), (16, [16], 3),
+    ])
+    def test_list_curve_equals_a_search_per_level(self, n, grid, budget):
+        # carrying the best across levels gives the points of a fresh
+        # search_min_rate at every level
+        spec = DistortionSpec(LIST, n)
+        x = BitWord.random(random.Random(n + budget), n)
+        est = canonical_estimate(x, spec, list(grid), budget=budget, seed=0)
+        best = None
+        for l, p in zip(grid, est.points):
+            cand = search_min_rate(x, spec, Fraction(l), budget=budget, seed=0)
+            if best is None or cand.score < best.score:
+                best = cand
+            assert (p.axis_value, p.bits, p.distortion, p.candidate) == (
+                l, best.score, best.distortion, best)
 
     def test_slack_reported(self):
         est = canonical_estimate(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
