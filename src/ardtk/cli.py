@@ -745,6 +745,11 @@ def run_compare(args, out_dir: Path, seed: int):
                 if report.code_map_support is None
                 else list(report.code_map_support)
             ),
+            "exact_mean_curve": (
+                None
+                if report.exact_mean_curve is None
+                else list(report.exact_mean_curve)
+            ),
             "lower_envelope": list(report.lower_envelope()),
             "upper_envelope": list(report.upper_envelope()),
         },

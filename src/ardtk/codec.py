@@ -55,6 +55,12 @@ cold start writes.  What is kept is at most 4 words with 15 checkpoints
 each, about 32 KB for 1024-bit words, and clear_cache empties it along
 with the oracle cache.
 
+length_table(n) gives the codelength of every n-bit word for n <= 20,
+where only raw and bitac are eligible, in one numpy pass over all 2^n
+words (see length_table).  That vectorised raw and bitac route is used
+only by length_table; codelength does not read it, so the scalar coder
+behind compress stays the single oracle, and each checks the other.
+
 The codec is one fixed program with no settings: BWT blocks hold
 BWT_BLOCK_BITS (32768) input bits, the arithmetic coder keeps a
 CODER_PRECISION (32) bit state, and words longer than MAX_WORD_BITS
@@ -69,6 +75,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import ceil, lgamma, log, log2
+
+import numpy as np
 
 from .bits import BitWord
 
@@ -416,6 +424,59 @@ def _encode_bitac(word: BitWord, out: _BitWriter):
     _finish(state[2], state[4], out)
     others = [e for e in _bitac_recent if e[:2] != (n, value)]
     _bitac_recent[:] = [(n, value, checkpoints)] + others[: _BITAC_KEEP - 1]
+
+
+LENGTH_TABLE_MAX_N = 20
+# below _LZ_MIN, with the LEB128 length in one byte
+assert LENGTH_TABLE_MAX_N < min(_LZ_MIN, 128)
+
+
+def length_table(n: int) -> np.ndarray:
+    """compress(BitWord(n, v)).bit_length for every v < 2^n, as int64,
+    for 1 <= n <= LENGTH_TABLE_MAX_N.
+
+    Below _LZ_MIN only raw (10 + n bits) and bitac are eligible.  The
+    bitac coder's state after p bits depends on those p bits alone, so it
+    runs over the 2^p prefixes at once, each splitting into its two
+    extensions at the next bit, and _renormalise's closed form counts the
+    k + u bits each step shifts out.  A bitac codeword is the 10-bit header,
+    those shifts and the 2 bits of _finish.  codelength does not read this
+    table; it stays the one cached oracle.
+    """
+    if not 1 <= n <= LENGTH_TABLE_MAX_N:
+        raise ValueError(f"length_table needs 1 <= n <= {LENGTH_TABLE_MAX_N}, got {n}")
+    one, half, mask = np.uint64(1), np.uint64(_HALF), np.uint64(_MASK)
+    # one column or entry per prefix, in value order
+    c = np.ones((4, 1), np.uint64)      # c[2 * prev + bit]
+    j = np.zeros(1, np.intp)            # 2 * prev
+    low = np.zeros(1, np.uint64)
+    high = np.full(1, mask)
+    shifted = np.zeros(1, np.uint64)    # bits renormalisation shifted out
+    for _ in range(n):
+        cols = np.arange(len(j))
+        c0, c1 = c[j, cols], c[j + 1, cols]
+        cut = low + (high - low + one) * c0 // (c0 + c1)
+        # prefix p splits into 2p (bit 0: high falls to cut - 1) and
+        # 2p + 1 (bit 1: low rises to cut)
+        low = np.column_stack([low, cut]).ravel()
+        high = np.column_stack([cut - one, high]).ravel()
+        bit = np.tile(np.array([0, 1], np.intp), len(j))
+        c = np.repeat(c, 2, axis=1)
+        c[np.repeat(j, 2) + bit, np.arange(len(bit))] += one
+        j = 2 * bit
+        k = CODER_PRECISION - _bit_lengths(low ^ high)
+        low = (low << k) & mask
+        high = ((high << k) & mask) | ((one << k) - one)
+        u = CODER_PRECISION - 1 - _bit_lengths((low & ~high & (half - one)) ^ (half - one))
+        low = (low << u) & (half - one)
+        high = ((high << u) & (half - one)) | half | ((one << u) - one)
+        shifted = np.repeat(shifted, 2) + k + u
+    return np.minimum(10 + n, 12 + shifted).astype(np.int64)
+
+
+def _bit_lengths(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of a uint64 array, exact below 2^53."""
+    return np.frexp(x.astype(np.float64))[1].astype(np.uint64)
 
 
 def _decode_bitac(r: _BitReader, n: int) -> int:

@@ -32,6 +32,7 @@ same marks.  The transcript lists each set as a sorted tuple of BitWords.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -256,15 +257,21 @@ def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...
     for s in sets[start:]:
         target |= add(s)
     size = form.size
+    # lazy greedy: a heap of (-cover, index) holding stale covers, which
+    # only overstate, since covers only shrink as target does; the top set,
+    # re-scored, is the first maximum once it still ranks at or above the
+    # next key, else it goes back with its fresh cover
+    heap = [(-size(sets[i] & target), i) for i in range(start, t)]
+    heapq.heapify(heap)
     marks: "list[int]" = []
     while target:
-        best_p, best_cover = 0, -1
-        for i in range(block):
-            cover = size(sets[start + i] & target)
-            if cover > best_cover:
-                best_p, best_cover = start + i + 1, cover
-        marks.append(best_p)
-        target -= target & sets[best_p - 1]     # drop the words it covers
+        _, i = heapq.heappop(heap)
+        entry = (-size(sets[i] & target), i)
+        if heap and entry > heap[0]:
+            heapq.heappush(heap, entry)
+            continue
+        marks.append(i + 1)
+        target -= target & sets[i]     # drop the words it covers
     return tuple(marks)
 
 

@@ -10,8 +10,10 @@ expected_rate_comparison puts the individual-word searcher and the
 Shannon curve side by side: it samples words from the source, estimates
 each word's minimal rate at every distortion on the grid, and reports
 the ensemble mean against n * R(delta).  The two differ by slack terms
-that are uncomputable in general; at n <= 12 the code-map term
-H(L) - H(S) is materialized exactly from the proxy minimizer, by dilation.
+that are uncomputable in general; at n <= CODE_MAP_MAX_N (20) the
+code-map term H(L) - H(S) is materialized exactly from the proxy
+minimizer, by dilation of a key built on codec.length_table, and so is
+the exact ensemble mean curve, sum_x p(x) min rate(x).
 """
 from __future__ import annotations
 
@@ -24,14 +26,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bits import BitWord
-from .codec import codelength
-from .distortion import HAMMING, DistortionSpec, _radius_steps, binary_entropy
+from .codec import LENGTH_TABLE_MAX_N, length_table
+from .distortion import (
+    HAMMING,
+    DistortionSpec,
+    _check_radius,
+    _radius_steps,
+    ball_cardinality,
+    binary_entropy,
+)
 from .rdsearch import search_min_rate
 
 DEFAULT_DELTA1_SLACK = 24.0    # bits; documented stand-in for the
                                # uncomputable lower-side slack
 BA_MAX_ITERATIONS = 20_000
-CODE_MAP_MAX_N = 12
+CODE_MAP_MAX_N = LENGTH_TABLE_MAX_N
 
 
 class BAConvergenceError(RuntimeError):
@@ -210,6 +219,7 @@ class ComparisonReport:
     delta1_slack: float
     delta2: "Optional[tuple[float, ...]]"       # n - H(S), per grid point
     code_map_support: "Optional[tuple[int, ...]]"
+    exact_mean_curve: "Optional[tuple[float, ...]]"  # sum_x p(x) min rate
 
     def lower_envelope(self) -> "tuple[float, ...]":
         """mean - slack, the computable stand-in for the left inequality."""
@@ -225,22 +235,27 @@ class ComparisonReport:
         return tuple(caps)
 
 
-def _exact_code_map_entropy(n, delta, weights, lengths):
-    """H(S) of the exact proxy minimizer over all 2^n words.
-
-    For every x the destination is the lexicographically first word of
-    minimal codelength within distortion delta; S is the image measure.
-    A radius-k ball is k radius-1 dilations of the key L[y] << n | y,
-    whose low n bits then hold the destination.
-    """
-    size = 1 << n
-    vals = np.arange(size, dtype=np.int64)
-    key = (lengths.astype(np.int64) << n) | vals
-    for _ in range(_radius_steps(DistortionSpec(HAMMING, n), Fraction(delta))):
+def _dilate(key: np.ndarray, n: int, steps: int) -> np.ndarray:
+    """steps radius-1 dilations of a key over all 2^n words: each pass
+    gives every word the least of its own and its n neighbours' keys.
+    Flipping bit i pairs the two halves of each 2^(i+1) block, so the
+    neighbour across bit i is a view with the middle axis reversed."""
+    for _ in range(steps):
         grown = key.copy()
         for i in range(n):
-            np.minimum(grown, key[vals ^ (1 << i)], out=grown)
+            np.minimum(
+                grown.reshape(-1, 2, 1 << i),
+                key.reshape(-1, 2, 1 << i)[:, ::-1],
+                out=grown.reshape(-1, 2, 1 << i),
+            )
         key = grown
+    return key
+
+
+def _code_map_entropy(key: np.ndarray, n: int, weights: np.ndarray):
+    """H(S) and the support of S, the image measure of the destinations in
+    the low n bits of a dilated key."""
+    size = 1 << n
     mass = np.bincount(key & (size - 1), weights=weights, minlength=size)
     used = mass[mass > 0]
     h_s = float(-(used * np.log2(used)).sum())
@@ -260,6 +275,13 @@ def expected_rate_comparison(
 
     Per-sample curves are forced monotone (feasible sets nest in delta).
     No pass/fail verdict is rendered here; the report carries both sides.
+
+    At n <= CODE_MAP_MAX_N the codelength of every word comes from one
+    length_table, and the key L[y] << n | y is dilated up the sorted grid,
+    level by level.  At each level key[x] >> n is x's exact minimum, the
+    score search_min_rate's exhaustive branch returns, so a sampled
+    level whose ball fits the budget is read off the key; the low n bits
+    give the code map, and the source-weighted keys the exact mean curve.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -269,17 +291,47 @@ def expected_rate_comparison(
         raise ValueError("source block length must match the distortion spec")
     n = src.n
     grid = tuple(sorted(Fraction(d) for d in delta_grid))
+    for delta in grid:
+        _check_radius(spec, delta)
     rng = random.Random(seed)
+    words = [src.sample_word(rng) for _ in range(samples)]
+    from_table = [
+        n <= CODE_MAP_MAX_N and ball_cardinality(spec, delta) <= budget for delta in grid
+    ]
+    delta2 = support = exact_mean = None
+    if n <= CODE_MAP_MAX_N:
+        p1 = float(src.pmf[1])
+        pops = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(float)
+        weights = (p1**pops) * ((1 - p1) ** (n - pops))
+        xs = np.array([x.value for x in words], dtype=np.int64)
+        # L[y] << n | y: the low n bits of a dilated key hold the
+        # destination, the lexicographically first word of least codelength
+        key = (length_table(n) << n) | np.arange(1 << n, dtype=np.int64)
+        steps = 0
+        exact, d2, sup, mean = [], [], [], []
+        for delta in grid:
+            r = _radius_steps(spec, delta)
+            key = _dilate(key, n, r - steps)
+            steps = r
+            rates = key >> n
+            exact.append(rates[xs].tolist())
+            h_s, used = _code_map_entropy(key, n, weights)
+            d2.append(n - h_s)
+            sup.append(used)
+            mean.append(float(weights @ rates))
+        delta2, support, exact_mean = tuple(d2), tuple(sup), tuple(mean)
     rows = []
-    for i in range(samples):
-        x = src.sample_word(rng)
+    for i, x in enumerate(words):
         row = []
         best = math.inf
         for j, delta in enumerate(grid):
-            cand = search_min_rate(
-                x, spec, delta, budget, seed=(seed * 9176 + i * 131 + j) & 0x7FFFFFFF
-            )
-            best = min(best, cand.score)
+            if from_table[j]:
+                score = exact[j][i]
+            else:
+                score = search_min_rate(
+                    x, spec, delta, budget, seed=(seed * 9176 + i * 131 + j) & 0x7FFFFFFF
+                ).score
+            best = min(best, score)
             row.append(int(best))
         rows.append(tuple(row))
     per_sample = tuple(rows)
@@ -292,24 +344,6 @@ def expected_rate_comparison(
     nR = tuple(
         n * blahut_arimoto(src, dmat, float(delta), tol=1e-6).rate for delta in grid
     )
-    delta2 = None
-    support = None
-    if n <= CODE_MAP_MAX_N:
-        lengths = np.array(
-            [codelength(BitWord(n, v)) for v in range(1 << n)],
-            dtype=np.int64,
-        )
-        p1 = float(src.pmf[1])
-        pops = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(float)
-        weights = (p1**pops) * ((1 - p1) ** (n - pops))
-        d2 = []
-        sup = []
-        for delta in grid:
-            h_s, used = _exact_code_map_entropy(n, delta, weights, lengths)
-            d2.append(n - h_s)
-            sup.append(used)
-        delta2 = tuple(d2)
-        support = tuple(sup)
     return ComparisonReport(
         n=n,
         delta_grid=grid,
@@ -324,4 +358,5 @@ def expected_rate_comparison(
         delta1_slack=DEFAULT_DELTA1_SLACK,
         delta2=delta2,
         code_map_support=support,
+        exact_mean_curve=exact_mean,
     )

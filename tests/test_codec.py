@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -273,6 +274,32 @@ def test_codelength_equals_compress():
         assert codelength(w) == cw.bit_length
 
     check()
+
+
+# -- the batch length table ---------------------------------------------------
+
+
+def test_length_table_equals_compress_exhaustive():
+    for n in range(1, 17):
+        table = codec.length_table(n)
+        assert table.dtype == np.int64 and table.shape == (1 << n,)
+        for v in range(1 << n):
+            assert table[v] == compress(BitWord(n, v)).bit_length, (n, v)
+
+
+def test_length_table_equals_compress_drawn():
+    rng = random.Random(20)
+    for n in range(17, 21):
+        table = codec.length_table(n)
+        for _ in range(2000):
+            v = rng.getrandbits(n)
+            assert table[v] == compress(BitWord(n, v)).bit_length, (n, v)
+
+
+@pytest.mark.parametrize("n", [0, 21, -1])
+def test_length_table_domain(n):
+    with pytest.raises(ValueError, match="length_table"):
+        codec.length_table(n)
 
 
 # -- bitac resumption ---------------------------------------------------------

@@ -112,6 +112,28 @@ def reference_play(alice, params, strategy="det", seed=None):
     return out
 
 
+def scan_greedy_marks(sets, params, form):
+    """Reference for game._greedy_marks: rescan every block set for each
+    mark and take the first set of largest cover."""
+    t = len(sets)
+    block = largest_pow2_dividing(t)
+    start = t - block
+    add = form.counter(-(-params.frequency_threshold // params.k), params.n)
+    target = form.empty()
+    for s in sets[start:]:
+        target |= add(s)
+    marks = []
+    while target:
+        best_p, best_cover = 0, -1
+        for i in range(block):
+            cover = form.size(sets[start + i] & target)
+            if cover > best_cover:
+                best_p, best_cover = start + i + 1, cover
+        marks.append(best_p)
+        target -= target & sets[best_p - 1]
+    return tuple(marks)
+
+
 def values(move):
     return tuple(w.value for w in move.alice_set)
 
@@ -302,6 +324,20 @@ class TestEngineForms:
                 got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
                 assert got == reference_play(stream, p, "det"), (name, m)
                 assert verify_transcript(tr, p).ok
+
+    def test_lazy_greedy_matches_scan(self, form):
+        games = 0
+        for name, k in (("random", 5), ("repeat", 6), ("balls", 8)):
+            for n in (3, 6, 9, 12):
+                for seed in range(4):
+                    p = GameParams(n=n, k=k, m=seed % 3)
+                    sets = [form.make([w.value for w in s], n)
+                            for s in ADVERSARIES[name](p, seed)]
+                    for t in range(1, len(sets) + 1):
+                        assert (game._greedy_marks(sets[:t], p, form)
+                                == scan_greedy_marks(sets[:t], p, form)), (name, n, seed, t)
+                    games += 1
+        assert games == 48
 
     def test_verifier_and_step_agree_across_forms(self, monkeypatch):
         rng = random.Random(11)

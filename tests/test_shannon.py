@@ -1,4 +1,5 @@
 """Classical baseline tests: alternating minimization vs closed form."""
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -251,19 +252,15 @@ class TestComparison:
 
     def test_code_map_matches_brute_force(self):
         for n in range(1, 9):
-            lengths = np.array(
-                [codelength(BitWord(n, v)) for v in range(1 << n)], dtype=np.int64
-            )
-            pops = np.array([v.bit_count() for v in range(1 << n)], dtype=float)
-            for p_one in (0.5, 0.2, 0.0, 1.0):
-                weights = (p_one**pops) * ((1 - p_one) ** (n - pops))
-                for k in range(n // 2 + 1):
-                    delta = Fraction(k, n)
-                    h_fast, used_fast = shannon._exact_code_map_entropy(
-                        n, delta, weights, lengths
-                    )
-                    h_ref, used_ref = brute_code_map_entropy(n, delta, p_one)
-                    assert h_fast == pytest.approx(h_ref, abs=1e-9)
+            grid = [Fraction(k, n) for k in range(n // 2 + 1)]
+            for p_one in (Fraction(1, 2), Fraction(1, 5), Fraction(0), Fraction(1)):
+                rep = expected_rate_comparison(
+                    SourceModel.bernoulli(p_one, n), DistortionSpec("hamming", n),
+                    grid, samples=1, budget=1, seed=0,
+                )
+                for delta, d2, used_fast in zip(grid, rep.delta2, rep.code_map_support):
+                    h_ref, used_ref = brute_code_map_entropy(n, delta, float(p_one))
+                    assert n - d2 == pytest.approx(h_ref, abs=1e-9)
                     # the reference also counts images that receive no
                     # mass; at p in {0, 1} one word carries all of it
                     assert used_fast == (used_ref if 0 < p_one < 1 else 1)
@@ -298,12 +295,73 @@ class TestComparison:
         assert again.delta2 == report.delta2
 
     def test_large_n_skips_code_map(self):
-        src = SourceModel.bernoulli(Fraction(1, 2), n=16)
-        spec = DistortionSpec("hamming", 16)
+        n = shannon.CODE_MAP_MAX_N + 1
+        src = SourceModel.bernoulli(Fraction(1, 2), n=n)
+        spec = DistortionSpec("hamming", n)
         rep = expected_rate_comparison(
             src, spec, [Fraction(0), Fraction(1, 2)], samples=1, budget=8, seed=2
         )
         assert rep.delta2 is None and rep.code_map_support is None
+        assert rep.exact_mean_curve is None
+
+    def test_code_map_at_cutoff(self):
+        assert shannon.CODE_MAP_MAX_N == 20
+        src = SourceModel.bernoulli(Fraction(1, 2), n=20)
+        spec = DistortionSpec("hamming", 20)
+        rep = expected_rate_comparison(
+            src, spec, [Fraction(0), Fraction(1, 10)], samples=1, budget=8, seed=2
+        )
+        assert rep.delta2[0] == pytest.approx(0.0, abs=1e-9)
+        assert rep.code_map_support[0] == 1 << 20
+        assert len(rep.exact_mean_curve) == 2
+        assert rep.exact_mean_curve[1] <= rep.exact_mean_curve[0]
+
+    def test_exact_mean_curve_n16(self):
+        src = SourceModel.bernoulli(Fraction(1, 2), n=16)
+        spec = DistortionSpec("hamming", 16)
+        grid = [Fraction(k, 16) for k in range(9)]
+        rep = expected_rate_comparison(src, spec, grid, samples=1, budget=8, seed=0)
+        want = (25.93, 25.5, 24.19, 22.31, 20.53, 18.95, 17.51, 16.4, 16.0)
+        assert rep.exact_mean_curve == pytest.approx(want, abs=0.01)
+
+    def test_exact_mean_curve_is_weighted_minimum(self, report):
+        # against the full table and popcount distances at n = 8, p = 1/2
+        lengths = np.array([codelength(BitWord(8, v)) for v in range(256)])
+        vals = np.arange(256)
+        for delta, mean in zip(report.delta_grid, report.exact_mean_curve):
+            r = int(delta * 8)
+            mins = [lengths[np.bitwise_count(vals ^ x) <= r].min() for x in range(256)]
+            assert mean == pytest.approx(sum(mins) / 256, abs=1e-9)
+
+    # the full report at n = 12, grid 0..6/12, 10 samples, seed 0, pinned
+    # from the scalar-oracle implementation: at budget 4096 every level is
+    # read off the length table, at budget 8 levels 1..6 are searched
+    @pytest.mark.parametrize("budget, digest, rows", [
+        (4096, "42a5f316a81fc8bd967752b08de7f679d7b9907b5dbfb7c954e5ab2479691e46",
+         ((22, 22, 21, 20, 19, 15, 15), (22, 21, 19, 15, 15, 15, 15),
+          (22, 22, 20, 20, 17, 17, 15), (22, 22, 22, 21, 19, 18, 15),
+          (22, 22, 21, 20, 19, 15, 15), (22, 22, 19, 19, 18, 15, 15),
+          (22, 20, 18, 15, 15, 15, 15), (21, 19, 15, 15, 15, 15, 15),
+          (22, 22, 22, 21, 19, 18, 15), (22, 22, 20, 19, 15, 15, 15))),
+        (8, "955fe56fe8c8adf619066bf4265ec4036b3b2707dc3b45fc3d8f81539c52b65d",
+         ((22, 22, 22, 20, 19, 15, 15), (22, 21, 19, 15, 15, 15, 15),
+          (22, 22, 22, 21, 20, 18, 15), (22, 22, 22, 22, 21, 18, 15),
+          (22, 22, 22, 21, 19, 15, 15), (22, 22, 19, 19, 18, 15, 15),
+          (22, 20, 18, 15, 15, 15, 15), (21, 19, 15, 15, 15, 15, 15),
+          (22, 22, 22, 22, 21, 18, 15), (22, 22, 20, 19, 15, 15, 15))),
+    ])
+    def test_report_pinned_n12(self, budget, digest, rows):
+        src = SourceModel.bernoulli(Fraction(1, 2), n=12)
+        spec = DistortionSpec("hamming", 12)
+        grid = [Fraction(i, 12) for i in range(7)]
+        rep = expected_rate_comparison(src, spec, grid, 10, budget, 0)
+        assert rep.per_sample == rows
+        fields = (
+            rep.n, rep.delta_grid, rep.samples, rep.budget, rep.seed,
+            rep.per_sample, rep.mean_curve, rep.min_curve, rep.max_curve,
+            rep.shannon_nR, rep.delta1_slack, rep.delta2, rep.code_map_support,
+        )
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
     def test_input_validation(self):
         src = SourceModel.bernoulli(Fraction(1, 2), n=8)
@@ -318,3 +376,6 @@ class TestComparison:
             expected_rate_comparison(
                 src, DistortionSpec("hamming", 9), [Fraction(0)], 1, 8, 1
             )
+        # levels read off the length table are checked as a search checks them
+        with pytest.raises(ValueError, match="radius"):
+            expected_rate_comparison(src, spec, [Fraction(0), Fraction(3, 4)], 1, 4096, 1)
