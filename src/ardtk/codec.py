@@ -447,7 +447,7 @@ def length_table(n: int) -> np.ndarray:
         raise ValueError(f"length_table needs 1 <= n <= {LENGTH_TABLE_MAX_N}, got {n}")
     one, half, mask = np.uint64(1), np.uint64(_HALF), np.uint64(_MASK)
     # one column or entry per prefix, in value order
-    c = np.ones((4, 1), np.uint64)      # c[2 * prev + bit]
+    c = np.ones((4, 1), np.uint8)       # c[2 * prev + bit], at most n + 1
     j = np.zeros(1, np.intp)            # 2 * prev
     low = np.zeros(1, np.uint64)
     high = np.full(1, mask)
@@ -462,7 +462,7 @@ def length_table(n: int) -> np.ndarray:
         high = np.column_stack([cut - one, high]).ravel()
         bit = np.tile(np.array([0, 1], np.intp), len(j))
         c = np.repeat(c, 2, axis=1)
-        c[np.repeat(j, 2) + bit, np.arange(len(bit))] += one
+        c[np.repeat(j, 2) + bit, np.arange(len(bit))] += 1
         j = 2 * bit
         k = CODER_PRECISION - _bit_lengths(low ^ high)
         low = (low << k) & mask
