@@ -257,19 +257,21 @@ def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...
     for s in sets[start:]:
         target |= add(s)
     size = form.size
-    # lazy greedy: a heap of (-cover, index) holding stale covers, which
-    # only overstate, since covers only shrink as target does; the top set,
-    # re-scored, is the first maximum once it still ranks at or above the
-    # next key, else it goes back with its fresh cover
-    heap = [(-size(sets[i] & target), i) for i in range(start, t)]
+    # lazy greedy: a heap of (-cover, index, marks made when scored).  A
+    # cover scored before the last mark can only overstate, since covers
+    # shrink with target, so the top set is the first maximum when its
+    # cover is current, or when, re-scored, it still ranks at or above the
+    # next key; otherwise it goes back with its current cover
+    heap = [(-size(sets[i] & target), i, 0) for i in range(start, t)]
     heapq.heapify(heap)
     marks: "list[int]" = []
     while target:
-        _, i = heapq.heappop(heap)
-        entry = (-size(sets[i] & target), i)
-        if heap and entry > heap[0]:
-            heapq.heappush(heap, entry)
-            continue
+        _, i, scored = heapq.heappop(heap)
+        if scored < len(marks):
+            entry = (-size(sets[i] & target), i, len(marks))
+            if heap and entry > heap[0]:
+                heapq.heappush(heap, entry)
+                continue
         marks.append(i + 1)
         target -= target & sets[i]     # drop the words it covers
     return tuple(marks)
