@@ -257,21 +257,19 @@ def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...
     for s in sets[start:]:
         target |= add(s)
     size = form.size
-    # lazy greedy: a heap of (-cover, index, marks made when scored).  A
+    # lazy greedy on a heap of (-cover, index, marks made when scored): a
     # cover scored before the last mark can only overstate, since covers
-    # shrink with target, so the top set is the first maximum when its
-    # cover is current, or when, re-scored, it still ranks at or above the
-    # next key; otherwise it goes back with its current cover
+    # shrink with target, so a top whose cover is current is the first
+    # maximum; a stale top is re-scored in place
     heap = [(-size(sets[i] & target), i, 0) for i in range(start, t)]
     heapq.heapify(heap)
     marks: "list[int]" = []
     while target:
-        _, i, scored = heapq.heappop(heap)
+        _, i, scored = heap[0]
         if scored < len(marks):
-            entry = (-size(sets[i] & target), i, len(marks))
-            if heap and entry > heap[0]:
-                heapq.heappush(heap, entry)
-                continue
+            heapq.heapreplace(heap, (-size(sets[i] & target), i, len(marks)))
+            continue
+        heapq.heappop(heap)
         marks.append(i + 1)
         target -= target & sets[i]     # drop the words it covers
     return tuple(marks)
