@@ -16,30 +16,47 @@ Methods:
 compress() tries every method eligible for the input size and keeps the
 shortest encoding (ties broken by the smaller tag), and codelength(x) is
 compress(x).bit_length, cached.  The methods run in the order raw,
-bitac, lz, bwt.  BWT comes last because it can stop early: before coding
-a block it adds a floor on the block's coded bits to the bits written so
-far, and once that reaches the length it has to undercut (shorter than
-raw and bitac, no longer than lz) it gives up, since it can no longer
-win.  So the floor changes no codeword, only the time spent on losers.
+bitac, lz, bwt, and each one after raw is given the length it has to
+undercut: the shortest codeword so far, plus one bit when that
+codeword's tag is larger, since a smaller tag wins a tie.  A method may
+give up once a lower bound on its own codeword reaches that length,
+since it can no longer win.  LZ counts the header, the literals and the
+token LEBs it has parsed so far; BWT adds a floor on the next block's
+coded bits to the bits written so far.  Bitac always runs to the end:
+it is eligible only up to 1024 bits, and the checkpoints it leaves
+behind serve the next word (see below).  So the bounds change no
+codeword, only the time spent on losers.
 
 The BWT model is a plain list of 257 counts, every one starting at 1:
 each coded symbol adds 32 to its count, and once the total passes 2^16
-every count is halved, rounding up.  The floor holds for blocks of at
-most _ZLE_FREE (2040) zero-run symbols and is 0 above.  Below that count
-the model never rescales, so it is a Polya urn (a Dirichlet mixture)
-whose ideal length of the block is
+every count is halved, rounding up.  Between two halvings the model is
+a Polya urn (a Dirichlet mixture): a segment of m symbols that starts
+from counts c with total T has the ideal length
 
-    L* = sum_i log2(257 + 32 i) - sum_sym sum_{j < k_sym} log2(1 + 32 j)
+    L*_seg = sum_{i < m} log2(T + 32 i) - sum_sym sum_{j < k_sym} log2(c_sym + 32 j)
 
-with k_sym the symbol's count in the block; _zle_floor reads it off the
-histogram through lgamma.  The coder's span starts at 2^32 and is above
-2^30 before each symbol.  Coding a symbol of model probability p shrinks
-it to at most p (1 + 2^-14) of itself, since p > 2^-16; each shift
-doubles it exactly, and the final span lies in (2^30, 2^32].  So the
-block takes S shifts with S > L* - 2 - 2040 log2(1 + 2^-14) > L* - 2.2,
-and codes to S + 2 bits.  The floor is ceil(L* - 3) + 2, which leaves
-room for float error.  The same argument bounds S above by L* + 0.2, so
-the floor is never more than 3 bits below the coded length.
+with k_sym the symbol's count in the segment.  The first segment starts
+from all ones and holds _ZLE_FREE (2040) symbols; each later one starts
+from the halved counts and runs to the next halving.  _zle_floor
+follows the model through its halvings and reads each segment's length
+off its histogram through lgamma; the block's ideal length L* is their
+sum, and a block of at most _ZLE_FREE symbols is a single segment.  The
+coder's span starts at 2^32 and is above 2^30 before each symbol.
+Coding a symbol of model probability p shrinks it to at most
+p (1 + 2^-14) of itself, since p >= 2^-16; each shift doubles it
+exactly, and the final span lies in (2^30, 2^32].  A block has no more
+symbols than bytes, at most 4096, so it takes S shifts with
+S > L* - 2 - 4096 log2(1 + 2^-14) > L* - 2.4, and codes to S + 2 bits.
+The floor is ceil(L* - 3) + 2, which leaves room for float error.  The
+same argument bounds S above by L* + 0.4, so the floor is never more
+than 3 bits below the coded length.
+
+The block sort compares rotations as slices of the doubled block below
+_BWT_DOUBLING_MIN (512) bytes and sorts them by numpy prefix doubling
+from there.  The slices copy n^2 bytes, 16 MiB for a full 4096-byte
+block, while a doubling step costs a few numpy calls of fixed overhead:
+doubling is up to 5 times slower at 128 bytes, about even at 512 and
+7 to 12 times faster at 4096.
 
 Bitac resumes a word from a recently coded one.  A search asks for many
 words that differ from its current best in a bit or two, and the coder's
@@ -74,7 +91,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import ceil, lgamma, log, log2
+from math import ceil, inf, lgamma, log, log2
 
 import numpy as np
 
@@ -248,9 +265,11 @@ class _BitReader:
 # An encoder's state is the interval [low, high] of CODER_PRECISION-bit
 # values plus the count of pending underflow bits, whose value waits on
 # the next settled bit.  The encoders keep that state in locals, narrow
-# the interval once per symbol and call _renormalise when the interval
-# has a settled bit ((low ^ high) < _HALF) or an underflow bit
-# (low & ~high & _QUARTER) to shift out.
+# the interval once per symbol and renormalise when the interval has a
+# settled bit ((low ^ high) < _HALF) or an underflow bit
+# (low & ~high & _QUARTER) to shift out: _encode_zle calls _renormalise,
+# and _bitac_run, which renormalises about once per three coded bits,
+# runs the same steps inline.
 #
 # The decoder shifts the same runs out of the same interval, and its code
 # register, the CODER_PRECISION bits it has read, shifts with them.  Code
@@ -365,6 +384,11 @@ def _bitac_run(bits: str, state: tuple, out: _BitWriter) -> tuple:
     counts, 2 * prev, low, high, pending); returns the state after them."""
     c, j, low, high, pending = state
     c = list(c)
+    # the bits shifted out in this run, written to out at its end
+    acc = nbits = 0
+    # the coder's constants, read as locals in the loop
+    prec, mask, half, quarter = CODER_PRECISION, _MASK, _HALF, _QUARTER
+    hq = half + quarter
     for bit in bits:
         c0 = c[j]
         cut = low + (high - low + 1) * c0 // (c0 + c[j + 1])
@@ -372,16 +396,31 @@ def _bitac_run(bits: str, state: tuple, out: _BitWriter) -> tuple:
             low = cut
             c[j + 1] += 1
             j = 2
-            # low rose: a settled 1 or an underflow bit
-            if low >= _QUARTER and (low >= _HALF or high < _HALF + _QUARTER):
-                low, high, pending = _renormalise(low, high, pending, out)
+            # low rose: renormalise on a settled 1 or an underflow bit
+            if low < quarter or (low < half and high >= hq):
+                continue
         else:
             high = cut - 1
             c[j] = c0 + 1
             j = 0
-            # high fell: a settled 0 or an underflow bit
-            if high < _HALF + _QUARTER and (high < _HALF or low >= _QUARTER):
-                low, high, pending = _renormalise(low, high, pending, out)
+            # high fell: renormalise on a settled 0 or an underflow bit
+            if high >= hq or (high >= half and low < quarter):
+                continue
+        # _renormalise, with the writer's accumulator in locals
+        k = prec - (low ^ high).bit_length()
+        if k:
+            top = low >> (prec - k)
+            acc = (acc << (k + pending)) | (top + (((1 << pending) - 1) << (k - 1)))
+            nbits += k + pending
+            pending = 0
+            low = (low << k) & mask
+            high = ((high << k) & mask) | ((1 << k) - 1)
+        u = prec - 1 - ((low & ~high & (half - 1)) ^ (half - 1)).bit_length()
+        if u:
+            pending += u
+            low = (low << u) & (half - 1)
+            high = ((high << u) & (half - 1)) | half | ((1 << u) - 1)
+    out.write_bits(acc, nbits)
     return tuple(c), j, low, high, pending
 
 
@@ -516,12 +555,51 @@ def _zle_halve(counts: list) -> "tuple[list, int]":
     return counts, sum(counts)
 
 
-def _bwt_encode(block: bytes) -> "tuple[bytes, int]":
+# blocks of at least this many bytes are sorted by _bwt_order_doubling
+_BWT_DOUBLING_MIN = 512
+
+
+def _bwt_order_slices(block: bytes) -> "list[int]":
+    """The rotations of block in sorted order, identical rotations by
+    index, each compared as a slice of the doubled block."""
     n = len(block)
     doubled = block + block
-    order = sorted(range(n), key=lambda i: doubled[i : i + n])
-    last = bytes(doubled[i + n - 1] for i in order)
-    return last, order.index(0)
+    return sorted(range(n), key=lambda i: doubled[i : i + n])
+
+
+def _bwt_order_doubling(block: bytes) -> np.ndarray:
+    """_bwt_order_slices by prefix doubling: once the ranks order the
+    rotations by their first k bytes, a stable sort of rank * max(n, 256)
+    + the rank k bytes on orders them by their first 2k, and identical
+    rotations stay in index order."""
+    n = len(block)
+    rank = np.frombuffer(block, np.uint8).astype(np.int64)
+    scale = max(n, 256)  # above every rank: a byte, then a rank below n
+    order = np.argsort(rank, kind="stable")
+    k = 1
+    while k < n:
+        key = rank * scale + np.roll(rank, -k)
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        step = np.empty(n, np.int64)
+        step[0] = 0
+        np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+        ranks = np.cumsum(step)
+        rank[order] = ranks
+        if ranks[-1] == n - 1:  # every rotation distinct
+            break
+        k *= 2
+    return order
+
+
+def _bwt_encode(block: bytes) -> "tuple[bytes, int]":
+    n = len(block)
+    if n < _BWT_DOUBLING_MIN:
+        order = _bwt_order_slices(block)
+        return bytes(block[i - 1] for i in order), order.index(0)
+    order = _bwt_order_doubling(block)
+    last = np.frombuffer(block, np.uint8)[order - 1]
+    return last.tobytes(), int(np.flatnonzero(order == 0)[0])
 
 
 def _bwt_decode(last: bytes, idx: int) -> bytes:
@@ -638,25 +716,51 @@ def _entropy_bits(hist: Counter, count: int) -> float:
     return h * count
 
 
-# Until its first rescale, which comes after _ZLE_FREE symbols, the model
-# codes symbol i of a block with total _ZLE_ALPHABET + _ZLE_INC * i
-# and the j-th repeat of a symbol with count 1 + _ZLE_INC * j: it is
-# a Polya urn, so a block's ideal length has a closed form in lgamma.
+# Between two rescales the model codes symbol i of the segment with total
+# T + _ZLE_INC * i and the j-th repeat of a symbol with count
+# c + _ZLE_INC * j, where T and c are the counts the segment starts from:
+# it is a Polya urn, so a segment's ideal length has a closed form in
+# lgamma.  The first segment starts from all ones and holds _ZLE_FREE
+# symbols.
 _ZLE_FREE = (_ZLE_LIMIT - _ZLE_ALPHABET) // _ZLE_INC + 1
-_URN_ALPHA = 1 / _ZLE_INC              # prior weight per symbol
-_URN_TOTAL = _ZLE_ALPHABET / _ZLE_INC  # prior weight in all
 
 
-def _zle_floor(hist: Counter, count: int) -> int:
-    """A lower bound on the bits _encode_zle writes for the count symbols
-    of histogram hist: the ideal length less three bits, plus the two of
-    the termination (see the module docstring), or 0 past _ZLE_FREE."""
-    if count > _ZLE_FREE:
-        return 0
-    nats = lgamma(count + _URN_TOTAL) - lgamma(_URN_TOTAL) - sum(
-        lgamma(k + _URN_ALPHA) - lgamma(_URN_ALPHA) for k in hist.values()
+def _urn_nats(hist: Counter, count: int, total: int, counts: "list | None") -> float:
+    """The ideal length in nats of count symbols of histogram hist coded
+    with no rescale between them, from the model's total and its counts,
+    or from a fresh model, every count 1, when counts is None."""
+    prior = total / _ZLE_INC
+    nats = lgamma(count + prior) - lgamma(prior)
+    if counts is None:
+        alpha = 1 / _ZLE_INC
+        lgamma_alpha = lgamma(alpha)
+        return nats - sum(lgamma(k + alpha) - lgamma_alpha for k in hist.values())
+    return nats - sum(
+        lgamma(k + counts[s] / _ZLE_INC) - lgamma(counts[s] / _ZLE_INC)
+        for s, k in hist.items()
     )
-    return ceil(nats / log(2) - 3) + 2
+
+
+def _zle_floor(syms: list, hist: Counter) -> int:
+    """A lower bound on the bits _encode_zle writes for syms, whose
+    histogram is hist: the ideal length less three bits, plus the two of
+    the termination (see the module docstring)."""
+    counts, total = None, _ZLE_ALPHABET
+    start, nats = 0, 0.0
+    while True:
+        end = start + (_ZLE_LIMIT - total) // _ZLE_INC + 1
+        if end >= len(syms):
+            seg = hist if start == 0 else Counter(syms[start:])
+            nats += _urn_nats(seg, len(syms) - start, total, counts)
+            return ceil(nats / log(2) - 3) + 2
+        seg = Counter(syms[start:end])
+        nats += _urn_nats(seg, end - start, total, counts)
+        if counts is None:
+            counts = [1] * _ZLE_ALPHABET
+        for s, k in seg.items():
+            counts[s] += _ZLE_INC * k
+        counts, total = _zle_halve(counts)
+        start = end
 
 
 def _encode_zle(syms, out: _BitWriter):
@@ -694,7 +798,7 @@ def _encode_bwt(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> b
             return False
         out.write_leb(idx)
         out.write_leb(len(syms))
-        if bound is not None and out.bit_length + _zle_floor(hist, len(syms)) >= bound:
+        if bound is not None and out.bit_length + _zle_floor(syms, hist) >= bound:
             return False
         _encode_zle(syms, out)
     return True
@@ -743,13 +847,24 @@ def _decode_bwt(r: _BitReader, n: int) -> int:
 # method 3: greedy LZ over the packed bytes
 
 
-def _encode_lz(word: BitWord, out: _BitWriter):
+def _leb_bits(v: int) -> int:
+    """The bits write_leb takes for v."""
+    return 8 * max(1, (v.bit_length() + 6) // 7)
+
+
+def _encode_lz(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> bool:
+    """Returns False, given bound, once the bits written so far, the
+    literals and token LEBs parsed and the literal count LEB of the open
+    token reach bound, so that this method cannot come out shorter."""
     data = word.to_bytes()
     n = len(data)
     table = {}
     pos = 0
     lit_start = 0
     tokens = []  # (lit_start, lit_end, match_len, dist)
+    if bound is None:
+        bound = inf
+    spent = out.bit_length + 8
     while pos < n:
         match_len = 0
         match_dist = 0
@@ -765,6 +880,10 @@ def _encode_lz(word: BitWord, out: _BitWriter):
                 match_dist = pos - cand
         if match_len >= _LZ_MIN_MATCH:
             tokens.append((lit_start, pos, match_len, match_dist))
+            spent += (_leb_bits(pos - lit_start) + _leb_bits(match_len - _LZ_MIN_MATCH)
+                      + _leb_bits(match_dist))
+            if spent >= bound:
+                return False
             end = pos + match_len
             while pos < end and pos + _LZ_MIN_MATCH <= n:
                 table[data[pos : pos + _LZ_MIN_MATCH]] = pos
@@ -775,6 +894,9 @@ def _encode_lz(word: BitWord, out: _BitWriter):
             if pos + _LZ_MIN_MATCH <= n:
                 table[data[pos : pos + _LZ_MIN_MATCH]] = pos
             pos += 1
+            spent += 8
+            if spent >= bound:
+                return False
     tokens.append((lit_start, n, 0, 0))
     for lit_start, lit_end, match_len, dist in tokens:
         literals = data[lit_start:lit_end]
@@ -783,6 +905,7 @@ def _encode_lz(word: BitWord, out: _BitWriter):
         if match_len:
             out.write_leb(match_len - _LZ_MIN_MATCH)
             out.write_leb(dist)
+    return True
 
 
 def _decode_lz(r: _BitReader, n: int) -> int:
@@ -813,8 +936,9 @@ def _decode_lz(r: _BitReader, n: int) -> int:
 
 
 def _methods(n: int) -> "list[int]":
-    """The methods eligible for an n-bit word, BWT last, so that compress
-    can hold the BWT floor against the others."""
+    """The methods eligible for an n-bit word in the order compress runs
+    them: BWT, the slowest, last, so that its floor is held against all
+    the others."""
     if n > MAX_WORD_BITS:
         raise ValueError(f"word of {n} bits exceeds MAX_WORD_BITS = {MAX_WORD_BITS}")
     modes = [MODE_RAW]
@@ -829,7 +953,7 @@ def _methods(n: int) -> "list[int]":
 
 def _encode(word: BitWord, mode: int, out: _BitWriter, bound: "int | None" = None) -> bool:
     """Write the codeword of word under mode to out; False when the method
-    declines the word (see _encode_bwt)."""
+    declines the word (see _encode_lz and _encode_bwt)."""
     out.write_bits(mode, 2)
     out.write_leb(word.n)
     if mode == MODE_RAW:
@@ -839,7 +963,7 @@ def _encode(word: BitWord, mode: int, out: _BitWriter, bound: "int | None" = Non
     elif mode == MODE_BWT:
         return _encode_bwt(word, out, bound)
     else:
-        _encode_lz(word, out)
+        return _encode_lz(word, out, bound)
     return True
 
 
@@ -852,10 +976,8 @@ def compress(word: BitWord) -> Codeword:
     found = []
     for mode in _methods(word.n):
         out = _BitWriter()
-        bound = None
-        if mode == MODE_BWT:
-            # BWT runs last; a smaller tag wins a tie
-            bound = min(bits + (m > MODE_BWT) for bits, m, _ in found)
+        # the length to undercut; a smaller tag wins a tie
+        bound = min((bits + (m > mode) for bits, m, _ in found), default=None)
         if _encode(word, mode, out, bound):
             found.append((out.bit_length, mode, out))
     return Codeword(*min(found)[2].getvalue())

@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from datetime import timedelta
+from math import ceil, lgamma, log
 
 import numpy as np
 import pytest
@@ -169,6 +170,45 @@ def test_bwt_mtf_zle_stages():
     data = b"\xaa" * 32
     last, idx = codec._bwt_encode(data)
     assert codec._bwt_decode(last, idx) == data
+
+
+@st.composite
+def _sort_blocks(draw) -> bytes:
+    """Blocks of 1 to 4096 bytes: drawn bytes, sparse bytes, constant and
+    periodic blocks, and one byte before a zero run."""
+    edge = codec._BWT_DOUBLING_MIN
+    n = draw(st.one_of(
+        st.integers(1, 4096),
+        st.sampled_from([1, 2, 127, 128, 129, edge - 1, edge, edge + 1, 4096]),
+    ))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["bytes", "sparse", "constant", "periodic", "zero run"]))
+    if kind == "bytes":
+        return rng.randbytes(n)
+    if kind == "sparse":
+        return bytes(rng.randrange(256) if rng.random() < 1 / 16 else 0 for _ in range(n))
+    if kind == "constant":
+        return bytes([rng.randrange(256)]) * n
+    if kind == "periodic":
+        period = rng.randbytes(rng.randint(1, 12))
+        return (period * n)[:n]
+    return bytes([rng.randrange(1, 256)]) + bytes(n - 1)
+
+
+@given(_sort_blocks())
+@settings(max_examples=150, deadline=None)
+@example(bytes(range(128)))
+@example(bytes(range(255, 127, -1)))
+@example(b"\xff" + bytes(127))
+@example(b"\x01" + bytes(4095))
+@example(b"\xaa\x55" * 2048)
+def test_bwt_doubling_sort_matches_slice_sort(block):
+    # the slice sort is the reference; identical rotations keep index order
+    order = codec._bwt_order_slices(block)
+    assert list(codec._bwt_order_doubling(block)) == order
+    last = bytes(block[i - 1] for i in order)
+    assert codec._bwt_encode(block) == (last, order.index(0))
+    assert codec._bwt_decode(last, order.index(0)) == block
 
 
 # -- codelength contracts ----------------------------------------------------
@@ -489,15 +529,29 @@ def test_consume_matches_bit_loop(state, data, stream, total):
     assert dec.inp.pos == slow.pos
 
 
+def _one_segment_floor(hist: Counter, count: int) -> int:
+    """The floor's closed form for a block the model codes without a
+    rescale: a Polya urn from prior weight 1/32 per symbol."""
+    alpha, prior = 1 / codec._ZLE_INC, codec._ZLE_ALPHABET / codec._ZLE_INC
+    nats = lgamma(count + prior) - lgamma(prior) - sum(
+        lgamma(k + alpha) - lgamma(alpha) for k in hist.values()
+    )
+    return ceil(nats / log(2) - 3) + 2
+
+
 @given(
-    st.integers(0, 3000),
+    st.integers(0, 8192),
     st.integers(1, codec._ZLE_ALPHABET),
     st.floats(0, 3),
     st.integers(0, 2**32),
 )
 @settings(max_examples=150, deadline=None)
+@example(codec._ZLE_FREE - 1, 2, 1.0, 0)
 @example(codec._ZLE_FREE, 2, 1.0, 0)
 @example(codec._ZLE_FREE + 1, 2, 1.0, 0)
+@example(codec._ZLE_FREE + 1, codec._ZLE_ALPHABET, 0.0, 1)
+@example(2 * codec._ZLE_FREE + 1, 40, 1.5, 2)
+@example(8192, codec._ZLE_ALPHABET, 0.0, 3)
 def test_bwt_floor_bounds_coded_bits(count, alphabet, skew, seed):
     # zero-run symbol sequences from a Zipf-like law over a random alphabet
     rng = random.Random(seed)
@@ -506,12 +560,43 @@ def test_bwt_floor_bounds_coded_bits(count, alphabet, skew, seed):
     syms = rng.choices(order, weights, k=count)
     out = codec._BitWriter()
     codec._encode_zle(syms, out)
-    floor = codec._zle_floor(Counter(syms), count)
-    if count > codec._ZLE_FREE:
-        assert floor == 0
-    else:
-        # the proof in the module docstring bounds the gap from both sides
-        assert floor <= out.bit_length <= floor + 3
+    hist = Counter(syms)
+    floor = codec._zle_floor(syms, hist)
+    if count <= codec._ZLE_FREE:
+        assert floor == _one_segment_floor(hist, count)
+    # the proof in the module docstring bounds the gap from both sides,
+    # through the model's rescales too
+    assert floor <= out.bit_length <= floor + 3
+
+
+def test_bwt_declines_long_losers():
+    # each word is one 32768-bit block of more than _ZLE_FREE symbols,
+    # held to the length of the method that beats BWT on it
+    for kind, rival in (("uniform", codec.MODE_RAW), ("repeats", codec.MODE_LZ)):
+        w = _WORD_KINDS[kind](random.Random(0), codec.BWT_BLOCK_BITS)
+        assert _bwt_block_symbols(w.to_bytes()) > codec._ZLE_FREE
+        bound = codec._encode_with_mode(w, rival).bit_length
+        assert codec._encode_with_mode(w, codec.MODE_BWT).bit_length >= bound
+        assert not codec._encode(w, codec.MODE_BWT, codec._BitWriter(), bound), kind
+
+
+@given(
+    st.sampled_from(sorted(_WORD_KINDS)),
+    st.integers(64, 4096),
+    st.integers(0, 2**32),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_lz_bound_declines_only_losers(kind, n, seed, data):
+    w = _WORD_KINDS[kind](random.Random(seed), n)
+    full = codec._encode_with_mode(w, codec.MODE_LZ)
+    length = full.bit_length
+    for bound in (length, length + 1, data.draw(st.integers(0, length + 64))):
+        out = codec._BitWriter()
+        if codec._encode(w, codec.MODE_LZ, out, bound):
+            assert Codeword(*out.getvalue()) == full
+        else:
+            assert length >= bound
 
 
 # -- conditional codelength ---------------------------------------------------
