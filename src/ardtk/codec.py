@@ -20,12 +20,12 @@ bitac, lz, bwt, and each one after raw is given the length it has to
 undercut: the shortest codeword so far, plus one bit when that
 codeword's tag is larger, since a smaller tag wins a tie.  A method may
 give up once a lower bound on its own codeword reaches that length,
-since it can no longer win.  LZ counts the header, the literals and the
-token LEBs it has parsed so far; BWT adds a floor on the next block's
-coded bits to the bits written so far.  Bitac always runs to the end:
-it is eligible only up to 1024 bits, and the checkpoints it leaves
-behind serve the next word (see below).  So the bounds change no
-codeword, only the time spent on losers.
+since it can no longer win.  LZ counts the header and a byte for each
+literal and each token LEB it has parsed so far; BWT adds a floor on
+the next block's coded bits to the bits written so far.  Bitac always
+runs to the end: it is eligible only up to 1024 bits, and the
+checkpoints it leaves behind serve the next word (see below).  So the
+bounds change no codeword, only the time spent on losers.
 
 The BWT model is a plain list of 257 counts, every one starting at 1:
 each coded symbol adds 32 to its count, and once the total passes 2^16
@@ -54,9 +54,11 @@ than 3 bits below the coded length.
 The block sort compares rotations as slices of the doubled block below
 _BWT_DOUBLING_MIN (512) bytes and sorts them by numpy prefix doubling
 from there.  The slices copy n^2 bytes, 16 MiB for a full 4096-byte
-block, while a doubling step costs a few numpy calls of fixed overhead:
-doubling is up to 5 times slower at 128 bytes, about even at 512 and
-7 to 12 times faster at 4096.
+block, while a doubling step costs a few numpy calls of fixed overhead.
+Summed over uniform, sparse, periodic and repeated-chunk blocks,
+doubling is twice as slow at 128 bytes, even near 400, 1.2 times
+faster at 512 and 7 to 12 times faster at 4096; periodic blocks, which
+take the most doubling steps, break even only near 768.
 
 Bitac resumes a word from a recently coded one.  A search asks for many
 words that differ from its current best in a bit or two, and the coder's
@@ -725,17 +727,11 @@ def _entropy_bits(hist: Counter, count: int) -> float:
 _ZLE_FREE = (_ZLE_LIMIT - _ZLE_ALPHABET) // _ZLE_INC + 1
 
 
-def _urn_nats(hist: Counter, count: int, total: int, counts: "list | None") -> float:
+def _urn_nats(hist: Counter, count: int, total: int, counts: list) -> float:
     """The ideal length in nats of count symbols of histogram hist coded
-    with no rescale between them, from the model's total and its counts,
-    or from a fresh model, every count 1, when counts is None."""
+    with no rescale between them, from the model's total and its counts."""
     prior = total / _ZLE_INC
-    nats = lgamma(count + prior) - lgamma(prior)
-    if counts is None:
-        alpha = 1 / _ZLE_INC
-        lgamma_alpha = lgamma(alpha)
-        return nats - sum(lgamma(k + alpha) - lgamma_alpha for k in hist.values())
-    return nats - sum(
+    return lgamma(count + prior) - lgamma(prior) - sum(
         lgamma(k + counts[s] / _ZLE_INC) - lgamma(counts[s] / _ZLE_INC)
         for s, k in hist.items()
     )
@@ -745,7 +741,7 @@ def _zle_floor(syms: list, hist: Counter) -> int:
     """A lower bound on the bits _encode_zle writes for syms, whose
     histogram is hist: the ideal length less three bits, plus the two of
     the termination (see the module docstring)."""
-    counts, total = None, _ZLE_ALPHABET
+    counts, total = [1] * _ZLE_ALPHABET, _ZLE_ALPHABET
     start, nats = 0, 0.0
     while True:
         end = start + (_ZLE_LIMIT - total) // _ZLE_INC + 1
@@ -755,8 +751,6 @@ def _zle_floor(syms: list, hist: Counter) -> int:
             return ceil(nats / log(2) - 3) + 2
         seg = Counter(syms[start:end])
         nats += _urn_nats(seg, end - start, total, counts)
-        if counts is None:
-            counts = [1] * _ZLE_ALPHABET
         for s, k in seg.items():
             counts[s] += _ZLE_INC * k
         counts, total = _zle_halve(counts)
@@ -847,15 +841,11 @@ def _decode_bwt(r: _BitReader, n: int) -> int:
 # method 3: greedy LZ over the packed bytes
 
 
-def _leb_bits(v: int) -> int:
-    """The bits write_leb takes for v."""
-    return 8 * max(1, (v.bit_length() + 6) // 7)
-
-
 def _encode_lz(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> bool:
-    """Returns False, given bound, once the bits written so far, the
-    literals and token LEBs parsed and the literal count LEB of the open
-    token reach bound, so that this method cannot come out shorter."""
+    """Returns False, given bound, once the bits written so far and a
+    byte for each literal and each token LEB parsed, the literal count of
+    the open token included, reach bound, so that this method cannot come
+    out shorter."""
     data = word.to_bytes()
     n = len(data)
     table = {}
@@ -880,8 +870,8 @@ def _encode_lz(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> bo
                 match_dist = pos - cand
         if match_len >= _LZ_MIN_MATCH:
             tokens.append((lit_start, pos, match_len, match_dist))
-            spent += (_leb_bits(pos - lit_start) + _leb_bits(match_len - _LZ_MIN_MATCH)
-                      + _leb_bits(match_dist))
+            # its three LEBs take a byte each at least
+            spent += 24
             if spent >= bound:
                 return False
             end = pos + match_len
