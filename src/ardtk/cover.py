@@ -13,10 +13,34 @@ fails loudly.
 
 cover_space covers the whole cube with radius-d balls by gluing a cover
 of the ball around 0^n to its bitwise complement.
+
+First coverer.  The draws of a shell are kept exactly when each is the
+first draw, in draw order, to cover some shell word: a word an earlier
+draw covers was taken by the first such draw, which found it uncovered
+and was kept.  So a run of draws is resolved at once, by marking each
+uncovered word with its first coverer (np.minimum.at) and keeping the
+distinct marks in order; the batches, draws, retries and kept centers
+are those of one draw at a time.
+
+Coverage pairs.  Every step asks which target words (a shell, the big
+ball or the cube) lie within dn = d*n of which centers.  A target numbers
+its words by slots read from two tables of at most 2^16 entries, one per
+half-word (_Target), so no table has 2^n entries; tables are built on
+first use.  A center's words are found either by enumerating its
+radius-dn ball, center ^ B(dn), and ranking those in the target into
+slots, at a cost of |B(dn)|, or by scanning the words in question: the
+shell words still uncovered in the shell pass, the whole target when
+pruning and verifying.  The smaller of the two sizes decides; there is
+no constant to tune.  The shell pass resolves its draws in runs of 1,
+2, 4, ... draws, so a scan shrinks as the first runs cover the shell.
+Centers go through in chunks of at most _PAIR_CHUNK candidate pairs,
+which bounds every temporary to a few MiB; pruning alone holds its
+pairs, 4 bytes each, for its reverse pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import ceil, comb
 from typing import Optional
@@ -39,6 +63,7 @@ ALPHA_EXPONENT = 5          # the n^5 cap used in the size bound
 DEFAULT_DRAW_EXPONENT = 1   # the c in the n^(c+1) per-shell draw budget
 MAX_RETRIES = 32
 VERIFY_MAX_N = 24
+_PAIR_CHUNK = 1 << 16       # candidate (center, word) pairs held at once
 
 
 class CoverError(RuntimeError):
@@ -126,64 +151,193 @@ def _sample_weighted(rng: np.random.Generator, n: int, w: int, count: int) -> np
     ).astype(np.uint32)
 
 
+@cache
+def _low_order(low: int) -> np.ndarray:
+    """The low-bit values sorted by weight, then value.  Built on first use."""
+    x = np.arange(1 << low, dtype=np.uint32)
+    return x[np.argsort(np.bitwise_count(x), kind="stable")]
+
+
+@cache
+def _low_rank(low: int) -> np.ndarray:
+    """Each low-bit value's place in _low_order(low)."""
+    rank = np.empty(1 << low, dtype=np.int32)
+    rank[_low_order(low)] = np.arange(1 << low, dtype=np.int32)
+    return rank
+
+
+class _Target:
+    """The words v with wlo <= |v ^ center| <= whi, each at a slot.
+
+    u = v ^ center splits into hi = u >> L and lo, its low L = min(n, 16)
+    bits.  The slots run through hi in increasing order and, for one hi,
+    through the lo that make |u| admissible, by weight and then value.
+    In that order a slot is the sum of two table reads, one per half:
+    start[hi] + rank[lo], where rank, lo's place among all L-bit values
+    by weight then value, is shared by every target, and start is this
+    target's; neither has more than 2^16 entries.  vals[slot] is v.
+    """
+
+    def __init__(self, n: int, center: int, wlo: int, whi: int):
+        self.low = low = min(n, 16)
+        self.center = np.uint32(center)
+        self.wlo, self.whi = wlo, whi
+        # before[a]: the L-bit values of weight below a
+        before = np.cumsum([0] + [comb(low, a) for a in range(low + 1)])
+        b = np.bitwise_count(np.arange(1 << (n - low), dtype=np.uint32)).astype(np.intp)
+        first = before[np.clip(wlo - b, 0, low + 1)]
+        count = np.maximum(before[np.clip(whi - b + 1, 0, low + 1)] - first, 0)
+        start = np.cumsum(count) - count
+        self.size = int(count.sum())
+        # slots are int32: a target holds at most 2^24 words
+        self.start = (start - first).astype(np.int32)
+        self.vals = np.empty(self.size, dtype=np.uint32)
+        order = _low_order(low)
+        for hi in np.flatnonzero(count):
+            piece = order[first[hi] : first[hi] + count[hi]] | np.uint32(hi << low)
+            self.vals[start[hi] : start[hi] + count[hi]] = piece ^ self.center
+
+    def holds(self, w: np.ndarray) -> np.ndarray:
+        """Whether words u of the weights w are targets."""
+        if self.wlo == self.whi:
+            return w == self.wlo
+        if not self.wlo:
+            return w <= self.whi
+        return (w >= self.wlo) & (w <= self.whi)
+
+    def slots(self, u: np.ndarray) -> np.ndarray:
+        """The slots of target words, given as u = v ^ center."""
+        return self.start[u >> self.low] + _low_rank(self.low)[u & ((1 << self.low) - 1)]
+
+
+def _ball_offsets(n: int, r: int) -> np.ndarray:
+    """The radius-r ball around 0^n."""
+    return _Target(n, 0, 0, r).vals
+
+
+def _coverage(
+    centers: np.ndarray,
+    target: _Target,
+    dn: int,
+    offsets: np.ndarray,
+    live: Optional[np.ndarray] = None,
+):
+    """Yield (per, slots) chunk by chunk: the target slots within dn of
+    each center of the chunk, center after center, and how many there are
+    for each; only slots the live mask marks, if one is given.
+
+    offsets is the radius-dn ball around 0^n.  When it holds fewer words
+    than a scan would touch (the live slots, or the whole target), each
+    center's ball is enumerated as center ^ offsets and its target words
+    are ranked into slots; otherwise those slots are scanned.  A chunk
+    holds at most _PAIR_CHUNK candidate pairs.
+    """
+    scan = np.flatnonzero(live) if live is not None else None
+    enumerate_ = len(offsets) < (target.size if scan is None else len(scan))
+    if enumerate_:
+        width = len(offsets)
+    else:
+        vals = target.vals if scan is None else target.vals[scan]
+        width = len(vals)
+    step = max(1, _PAIR_CHUNK // max(width, 1))
+    for lo in range(0, len(centers), step):
+        chunk = centers[lo : lo + step, None]
+        if enumerate_:
+            u = (chunk ^ target.center) ^ offsets
+            inside = target.holds(np.bitwise_count(u))
+            per = np.count_nonzero(inside, axis=1)
+            slots = target.slots(u[inside])
+            if live is not None:
+                keep = live[slots]
+                rows = np.repeat(np.arange(len(chunk)), per)[keep]
+                per = np.bincount(rows, minlength=len(chunk))
+                slots = slots[keep]
+        else:
+            hit = np.bitwise_count(chunk ^ vals) <= dn
+            per = np.count_nonzero(hit, axis=1)
+            slots = np.flatnonzero(hit) - np.repeat(np.arange(len(chunk)) * width, per)
+            slots = (slots if scan is None else scan[slots]).astype(np.int32)
+        yield per, slots
+
+
 def _cover_shell(
     n: int,
-    shell_vals: np.ndarray,
+    shell: _Target,
     f_w: int,
     dn: int,
     draw_budget: int,
     seed_seq,
+    offsets: np.ndarray,
 ) -> "tuple[list[int], int, int]":
-    """Centers at weight f_w covering the shell values; returns
-    (centers, draws_used, retries)."""
+    """Centers at weight f_w covering the shell; returns (centers,
+    draws_used, retries).
+
+    A draw is kept when it is the first to cover some shell word (see
+    the module docstring).  The draws go in runs of 1, 2, 4, ... draws,
+    counted on across batches, so a scanning run touches only the words
+    the runs before it left."""
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(list(seed_seq) + [attempt])
-        remaining = np.ones(len(shell_vals), dtype=bool)
+        remaining = np.ones(shell.size, dtype=bool)
         centers: "list[int]" = []
         draws = 0
+        run = 1
         while remaining.any():
             if draws >= draw_budget:
                 break
             batch = int(min(256, draw_budget - draws))
             cands = _sample_weighted(rng, n, f_w, batch)
             draws += batch
-            rem_vals = shell_vals[remaining]
-            rem_idx = np.flatnonzero(remaining)
-            for c in cands:
-                if rem_vals.size == 0:
-                    break
-                covered = np.bitwise_count(rem_vals ^ c) <= dn
-                if covered.any():
-                    centers.append(int(c))
-                    keep = ~covered
-                    rem_vals = rem_vals[keep]
-                    rem_idx = rem_idx[keep]
-            remaining[:] = False
-            remaining[rem_idx] = True
+            pos = 0
+            while pos < batch and remaining.any():
+                part = cands[pos : pos + run]
+                per, slots = map(
+                    np.concatenate, zip(*_coverage(part, shell, dn, offsets, remaining))
+                )
+                rows = np.repeat(np.arange(len(part)), per)
+                first = np.full(shell.size, len(part))
+                np.minimum.at(first, slots, rows)
+                covered = first < len(part)
+                centers.extend(part[np.unique(first[covered])].tolist())
+                remaining &= ~covered
+                pos, run = pos + run, 2 * run
         if not remaining.any():
             return centers, draws, attempt
     raise CoverError(
-        f"shell at weight {int(shell_vals[0]).bit_count()} not covered within "
+        f"shell at weight {shell.wlo} not covered within "
         f"{MAX_RETRIES} retries of {draw_budget} draws"
     )
 
 
-def _prune(target_vals: np.ndarray, centers: "list[int]", dn: int) -> "list[int]":
-    """Drop centers (latest first) whose coverage is already doubled up."""
-    counts = np.zeros(len(target_vals), dtype=np.int64)
-    # per center, the indices of the targets it covers: a radius-dn ball
-    # holds far fewer words than the target ball, so these stay small
-    covered_by = []
-    for c in centers:
-        idx = np.flatnonzero(np.bitwise_count(target_vals ^ np.uint32(c)) <= dn)
-        covered_by.append(idx)
-        counts[idx] += 1
-    keep = [True] * len(centers)
-    for i in range(len(centers) - 1, -1, -1):
-        idx = covered_by[i]
-        if idx.size and counts[idx].min() >= 2:
-            keep[i] = False
-            counts[idx] -= 1
+def _prune(
+    target: _Target, centers: "list[int]", dn: int, offsets: np.ndarray
+) -> "list[int]":
+    """Drop centers, latest first, whose every target word another kept
+    center also covers.
+
+    Each center's covered slots come from _coverage and are held, chunk
+    by chunk, for the reverse pass: 4 bytes per (center, covered word)
+    pair.  Before the pass reaches a chunk, every center of it that now
+    covers a word no other kept center covers is skipped: counts only
+    fall, so it can never be dropped.  A center covering no target word
+    is kept too.
+    """
+    chunks = list(_coverage(np.array(centers, np.uint32), target, dn, offsets))
+    counts = np.zeros(target.size, dtype=np.int32)
+    for _, slots in chunks:
+        np.add.at(counts, slots, np.int32(1))  # a Python 1 takes a slow path
+    keep = np.ones(len(centers), dtype=bool)
+    end = len(centers)
+    for per, slots in reversed(chunks):
+        end -= len(per)
+        bounds = np.concatenate(([0], np.cumsum(per)))
+        shared = np.zeros(len(per), dtype=bool)
+        shared[per > 0] = np.minimum.reduceat(counts[slots], bounds[:-1][per > 0]) >= 2
+        for i in np.flatnonzero(shared)[::-1]:
+            idx = slots[bounds[i] : bounds[i + 1]]
+            if counts[idx].min() >= 2:
+                keep[end + i] = False
+                counts[idx] -= 1
     return [c for c, k in zip(centers, keep) if k]
 
 
@@ -204,16 +358,17 @@ def cover_ball(
     size_bound = n**ALPHA_EXPONENT * b_delta // b_d + 1
     volume_lower = ceil(b_delta / b_d)
     shells: "list[ShellRecord]" = []
-    # the target ball's values, shell by shell
-    by_weight = [np.fromiter(_shell(n, w), np.uint32, comb(n, w)) for w in range(deltan + 1)]
+    offsets = _ball_offsets(n, dn)
 
     if deltan == dn:
         centers = [0]
     elif dn == 0:
-        # radius-0 balls cover single points: every member is a center
+        # radius-0 balls cover single points: every member is a center,
+        # shell by shell in _shell order
         centers = []
-        for w, vals in enumerate(by_weight):
-            centers.extend(vals.tolist())
+        for w in range(deltan + 1):
+            vals = list(_shell(n, w))
+            centers.extend(vals)
             shells.append(
                 ShellRecord(Fraction(w, n), Fraction(w, n), len(vals), len(vals), len(vals), 0)
             )
@@ -225,15 +380,14 @@ def cover_ball(
             f = shell_offset(d, delta_shell, n)
             f_w = int(f * n)
             got, draws, retries = _cover_shell(
-                n, by_weight[w], f_w, dn, budget, (seed, deltan, dn, w)
+                n, _Target(n, 0, w, w), f_w, dn, budget, (seed, deltan, dn, w), offsets
             )
             centers.extend(got)
             shells.append(ShellRecord(delta_shell, f, len(got), budget, draws, retries))
 
     verified = None
     if n <= VERIFY_MAX_N:
-        target_vals = np.sort(np.concatenate(by_weight))
-        centers = _prune_and_verify(target_vals, centers, dn, n)
+        centers = _prune_and_verify(_Target(n, 0, 0, deltan), centers, dn, n, offsets)
         verified = True
     return CoverResult(
         spec=spec,
@@ -250,27 +404,27 @@ def cover_ball(
 
 
 def _prune_and_verify(
-    target_vals: np.ndarray, centers: "list[int]", dn: int, n: int
+    target: _Target, centers: "list[int]", dn: int, n: int, offsets: np.ndarray
 ) -> "list[int]":
     """Prune the centers (distinct radius-0 centers never overlap), then
-    raise CoverError naming the first uncovered target."""
+    raise CoverError naming the least uncovered target word."""
     if dn > 0:
-        centers = _prune(target_vals, centers, dn)
-    bad = _first_uncovered(target_vals, centers, dn)
+        centers = _prune(target, centers, dn, offsets)
+    bad = _first_uncovered(target, centers, dn, offsets)
     if bad is not None:
         raise CoverError(f"constructed cover misses {BitWord(n, bad)!r}")
     return centers
 
 
-def _first_uncovered(target_vals: np.ndarray, centers: "list[int]", dn: int):
-    """The first target value within dn of no center, or None."""
-    covered = np.zeros(len(target_vals), dtype=bool)
-    for c in centers:
-        covered |= np.bitwise_count(target_vals ^ np.uint32(c)) <= dn
-        if covered.all():
-            return None
-    missing = target_vals[~covered]
-    return int(missing[0]) if missing.size else None
+def _first_uncovered(
+    target: _Target, centers: "list[int]", dn: int, offsets: np.ndarray
+) -> Optional[int]:
+    """The least target word within dn of no center, or None."""
+    covered = np.zeros(target.size, dtype=bool)
+    for _, slots in _coverage(np.array(centers, np.uint32), target, dn, offsets):
+        covered[slots] = True
+    missing = target.vals[~covered]
+    return int(missing.min()) if missing.size else None
 
 
 def cover_space(
@@ -296,8 +450,7 @@ def cover_space(
     dn = _radius_steps(spec, d)
     verified = None
     if n <= VERIFY_MAX_N:
-        target_vals = np.arange(1 << n, dtype=np.uint32)
-        vals = _prune_and_verify(target_vals, vals, dn, n)
+        vals = _prune_and_verify(_Target(n, 0, 0, n), vals, dn, n, _ball_offsets(n, dn))
         verified = True
     return CoverResult(
         spec=spec,
@@ -314,17 +467,31 @@ def cover_space(
 
 
 def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[BitWord]]":
-    """Exhaustively check that every target member is within d of a center.
+    """Exhaustively check that every member of a Hamming ball is within d
+    of a center.
 
-    Returns (ok, witness); the witness is the first uncovered member in
-    lexicographic order.
+    Returns (ok, witness); the witness is the least uncovered member.
+    Raises ValueError for a ball of another family, for n > VERIFY_MAX_N
+    and for a center whose length is not n.
     """
-    n = target.spec.n
+    spec = target.spec
+    if spec.family != HAMMING:
+        raise ValueError("verification is defined for hamming balls")
+    n = spec.n
     if n > VERIFY_MAX_N:
         raise ValueError(f"verification is exhaustive; need n <= {VERIFY_MAX_N}")
-    dn = _radius_steps(DistortionSpec(HAMMING, n), Fraction(d))
-    target_vals = np.array([m.value for m in target.members()], dtype=np.uint32)
-    bad = _first_uncovered(target_vals, [c.value for c in centers], dn)
+    centers = list(centers)
+    for c in centers:
+        if c.n != n:
+            raise ValueError(f"center of length {c.n} against a ball of length {n}")
+    if target.cardinality() > MEMBER_ENUM_MAX_COUNT:
+        raise SizeGuardError("ball too large to enumerate")
+    dn = _radius_steps(spec, Fraction(d))
+    if dn < 0:
+        raise ValueError("cover radius must be non-negative")
+    r = _radius_steps(spec, target.radius)
+    ball = _Target(n, target.center.value, 0, r)
+    bad = _first_uncovered(ball, [c.value for c in centers], dn, _ball_offsets(n, dn))
     if bad is None:
         return True, None
     return False, BitWord(n, bad)

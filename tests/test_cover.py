@@ -1,8 +1,10 @@
 """Ball-covering construction tests."""
 import hashlib
+import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +19,13 @@ from ardtk.cover import (
     verify_cover,
 )
 from ardtk.distortion import (
+    EUCLID,
     HAMMING,
     LIST,
     Ball,
     DistortionSpec,
     SizeGuardError,
+    _shell,
     ball_cardinality,
 )
 
@@ -230,3 +234,199 @@ class TestVerifyCover:
         ball = Ball(s, Fraction(1, 25), center=BitWord.zeros(25))
         with pytest.raises(ValueError):
             verify_cover(ball, [BitWord.zeros(25)], Fraction(1, 25))
+
+
+# -- scan-based references: each center tested against every target word ----
+
+def ref_cover_shell(n, shell_vals, f_w, dn, draw_budget, seed_seq):
+    for attempt in range(cover.MAX_RETRIES):
+        rng = np.random.default_rng(list(seed_seq) + [attempt])
+        remaining = np.ones(len(shell_vals), dtype=bool)
+        centers = []
+        draws = 0
+        while remaining.any():
+            if draws >= draw_budget:
+                break
+            batch = int(min(256, draw_budget - draws))
+            cands = cover._sample_weighted(rng, n, f_w, batch)
+            draws += batch
+            rem_vals = shell_vals[remaining]
+            rem_idx = np.flatnonzero(remaining)
+            for c in cands:
+                if rem_vals.size == 0:
+                    break
+                covered = np.bitwise_count(rem_vals ^ c) <= dn
+                if covered.any():
+                    centers.append(int(c))
+                    rem_vals = rem_vals[~covered]
+                    rem_idx = rem_idx[~covered]
+            remaining[:] = False
+            remaining[rem_idx] = True
+        if not remaining.any():
+            return centers, draws, attempt
+    raise CoverError("shell not covered")
+
+
+def ref_prune(target_vals, centers, dn):
+    counts = np.zeros(len(target_vals), dtype=np.int64)
+    covered_by = []
+    for c in centers:
+        idx = np.flatnonzero(np.bitwise_count(target_vals ^ np.uint32(c)) <= dn)
+        covered_by.append(idx)
+        counts[idx] += 1
+    keep = [True] * len(centers)
+    for i in range(len(centers) - 1, -1, -1):
+        idx = covered_by[i]
+        if idx.size and counts[idx].min() >= 2:
+            keep[i] = False
+            counts[idx] -= 1
+    return [c for c, k in zip(centers, keep) if k]
+
+
+def ref_first_uncovered(target_vals, centers, dn):
+    covered = np.zeros(len(target_vals), dtype=bool)
+    for c in centers:
+        covered |= np.bitwise_count(target_vals ^ np.uint32(c)) <= dn
+    missing = target_vals[~covered]
+    return int(missing[0]) if missing.size else None
+
+
+def words(n, center, wlo, whi):
+    """The target words by distortion._shell, sorted."""
+    return np.array(
+        sorted(center ^ v for w in range(wlo, whi + 1) for v in _shell(n, w)), dtype=np.uint32
+    )
+
+
+@pytest.fixture
+def ways(monkeypatch):
+    """Record, per _coverage call, whether it enumerated balls (True: it
+    tested enumerated words for target membership) or scanned (False)."""
+    seen, tests = [], [0]
+    holds, coverage = cover._Target.holds, cover._coverage
+
+    def counted_holds(self, w):
+        tests[0] += 1
+        return holds(self, w)
+
+    def spy(*args):
+        before = tests[0]
+        yield from coverage(*args)
+        seen.append(tests[0] > before)
+
+    monkeypatch.setattr(cover._Target, "holds", counted_holds)
+    monkeypatch.setattr(cover, "_coverage", spy)
+    return seen
+
+
+class TestTarget:
+    @pytest.mark.parametrize("n, center, wlo, whi", [
+        (1, 0, 0, 0), (1, 1, 0, 1), (5, 0b10110, 0, 2), (8, 0, 3, 3), (12, 0xABC, 0, 6),
+        (16, 0xF00F, 0, 3), (16, 0, 8, 8), (17, 1 << 16, 0, 2), (18, 0x2ABCD, 4, 4),
+        (20, 0xFFFFF, 0, 2), (20, 0, 0, 20),
+    ])
+    def test_slots_number_the_shell_words(self, n, center, wlo, whi):
+        t = cover._Target(n, center, wlo, whi)
+        assert np.array_equal(np.sort(t.vals), words(n, center, wlo, whi))
+        assert np.array_equal(t.slots(t.vals ^ np.uint32(center)), np.arange(t.size))
+
+
+class TestCentreSide:
+    """The centre-side coverage against the scan-based references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_scan_references(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=14))
+        deltan = data.draw(st.integers(min_value=1, max_value=n // 2))
+        dn = data.draw(st.sampled_from(sorted({0, deltan, deltan - 1, deltan // 2})))
+        seed = data.draw(st.integers(min_value=0, max_value=2**16))
+        self.check(n, deltan, dn, seed)
+
+    @pytest.mark.parametrize("n, deltan, dn, seed", [
+        (8, 4, 1, 0), (10, 5, 4, 3), (12, 6, 0, 1), (12, 6, 6, 2), (13, 6, 2, 4), (14, 7, 3, 5),
+    ])
+    def test_both_ways_exercised(self, ways, n, deltan, dn, seed):
+        self.check(n, deltan, dn, seed)
+        if 0 < dn < deltan:
+            assert set(ways) == {True, False}
+
+    @staticmethod
+    def check(n, deltan, dn, seed):
+        d = Fraction(dn, n)
+        offsets = cover._ball_offsets(n, dn)
+        budget = n**2 * ball_cardinality(spec(n), Fraction(deltan, n)) // len(offsets) + 1
+        centers = [0]
+        for w in range(dn + 1, deltan + 1):
+            f_w = int(cover.shell_offset(d, Fraction(w, n), n) * n)
+            seeds = (seed, deltan, dn, w)
+            got = cover._cover_shell(n, cover._Target(n, 0, w, w), f_w, dn, budget, seeds, offsets)
+            assert got == ref_cover_shell(n, words(n, 0, w, w), f_w, dn, budget, seeds)
+            centers.extend(got[0])
+            # a shell as the target: smaller than a radius-dn ball, it is scanned
+            shell = cover._Target(n, 0, w, w)
+            assert cover._prune(shell, centers, dn, offsets) == ref_prune(
+                words(n, 0, w, w), centers, dn
+            )
+        target = cover._Target(n, 0, 0, deltan)
+        vals = words(n, 0, 0, deltan)
+        pruned = cover._prune(target, centers, dn, offsets)
+        assert pruned == ref_prune(vals, centers, dn)
+        for cs in (pruned, pruned[:-1], pruned[1:], centers[::2]):
+            assert cover._first_uncovered(target, cs, dn, offsets) == ref_first_uncovered(
+                vals, cs, dn
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_on_random_centres(self, ways, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            n = rng.randint(1, 14)
+            r = rng.randint(0, n // 2)
+            dn = rng.randint(0, n // 2)
+            center = rng.getrandbits(n)
+            cs = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+            target = cover._Target(n, center, 0, r)
+            got = cover._first_uncovered(target, cs, dn, cover._ball_offsets(n, dn))
+            assert got == ref_first_uncovered(words(n, center, 0, r), cs, dn)
+        assert set(ways) == {True, False}
+
+    @pytest.mark.parametrize("n, d, seed, want", [
+        # digests of the scan-based construction
+        (16, Fraction(1, 8), 0, "33ba4c548af0dca3793b1ee7d0f2b9feda590a3f6af3fbed4ef85ce9f0950ef0"),
+        (16, Fraction(1, 8), 1, "5c42f4f17d2ac45f679293119a4b3ecdc0e759136ff17d1191c21edf03b46884"),
+        (16, Fraction(1, 8), 2, "9676bdd1a9cc090ae7e5b5fd6c6f57e3923e584608941b1700929bfc188c0aa1"),
+        (18, Fraction(1, 9), 0, "d7f249668bbf99f02aab7087c084237aac2e0469c45df2a93fa8d5a270921432"),
+    ])
+    def test_pinned_large_covers(self, n, d, seed, want):
+        r = cover_ball(spec(n), Fraction(1, 2), d, seed=seed)
+        h = hashlib.sha256(" ".join(c.to01() for c in r.centers).encode())
+        for sh in r.shells:
+            h.update(repr((sh.delta_shell, sh.offset, sh.centers_used,
+                           sh.draw_budget, sh.draws_used, sh.retries)).encode())
+        assert h.hexdigest() == want
+
+
+class TestVerifyCoverInputs:
+    def test_rejects_euclid_ball(self):
+        ball = Ball(DistortionSpec(EUCLID, 6), Fraction(1, 2), center=BitWord.zeros(6))
+        with pytest.raises(ValueError, match="hamming"):
+            verify_cover(ball, [BitWord.zeros(6)], Fraction(1, 6))
+
+    @pytest.mark.parametrize("length", [8, 40])
+    def test_rejects_centre_of_other_length(self, length):
+        ball = Ball(spec(6), Fraction(1, 2), center=BitWord.zeros(6))
+        with pytest.raises(ValueError, match="length"):
+            verify_cover(ball, [BitWord.zeros(6), BitWord.ones(length)], Fraction(1, 6))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            ball = Ball(spec(n), Fraction(rng.randint(0, n // 2), n),
+                        center=BitWord(n, rng.getrandbits(n)))
+            d = Fraction(rng.randint(0, n // 2), n)
+            cs = [BitWord(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5))]
+            missed = [m for m in ball.members() if all(c.hamming(m) > d * n for c in cs)]
+            assert verify_cover(ball, cs, d) == (not missed, missed[0] if missed else None)
