@@ -33,9 +33,10 @@ shell words still uncovered in the shell pass, the whole target when
 pruning and verifying.  The smaller of the two sizes decides; there is
 no constant to tune.  The shell pass resolves its draws in runs of 1,
 2, 4, ... draws, so a scan shrinks as the first runs cover the shell.
-Centers go through in chunks of at most _PAIR_CHUNK candidate pairs,
-which bounds every temporary to a few MiB; pruning alone holds its
-pairs, 4 bytes each, for its reverse pass.
+Centers go through in chunks of at most _PAIR_CHUNK candidate pairs, or
+of one center when its scan alone is longer, so no temporary holds more
+words than that; pruning alone keeps its pairs, 4 bytes each, for its
+reverse pass.
 """
 from __future__ import annotations
 
@@ -63,7 +64,9 @@ ALPHA_EXPONENT = 5          # the n^5 cap used in the size bound
 DEFAULT_DRAW_EXPONENT = 1   # the c in the n^(c+1) per-shell draw budget
 MAX_RETRIES = 32
 VERIFY_MAX_N = 24
-_PAIR_CHUNK = 1 << 16       # candidate (center, word) pairs held at once
+# candidate (center, word) pairs per chunk; over repeated cover-game ops
+# 2^16 and 2^17 raised the peak RSS by 1.6 and 3.6 MB over 2^14
+_PAIR_CHUNK = 1 << 14
 
 
 class CoverError(RuntimeError):
@@ -153,16 +156,19 @@ def _sample_weighted(rng: np.random.Generator, n: int, w: int, count: int) -> np
 
 @cache
 def _low_order(low: int) -> np.ndarray:
-    """The low-bit values sorted by weight, then value.  Built on first use."""
+    """The low-bit values sorted by weight, then value (read-only, shared)."""
     x = np.arange(1 << low, dtype=np.uint32)
-    return x[np.argsort(np.bitwise_count(x), kind="stable")]
+    order = x[np.argsort(np.bitwise_count(x), kind="stable")]
+    order.flags.writeable = False
+    return order
 
 
 @cache
 def _low_rank(low: int) -> np.ndarray:
-    """Each low-bit value's place in _low_order(low)."""
+    """Each low-bit value's place in _low_order(low) (read-only, shared)."""
     rank = np.empty(1 << low, dtype=np.int32)
     rank[_low_order(low)] = np.arange(1 << low, dtype=np.int32)
+    rank.flags.writeable = False
     return rank
 
 
