@@ -64,9 +64,10 @@ ALPHA_EXPONENT = 5          # the n^5 cap used in the size bound
 DEFAULT_DRAW_EXPONENT = 1   # the c in the n^(c+1) per-shell draw budget
 MAX_RETRIES = 32
 VERIFY_MAX_N = 24
-# candidate (center, word) pairs per chunk; over repeated cover-game ops
-# 2^16 and 2^17 raised the peak RSS by 1.6 and 3.6 MB over 2^14
-_PAIR_CHUNK = 1 << 14
+# candidate (center, word) pairs per chunk: over 30 cover-game ops, each
+# op's output kept until the next returns, 2^14 left a peak RSS 1.6 MB
+# above 2^13 (2^16 and 2^17 more still); 2^12 was no lower than 2^13
+_PAIR_CHUNK = 1 << 13
 
 
 class CoverError(RuntimeError):
@@ -216,11 +217,6 @@ class _Target:
         return self.start[u >> self.low] + _low_rank(self.low)[u & ((1 << self.low) - 1)]
 
 
-def _ball_offsets(n: int, r: int) -> np.ndarray:
-    """The radius-r ball around 0^n."""
-    return _Target(n, 0, 0, r).vals
-
-
 def _coverage(
     centers: np.ndarray,
     target: _Target,
@@ -236,7 +232,7 @@ def _coverage(
     than a scan would touch (the live slots, or the whole target), each
     center's ball is enumerated as center ^ offsets and its target words
     are ranked into slots; otherwise those slots are scanned.  A chunk
-    holds at most _PAIR_CHUNK candidate pairs.
+    holds at most _PAIR_CHUNK candidate pairs, or one center's scan.
     """
     scan = np.flatnonzero(live) if live is not None else None
     enumerate_ = len(offsets) < (target.size if scan is None else len(scan))
@@ -364,7 +360,7 @@ def cover_ball(
     size_bound = n**ALPHA_EXPONENT * b_delta // b_d + 1
     volume_lower = ceil(b_delta / b_d)
     shells: "list[ShellRecord]" = []
-    offsets = _ball_offsets(n, dn)
+    offsets = _Target(n, 0, 0, dn).vals  # the radius-dn ball around 0^n
 
     if deltan == dn:
         centers = [0]
@@ -456,7 +452,7 @@ def cover_space(
     dn = _radius_steps(spec, d)
     verified = None
     if n <= VERIFY_MAX_N:
-        vals = _prune_and_verify(_Target(n, 0, 0, n), vals, dn, n, _ball_offsets(n, dn))
+        vals = _prune_and_verify(_Target(n, 0, 0, n), vals, dn, n, _Target(n, 0, 0, dn).vals)
         verified = True
     return CoverResult(
         spec=spec,
@@ -497,7 +493,7 @@ def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[Bi
         raise ValueError("cover radius must be non-negative")
     r = _radius_steps(spec, target.radius)
     ball = _Target(n, target.center.value, 0, r)
-    bad = _first_uncovered(ball, [c.value for c in centers], dn, _ball_offsets(n, dn))
+    bad = _first_uncovered(ball, [c.value for c in centers], dn, _Target(n, 0, 0, dn).vals)
     if bad is None:
         return True, None
     return False, BitWord(n, bad)

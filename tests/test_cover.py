@@ -354,7 +354,7 @@ class TestCentreSide:
     @staticmethod
     def check(n, deltan, dn, seed):
         d = Fraction(dn, n)
-        offsets = cover._ball_offsets(n, dn)
+        offsets = cover._Target(n, 0, 0, dn).vals
         budget = n**2 * ball_cardinality(spec(n), Fraction(deltan, n)) // len(offsets) + 1
         centers = [0]
         for w in range(dn + 1, deltan + 1):
@@ -387,7 +387,7 @@ class TestCentreSide:
             center = rng.getrandbits(n)
             cs = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
             target = cover._Target(n, center, 0, r)
-            got = cover._first_uncovered(target, cs, dn, cover._ball_offsets(n, dn))
+            got = cover._first_uncovered(target, cs, dn, cover._Target(n, 0, 0, dn).vals)
             assert got == ref_first_uncovered(words(n, center, 0, r), cs, dn)
         assert set(ways) == {True, False}
 
