@@ -204,17 +204,21 @@ class _Target:
             piece = order[first[hi] : first[hi] + count[hi]] | np.uint32(hi << low)
             self.vals[start[hi] : start[hi] + count[hi]] = piece ^ self.center
 
-    def holds(self, w: np.ndarray) -> np.ndarray:
-        """Whether words u of the weights w are targets."""
-        if self.wlo == self.whi:
-            return w == self.wlo
-        if not self.wlo:
-            return w <= self.whi
-        return (w >= self.wlo) & (w <= self.whi)
-
-    def slots(self, u: np.ndarray) -> np.ndarray:
-        """The slots of target words, given as u = v ^ center."""
-        return self.start[u >> self.low] + _low_rank(self.low)[u & ((1 << self.low) - 1)]
+    def locate(self, u: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """(inside, slots) for words given as u = v ^ center: which are
+        targets, and the slots of those that are."""
+        # take() gathers about 40 % faster than fancy indexing here
+        rank = _low_rank(self.low)
+        if len(self.start) == 1:
+            # n <= 16: u is its low half, and the targets are the words
+            # ranked from -start[0] on, so a slot is in range exactly for them
+            slots = rank.take(u) + self.start[0]
+            inside = slots.view(np.uint32) < self.size
+            return inside, slots[inside]
+        w = np.bitwise_count(u)
+        inside = (w >= self.wlo) & (w <= self.whi)
+        u = u[inside]
+        return inside, self.start.take(u >> self.low) + rank.take(u & ((1 << self.low) - 1))
 
 
 def _coverage(
@@ -246,11 +250,10 @@ def _coverage(
         chunk = centers[lo : lo + step, None]
         if enumerate_:
             u = (chunk ^ target.center) ^ offsets
-            inside = target.holds(np.bitwise_count(u))
+            inside, slots = target.locate(u)
             per = np.count_nonzero(inside, axis=1)
-            slots = target.slots(u[inside])
             if live is not None:
-                keep = live[slots]
+                keep = live.take(slots)
                 rows = np.repeat(np.arange(len(chunk)), per)[keep]
                 per = np.bincount(rows, minlength=len(chunk))
                 slots = slots[keep]
@@ -334,12 +337,14 @@ def _prune(
         end -= len(per)
         bounds = np.concatenate(([0], np.cumsum(per)))
         shared = np.zeros(len(per), dtype=bool)
-        shared[per > 0] = np.minimum.reduceat(counts[slots], bounds[:-1][per > 0]) >= 2
+        shared[per > 0] = np.minimum.reduceat(counts.take(slots), bounds[:-1][per > 0]) >= 2
+        dropped = False  # until a drop in this chunk, shared is up to date
         for i in np.flatnonzero(shared)[::-1]:
             idx = slots[bounds[i] : bounds[i + 1]]
-            if counts[idx].min() >= 2:
+            if not dropped or counts.take(idx).min() >= 2:
                 keep[end + i] = False
                 counts[idx] -= 1
+                dropped = True
     return [c for c, k in zip(centers, keep) if k]
 
 

@@ -301,20 +301,20 @@ def words(n, center, wlo, whi):
 @pytest.fixture
 def ways(monkeypatch):
     """Record, per _coverage call, whether it enumerated balls (True: it
-    tested enumerated words for target membership) or scanned (False)."""
+    located enumerated words in the target) or scanned (False)."""
     seen, tests = [], [0]
-    holds, coverage = cover._Target.holds, cover._coverage
+    locate, coverage = cover._Target.locate, cover._coverage
 
-    def counted_holds(self, w):
+    def counted_locate(self, u):
         tests[0] += 1
-        return holds(self, w)
+        return locate(self, u)
 
     def spy(*args):
         before = tests[0]
         yield from coverage(*args)
         seen.append(tests[0] > before)
 
-    monkeypatch.setattr(cover._Target, "holds", counted_holds)
+    monkeypatch.setattr(cover._Target, "locate", counted_locate)
     monkeypatch.setattr(cover, "_coverage", spy)
     return seen
 
@@ -328,7 +328,12 @@ class TestTarget:
     def test_slots_number_the_shell_words(self, n, center, wlo, whi):
         t = cover._Target(n, center, wlo, whi)
         assert np.array_equal(np.sort(t.vals), words(n, center, wlo, whi))
-        assert np.array_equal(t.slots(t.vals ^ np.uint32(center)), np.arange(t.size))
+        u = np.arange(1 << n, dtype=np.uint32)
+        inside, slots = t.locate(u)
+        w = np.bitwise_count(u)
+        assert np.array_equal(inside, (w >= wlo) & (w <= whi))
+        assert np.array_equal(t.vals[slots], u[inside] ^ np.uint32(center))
+        assert np.array_equal(t.locate(t.vals ^ np.uint32(center))[1], np.arange(t.size))
 
 
 class TestCentreSide:
