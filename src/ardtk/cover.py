@@ -34,9 +34,9 @@ pruning and verifying.  The smaller of the two sizes decides; there is
 no constant to tune.  The shell pass resolves its draws in runs of 1,
 2, 4, ... draws, so a scan shrinks as the first runs cover the shell.
 Centers go through in chunks of at most _PAIR_CHUNK candidate pairs, or
-of one center when its scan alone is longer, so no temporary holds more
-words than that; pruning alone keeps its pairs, 4 bytes each, for its
-reverse pass.
+of one center when its candidates alone are more, so no temporary holds
+more words than that; pruning alone keeps its pairs, 4 bytes each, for
+its reverse pass.
 """
 from __future__ import annotations
 
@@ -236,7 +236,8 @@ def _coverage(
     than a scan would touch (the live slots, or the whole target), each
     center's ball is enumerated as center ^ offsets and its target words
     are ranked into slots; otherwise those slots are scanned.  A chunk
-    holds at most _PAIR_CHUNK candidate pairs, or one center's scan.
+    holds at most _PAIR_CHUNK candidate pairs, or one center's candidates
+    when they alone are more.
     """
     scan = np.flatnonzero(live) if live is not None else None
     enumerate_ = len(offsets) < (target.size if scan is None else len(scan))
