@@ -15,7 +15,15 @@ Methods:
 
 compress() tries every method eligible for the input size and keeps the
 shortest encoding (ties broken by the smaller tag), and codelength(x) is
-compress(x).bit_length, cached.  The methods run in the order raw,
+compress(x).bit_length, cached.  codelength(x, below) answers the
+question a search asks, whether x undercuts below: it returns the exact
+length when that is less than below, and otherwise some value of at
+least below.  It takes the exact, cached path when raw, or the floor on
+bitac set out below, is shorter than below.  Otherwise it runs only LZ
+and then BWT, each bounded by below: a method that declines is no
+candidate, and one that completes under below sends the word down the
+exact path.  When none does, it returns below without touching the
+cache, and no bitac coder runs.  The methods run in the order raw,
 bitac, lz, bwt, and each one after raw is given the length it has to
 undercut: the shortest codeword so far, plus one bit when that
 codeword's tag is larger, since a smaller tag wins a tie.  A method may
@@ -50,6 +58,20 @@ S > L* - 2 - 4096 log2(1 + 2^-14) > L* - 2.4, and codes to S + 2 bits.
 The floor is ceil(L* - 3) + 2, which leaves room for float error.  The
 same argument bounds S above by L* + 0.4, so the floor is never more
 than 3 bits below the coded length.
+
+The same argument gives bitac a floor in closed form.  Count the
+order-1 transitions n00, n01, n10, n11 of the word, the first bit
+following a virtual 0.  A context that sees a zeros and b ones under
+counts that start at 1 and 1 has the ideal adaptive length
+log2((a + b + 1)! / (a! b!)), and L* is the sum over the two contexts.
+Before each bit the span exceeds 2^30, and a bit of probability p
+shrinks it to at most p (1 + 1026 / 2^30) of itself, since a context
+total is at most _BITAC_MAX + 2 and so p >= 1/1026; each shift doubles
+it and the final span lies in (2^30, 2^32].  So a word of at most 1024
+bits takes S shifts with S > L* - 2 - 0.0014, and the codeword has
+header + S + 2 bits.  _bitac_floor returns header + ceil(L* - 2 - 1/64)
++ 2, the 1/64 for float error.  The same argument bounds S above by
+L* + 0.0014, so the floor is at most 2 bits below the codeword.
 
 The block sort compares rotations as slices of the doubled block below
 _BWT_DOUBLING_MIN (512) bytes and sorts them by numpy prefix doubling
@@ -520,6 +542,20 @@ def _bit_lengths(x: np.ndarray) -> np.ndarray:
     return np.frexp(x.astype(np.float64))[1].astype(np.uint64)
 
 
+def _bitac_floor(word: BitWord) -> int:
+    """A lower bound on the bitac codeword of word, at most 2 bits below
+    it (see the module docstring)."""
+    n, v = word.n, word.value
+    prev = v >> 1  # each bit's predecessor, a virtual 0 before the first
+    n11 = (v & prev).bit_count()
+    n01 = v.bit_count() - n11
+    n10 = prev.bit_count() - n11
+    n00 = n - n01 - n10 - n11
+    nats = (lgamma(n00 + n01 + 2) - lgamma(n00 + 1) - lgamma(n01 + 1)
+            + lgamma(n10 + n11 + 2) - lgamma(n10 + 1) - lgamma(n11 + 1))
+    return _header_bits(n) + ceil(nats / log(2) - 2 - 1 / 64) + 2
+
+
 def _decode_bitac(r: _BitReader, n: int) -> int:
     dec = _ArithmeticDecoder(r)
     c = [1, 1, 1, 1]
@@ -941,6 +977,11 @@ def _methods(n: int) -> "list[int]":
     return modes
 
 
+def _header_bits(n: int) -> int:
+    """The bits of the tag and the LEB128 length of an n-bit word."""
+    return 2 + 8 * max(1, -(-n.bit_length() // 7))
+
+
 def _encode(word: BitWord, mode: int, out: _BitWriter, bound: "int | None" = None) -> bool:
     """Write the codeword of word under mode to out; False when the method
     declines the word (see _encode_lz and _encode_bwt)."""
@@ -1005,9 +1046,33 @@ def _codelength_cached(n: int, value: int) -> int:
     return compress(BitWord(n, value)).bit_length
 
 
-def codelength(word: BitWord) -> int:
-    """compress(word).bit_length, cached by (n, value)."""
-    return _codelength_cached(word.n, word.value)
+def codelength(word: BitWord, below: "int | None" = None) -> int:
+    """compress(word).bit_length, cached by (n, value).
+
+    Given below, the exact length when it is less than below, and
+    otherwise some value of at least below (see the module docstring).
+    """
+    if below is None or _may_undercut(word, below):
+        return _codelength_cached(word.n, word.value)
+    return below
+
+
+def _may_undercut(word: BitWord, below: int) -> bool:
+    """False only when compress(word).bit_length >= below: raw and the
+    bitac floor reach below, and LZ and BWT decline or complete at or
+    above it."""
+    n = word.n
+    modes = _methods(n)
+    if _header_bits(n) + n < below:
+        return True
+    if MODE_BITAC in modes and _bitac_floor(word) < below:
+        return True
+    for mode in (MODE_LZ, MODE_BWT):
+        if mode in modes:
+            out = _BitWriter()
+            if _encode(word, mode, out, below) and out.bit_length < below:
+                return True
+    return False
 
 
 def conditional_codelength(x: BitWord, y: BitWord) -> int:

@@ -338,8 +338,10 @@ def denoise(
     extra = []
     if image_width is not None:
         seen = {x}
-        for rounds in (1, 2, 3):
-            f = majority_filter(x, image_width, rounds)
+        f = x
+        for _ in range(3):
+            # one more round on the last seed: 1, 2 and 3 rounds on x
+            f = majority_filter(f, image_width)
             if f not in seen:
                 extra.append(f)
                 seen.add(f)

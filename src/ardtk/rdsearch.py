@@ -13,6 +13,12 @@ constants, partial moves toward the constants, blockwise majority
 smoothings) is refined by bit-flip hill climbing.  Best-so-far score
 never increases during a run, and ties break toward the
 lexicographically least destination, so a fixed seed fixes the result.
+A word candidate is scored only as far as that comparison needs: the
+oracle is asked whether it beats the best so far (codelength's below),
+and a loser's exact length is computed only when no bound rules it
+out.  Each such question still counts as one evaluation, so results,
+traces and budgets are those of exact scoring.  List cylinders are
+scored exactly.
 
 Staircase shapes: g drawn from the family of integer functions on 0..n
 with g(n) = 0 and g(l-1) in {g(l), g(l)+1}; estimated curves are checked
@@ -152,6 +158,20 @@ def _euclid_pool(x: BitWord, lo: int, hi: int, rng: random.Random) -> "list[BitW
     return [BitWord(n, v) for v in pool]
 
 
+def _below(best: Optional[Candidate], y: BitWord) -> Optional[int]:
+    """The score y must stay under to beat best, ties going to the
+    smaller value; None scores the first candidate exactly.
+
+    The oracle returns the exact score under this limit and some score
+    at or above it otherwise.  A score kept for a revisit stays sound:
+    the limit never rises as the best improves, so a word that could not
+    beat best then cannot beat it later.
+    """
+    if best is None:
+        return None
+    return best.score + (y.value < best.destination.value)
+
+
 def _word_search(
     x: BitWord,
     spec: DistortionSpec,
@@ -169,7 +189,7 @@ def _word_search(
     if feasible_count <= budget:
         best = None
         for y in ball.members():
-            score = codelength(y)
+            score = codelength(y, _below(best, y))
             evals += 1
             if best is None or (score, y.value) < (best.score, best.destination.value):
                 best = Candidate(y, score, distance(spec, x, y))
@@ -206,7 +226,7 @@ def _word_search(
         if y.value not in seen:
             if evals >= budget:
                 return
-            seen[y.value] = codelength(y)
+            seen[y.value] = codelength(y, _below(best, y))
             evals += 1
         score = seen[y.value]
         if best is None or (score, y.value) < (best.score, best.destination.value):

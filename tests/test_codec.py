@@ -599,6 +599,51 @@ def test_lz_bound_declines_only_losers(kind, n, seed, data):
             assert length >= bound
 
 
+# -- bounded oracle -----------------------------------------------------------
+
+
+def _bitac_floor_words():
+    """Every word of up to 12 bits, then drawn words, constants and the
+    alternating word at lengths around the checkpoint steps and the
+    bitac cutoff."""
+    for n in range(1, 13):
+        for v in range(1 << n):
+            yield BitWord(n, v)
+    rng = random.Random(14)
+    for n in (13, 63, 64, 65, 255, 1000, 1023, 1024):
+        yield from (BitWord.zeros(n), BitWord.ones(n), BitWord.from_str(("01" * n)[:n]))
+        for kind in sorted(_WORD_KINDS):
+            for _ in range(6):
+                yield _WORD_KINDS[kind](rng, n)
+
+
+def test_bitac_floor_bounds_codeword():
+    for w in _bitac_floor_words():
+        floor = codec._bitac_floor(w)
+        assert floor <= codec._encode_with_mode(w, codec.MODE_BITAC).bit_length <= floor + 2, w
+
+
+@pytest.mark.parametrize("kind", sorted(_WORD_KINDS))
+@pytest.mark.parametrize("n", [12, 64, 256, 1024, 1025, 4096, 32768])
+def test_codelength_below_contract(kind, n):
+    w = _WORD_KINDS[kind](random.Random(n), n)
+    exact = compress(w).bit_length
+    for below in (0, 1, exact - 1, exact, exact + 1, 1 << 30):
+        codec.clear_cache()
+        got = codelength(w, below)
+        if exact < below:
+            assert got == exact, below
+        else:
+            assert got >= below, below
+
+
+def test_codelength_below_refuses_long_words():
+    w = BitWord(codec.MAX_WORD_BITS + 1, 0)
+    for below in (None, 0, 1 << 30):
+        with pytest.raises(ValueError, match="exceeds MAX_WORD_BITS"):
+            codelength(w, below)
+
+
 # -- conditional codelength ---------------------------------------------------
 
 

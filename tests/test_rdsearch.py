@@ -161,7 +161,7 @@ class TestSearchMinRate:
 
     def test_list_ties_go_to_the_smaller_cylinder(self, monkeypatch):
         spec = DistortionSpec(LIST, 8)
-        monkeypatch.setattr(rdsearch, "codelength", lambda w: 7)
+        monkeypatch.setattr(rdsearch, "codelength", lambda w, below=None: 7)
         c = search_min_rate(BitWord(8, 0x5A), spec, Fraction(8), budget=20, seed=0)
         assert c.destination.radius == 0 and c.score == 7
 
@@ -193,6 +193,53 @@ class TestSearchMinRate:
         assert distance(spec, x, c.destination) <= delta
         assert c.distortion == distance(spec, x, c.destination)
         assert c.score <= codelength(x)
+
+
+def _search_with_trace(x, spec, delta, budget, seed, extra):
+    codec.clear_cache()
+    trace = []
+    c = search_min_rate(x, spec, delta, budget, seed, extra_seeds=extra, trace=trace)
+    return c, trace
+
+
+def _assert_same_as_exact_oracle(x, spec, delta, budget, seed, extra=()):
+    """The bounded oracle gives the candidate, trace and evaluations of
+    an oracle that scores every word exactly."""
+    bounded = _search_with_trace(x, spec, delta, budget, seed, extra)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rdsearch, "codelength", lambda w, below=None: codelength(w))
+        exact = _search_with_trace(x, spec, delta, budget, seed, extra)
+    assert bounded == exact
+
+
+class TestBoundedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_search_matches_exact_oracle(self, data):
+        # n >= 64 brings in LZ, n >= 256 BWT, and n > 1024 leaves bitac out
+        n = data.draw(st.sampled_from([4, 7, 8, 12, 16, 64, 300, 1100]))
+        family = data.draw(st.sampled_from([HAMMING, EUCLID]))
+        spec = DistortionSpec(family, n)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        density = data.draw(st.sampled_from([1 / 16, 1 / 2]))
+        x = BitWord.from_bits(int(rng.random() < density) for _ in range(n))
+        if family == HAMMING:
+            delta = Fraction(data.draw(st.integers(0, n // 2)), n)
+        else:
+            delta = Fraction(data.draw(st.integers(0, 1 << 12)), 1 << 13)
+        budget = data.draw(st.integers(1, 40 if n > 64 else 100))
+        extra = [BitWord.random(rng, n) for _ in range(data.draw(st.integers(0, 2)))]
+        _assert_same_as_exact_oracle(x, spec, delta, budget,
+                                     data.draw(st.integers(0, 99)), extra)
+
+    @pytest.mark.parametrize("level", [5, 102])
+    def test_cross_levels_match_exact_oracle(self, level):
+        from ardtk.denoise import majority_filter, make_noisy_cross
+
+        _, noisy = make_noisy_cross(32, Fraction(1, 10), 0)
+        extra = [majority_filter(noisy, 32, rounds) for rounds in (1, 2)]
+        _assert_same_as_exact_oracle(noisy, DistortionSpec(HAMMING, 1024),
+                                     Fraction(level, 1024), 160, 0, extra)
 
 
 class TestDistortionRateCurve:
@@ -385,7 +432,7 @@ class TestBudgetAccounting:
     def calls(self, monkeypatch):
         count = [0]
 
-        def counted(w):
+        def counted(w, below=None):
             count[0] += 1
             return codelength(w)
 
