@@ -322,27 +322,6 @@ def write_manifest(out_dir: Path, args, argv, seed, inputs, outputs) -> Path:
     return path
 
 
-def _with_out_dir(argv: "list[str]", out_dir) -> "list[str]":
-    out = []
-    replaced = False
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok == "--out-dir":
-            out.extend(["--out-dir", str(out_dir)])
-            replaced = skip = True
-        elif tok.startswith("--out-dir="):
-            out.append(f"--out-dir={out_dir}")
-            replaced = True
-        else:
-            out.append(tok)
-    if not replaced:
-        out.extend(["--out-dir", str(out_dir)])
-    return out
-
-
 def run_replay(args) -> int:
     man_path = Path(args.manifest)
     doc = json.loads(man_path.read_text())
@@ -351,10 +330,9 @@ def run_replay(args) -> int:
         if actual != digest:
             raise ValueError(f"input {path} changed since the recorded run")
     new_dir = Path(args.out_dir) if args.out_dir else man_path.parent / "replay"
-    argv = _with_out_dir([str(t) for t in doc["argv"]], new_dir)
-    if "--seed" not in argv and not any(t.startswith("--seed=") for t in argv):
-        argv += ["--seed", str(doc["seed"])]
-    code = main(argv)
+    # argparse keeps the last value given for an option
+    argv = [str(t) for t in doc["argv"]]
+    code = main(argv + ["--out-dir", str(new_dir), "--seed", str(doc["seed"])])
     if code != 0:
         raise ValueError(f"replayed command exited {code}")
     ok = True
@@ -733,25 +711,17 @@ def run_compare(args, out_dir: Path, seed: int):
             "samples": report.samples,
             "budget": report.budget,
             "seed": report.seed,
-            "per_sample": [list(row) for row in report.per_sample],
-            "mean_curve": list(report.mean_curve),
-            "min_curve": list(report.min_curve),
-            "max_curve": list(report.max_curve),
-            "shannon_nR": list(report.shannon_nR),
+            "per_sample": report.per_sample,
+            "mean_curve": report.mean_curve,
+            "min_curve": report.min_curve,
+            "max_curve": report.max_curve,
+            "shannon_nR": report.shannon_nR,
             "delta1_slack": report.delta1_slack,
-            "delta2": None if report.delta2 is None else list(report.delta2),
-            "code_map_support": (
-                None
-                if report.code_map_support is None
-                else list(report.code_map_support)
-            ),
-            "exact_mean_curve": (
-                None
-                if report.exact_mean_curve is None
-                else list(report.exact_mean_curve)
-            ),
-            "lower_envelope": list(report.lower_envelope()),
-            "upper_envelope": list(report.upper_envelope()),
+            "delta2": report.delta2,
+            "code_map_support": report.code_map_support,
+            "exact_mean_curve": report.exact_mean_curve,
+            "lower_envelope": report.lower_envelope(),
+            "upper_envelope": report.upper_envelope(),
         },
     )
     csv_path = out_dir / "compare.csv"

@@ -4,36 +4,40 @@ Codeword layout (bit granular, MSB first):
 
     [2-bit method tag][LEB128 original bit length][method payload]
 
-Methods:
+Methods, with the word lengths each is eligible for:
 
-    0  raw      the input bits verbatim
-    1  bitac    adaptive binary arithmetic code, order-1 bit context
-    2  bwt      block sort (BWT) over the packed bytes, move-to-front,
-                zero-run coding, arithmetic code under an adaptive count
-                list over the 257 zero-run symbols
-    3  lz       greedy byte-level LZ with unbounded window
+    0  raw    any       the input bits verbatim
+    1  bitac  1..1024   adaptive binary arithmetic code, order-1 bit context
+    2  bwt    256..     block sort (BWT) over the packed bytes, move-to-front,
+                        zero-run coding, arithmetic code under an adaptive
+                        count list over the 257 zero-run symbols
+    3  lz     64..      greedy byte-level LZ with unbounded window
 
-compress() tries every method eligible for the input size and keeps the
+_methods(n) alone states those ranges: compress runs the methods it
+lists, and decompress refuses any other tag.  compress() keeps the
 shortest encoding (ties broken by the smaller tag), and codelength(x) is
-compress(x).bit_length, cached.  codelength(x, below) answers the
-question a search asks, whether x undercuts below: it returns the exact
-length when that is less than below, and otherwise some value of at
-least below.  It takes the exact, cached path when raw, or the floor on
-bitac set out below, is shorter than below.  Otherwise it runs only LZ
-and then BWT, each bounded by below: a method that declines is no
-candidate, and one that completes under below sends the word down the
-exact path.  When none does, it returns below without touching the
-cache, and no bitac coder runs.  The methods run in the order raw,
-bitac, lz, bwt, and each one after raw is given the length it has to
+compress(x).bit_length, cached.  The methods run in the order raw,
+bitac, lz, bwt, and each is given a bound, the length it has to
 undercut: the shortest codeword so far, plus one bit when that
-codeword's tag is larger, since a smaller tag wins a tie.  A method may
-give up once a lower bound on its own codeword reaches that length,
-since it can no longer win.  LZ counts the header and a byte for each
-literal and each token LEB it has parsed so far; BWT adds a floor on
-the next block's coded bits to the bits written so far.  Bitac always
-runs to the end: it is eligible only up to 1024 bits, and the
-checkpoints it leaves behind serve the next word (see below).  So the
-bounds change no codeword, only the time spent on losers.
+codeword's tag is larger, since a smaller tag wins a tie, and inf before
+any.  A method refuses a word by one rule only, once a lower bound on
+its own codeword reaches the bound, since it can then no longer win.
+Raw never refuses, nor does bitac: it is eligible only up to 1024 bits,
+and the checkpoints it leaves behind serve the next word (see below).
+LZ counts the header and a byte for each literal and each token LEB it
+has parsed so far; BWT adds a floor on the next block's coded bits to
+the bits written so far.  So the bounds change no codeword, only the
+time spent on losers, and under an inf bound every method writes its
+codeword in full.
+
+codelength(x, below) answers the question a search asks, whether x
+undercuts below: it returns the exact length when that is less than
+below, and otherwise some value of at least below.  It takes the exact,
+cached path when raw, or the floor on bitac set out below, is shorter
+than below.  Otherwise it runs only LZ and then BWT, each bounded by
+below: a method that refuses is no candidate, and one that completes
+under below sends the word down the exact path.  When none does, it
+returns below without touching the cache, and no bitac coder runs.
 
 The BWT model is a plain list of 257 counts, every one starting at 1:
 each coded symbol adds 32 to its count, and once the total passes 2^16
@@ -115,7 +119,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import ceil, inf, lgamma, log, log2
+from math import ceil, inf, lgamma, log
 
 import numpy as np
 
@@ -498,11 +502,11 @@ def length_table(n: int) -> np.ndarray:
     """compress(BitWord(n, v)).bit_length for every v < 2^n, as int64,
     for 1 <= n <= LENGTH_TABLE_MAX_N.
 
-    Below _LZ_MIN only raw (10 + n bits) and bitac are eligible.  The
+    Below _LZ_MIN only raw (header + n bits) and bitac are eligible.  The
     bitac coder's state after p bits depends on those p bits alone, so it
     runs over the 2^p prefixes at once, each splitting into its two
     extensions at the next bit, and _renormalise's closed form counts the
-    k + u bits each step shifts out.  A bitac codeword is the 10-bit header,
+    k + u bits each step shifts out.  A bitac codeword is the header,
     those shifts and the 2 bits of _finish.  codelength does not read this
     table; it stays the one cached oracle.
     """
@@ -534,7 +538,8 @@ def length_table(n: int) -> np.ndarray:
         low = (low << u) & (half - one)
         high = ((high << u) & (half - one)) | half | ((one << u) - one)
         shifted = np.repeat(shifted, 2) + k + u
-    return np.minimum(10 + n, 12 + shifted).astype(np.int64)
+    header = _header_bits(n)
+    return np.minimum(header + n, header + 2 + shifted).astype(np.int64)
 
 
 def _bit_lengths(x: np.ndarray) -> np.ndarray:
@@ -746,14 +751,6 @@ def _zle_flush_zeros(out: bytearray, run: int, limit: int):
     out.extend(b"\x00" * run)
 
 
-def _entropy_bits(hist: Counter, count: int) -> float:
-    h = 0.0
-    for c in hist.values():
-        p = c / count
-        h -= p * log2(p)
-    return h * count
-
-
 # Between two rescales the model codes symbol i of the segment with total
 # T + _ZLE_INC * i and the j-th repeat of a symbol with count
 # c + _ZLE_INC * j, where T and c are the counts the segment starts from:
@@ -812,9 +809,8 @@ def _encode_zle(syms, out: _BitWriter):
     _finish(low, pending, out)
 
 
-def _encode_bwt(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> bool:
-    """Returns False when the entropy pre-gate predicts a hopeless encode,
-    or, given bound, once the bits written plus the next block's floor
+def _encode_bwt(word: BitWord, out: _BitWriter, bound: float) -> bool:
+    """Returns False once the bits written plus the next block's floor
     reach bound, so that this method cannot come out shorter."""
     packed = word.to_bytes()
     bs = BWT_BLOCK_BITS // 8
@@ -822,13 +818,9 @@ def _encode_bwt(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> b
         block = packed[off : off + bs]
         last, idx = _bwt_encode(block)
         syms = _zle_encode(_mtf_encode(last))
-        hist = Counter(syms)
-        # incompressible blocks would only waste coder time; let raw win
-        if _entropy_bits(hist, len(syms)) + 64 > 8 * len(block):
-            return False
         out.write_leb(idx)
         out.write_leb(len(syms))
-        if bound is not None and out.bit_length + _zle_floor(syms, hist) >= bound:
+        if out.bit_length + _zle_floor(syms, Counter(syms)) >= bound:
             return False
         _encode_zle(syms, out)
     return True
@@ -877,8 +869,8 @@ def _decode_bwt(r: _BitReader, n: int) -> int:
 # method 3: greedy LZ over the packed bytes
 
 
-def _encode_lz(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> bool:
-    """Returns False, given bound, once the bits written so far and a
+def _encode_lz(word: BitWord, out: _BitWriter, bound: float) -> bool:
+    """Returns False once the bits written so far and a
     byte for each literal and each token LEB parsed, the literal count of
     the open token included, reach bound, so that this method cannot come
     out shorter."""
@@ -888,8 +880,6 @@ def _encode_lz(word: BitWord, out: _BitWriter, bound: "int | None" = None) -> bo
     pos = 0
     lit_start = 0
     tokens = []  # (lit_start, lit_end, match_len, dist)
-    if bound is None:
-        bound = inf
     spent = out.bit_length + 8
     while pos < n:
         match_len = 0
@@ -982,9 +972,9 @@ def _header_bits(n: int) -> int:
     return 2 + 8 * max(1, -(-n.bit_length() // 7))
 
 
-def _encode(word: BitWord, mode: int, out: _BitWriter, bound: "int | None" = None) -> bool:
-    """Write the codeword of word under mode to out; False when the method
-    declines the word (see _encode_lz and _encode_bwt)."""
+def _encode(word: BitWord, mode: int, out: _BitWriter, bound: float = inf) -> bool:
+    """Write the codeword of word under mode to out; False when LZ or BWT
+    declines the word because its codeword cannot come out under bound."""
     out.write_bits(mode, 2)
     out.write_leb(word.n)
     if mode == MODE_RAW:
@@ -1008,7 +998,7 @@ def compress(word: BitWord) -> Codeword:
     for mode in _methods(word.n):
         out = _BitWriter()
         # the length to undercut; a smaller tag wins a tie
-        bound = min((bits + (m > mode) for bits, m, _ in found), default=None)
+        bound = min((bits + (m > mode) for bits, m, _ in found), default=inf)
         if _encode(word, mode, out, bound):
             found.append((out.bit_length, mode, out))
     return Codeword(*min(found)[2].getvalue())
@@ -1022,21 +1012,17 @@ def decompress(cw: Codeword) -> BitWord:
     n = r.read_leb()
     if n > MAX_WORD_BITS:
         raise MalformedCodewordError("implausible original length")
+    if mode not in _methods(n):
+        raise MalformedCodewordError("length out of range for method")
     if mode == MODE_RAW:
         if r.pos + n > cw.bit_length:
             raise MalformedCodewordError("raw payload truncated")
         value = r.read_bits(n)
     elif mode == MODE_BITAC:
-        if n == 0 or n > _BITAC_MAX:
-            raise MalformedCodewordError("length out of range for method")
         value = _decode_bitac(r, n)
     elif mode == MODE_BWT:
-        if n < _BWT_MIN:
-            raise MalformedCodewordError("length out of range for method")
         value = _decode_bwt(r, n)
     else:
-        if n < _LZ_MIN:
-            raise MalformedCodewordError("length out of range for method")
         value = _decode_lz(r, n)
     return BitWord(n, value)
 

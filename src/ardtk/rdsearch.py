@@ -182,19 +182,27 @@ def _word_search(
     trace: Optional[list],
 ):
     n = spec.n
-    ball = Ball(spec, delta, center=x)
-    feasible_count = ball.cardinality()
+    seen: "dict[int, int]" = {}
+    best = None
     evals = 0
 
-    if feasible_count <= budget:
-        best = None
-        for y in ball.members():
-            score = codelength(y, _below(best, y))
+    def consider(y: BitWord):
+        nonlocal best, evals
+        if y.value not in seen:
+            if evals >= budget:
+                return
+            seen[y.value] = codelength(y, _below(best, y))
             evals += 1
-            if best is None or (score, y.value) < (best.score, best.destination.value):
-                best = Candidate(y, score, distance(spec, x, y))
-                if trace is not None:
-                    trace.append((evals, best.score))
+        score = seen[y.value]
+        if best is None or (score, y.value) < (best.score, best.destination.value):
+            best = Candidate(y, score, distance(spec, x, y))
+            if trace is not None:
+                trace.append((evals, best.score))
+
+    ball = Ball(spec, delta, center=x)
+    if ball.cardinality() <= budget:
+        for y in ball.members():
+            consider(y)
         return best, evals
 
     rng = random.Random(seed)
@@ -217,22 +225,6 @@ def _word_search(
             pool.append(_project_hamming(x, w, max_flips))
         elif distance(spec, x, w) <= delta:
             pool.append(w)
-
-    seen: "dict[int, int]" = {}
-    best = None
-
-    def consider(y: BitWord):
-        nonlocal best, evals
-        if y.value not in seen:
-            if evals >= budget:
-                return
-            seen[y.value] = codelength(y, _below(best, y))
-            evals += 1
-        score = seen[y.value]
-        if best is None or (score, y.value) < (best.score, best.destination.value):
-            best = Candidate(y, score, distance(spec, x, y))
-            if trace is not None:
-                trace.append((evals, best.score))
 
     for y in pool:
         consider(y)
@@ -263,7 +255,8 @@ def _list_search(
     the score falls by about a bit per level on an incompressible x.
     Ties go to the smaller t.  start is (t0, best): the cylinders below
     t0 are scored already and best is the best of them, so the search
-    scores only t >= t0.
+    scores only t >= t0.  The radius cap budget - 1 is absolute: it does
+    not grow with t0, so a curve at budget b is flat past radius b - 1.
     """
     t0, best = start
     evals = 0
@@ -397,7 +390,10 @@ def canonical_estimate(
 
     The list family's cylinders at one level include those of every
     lower level, so its curve scores each cylinder once and carries the
-    best across levels: a full grid costs n + 1 evaluations.
+    best across levels: a full grid costs min(n, budget - 1) + 1
+    evaluations.  The radius stays within budget - 1 at every level, not
+    budget - 1 past the last level scored, so past l = budget - 1 the
+    list curve is flat.
     """
     n = spec.n
     if any(not 0 <= l <= n for l in l_grid):
