@@ -114,22 +114,16 @@ def _flip_mask(n: int, positions) -> int:
     return mask
 
 
-def _hamming_pool(x: BitWord, max_flips: int, rng: random.Random) -> "list[BitWord]":
+def _hamming_base(x: BitWord) -> tuple:
+    """The parts of x's Hamming pool that no level changes: the positions
+    of x's ones and of its zeros, and x's dyadic majority smoothings."""
     n = x.n
-    pool = [x, BitWord.zeros(n), BitWord.ones(n)]
     bits = x.to01()
     ones = [i for i, b in enumerate(bits) if b == "1"]
     zeros = [i for i, b in enumerate(bits) if b == "0"]
-    for positions in (ones, zeros):
-        take = min(len(positions), max_flips)
-        head = _flip_mask(n, positions[:take])
-        tail = _flip_mask(n, positions[len(positions) - take:])
-        pool += [BitWord(n, x.value ^ head), BitWord(n, x.value ^ tail)]
-        for _ in range(4):
-            pick = rng.sample(positions, take) if take else []
-            pool.append(BitWord(n, x.value ^ _flip_mask(n, pick)))
-    # dyadic majority smoothings: a block of width bits (the last one
-    # shorter) turns to ones when more than half of its bits are ones
+    # a block of width bits (the last one shorter) turns to ones when
+    # more than half of its bits are ones
+    smoothed = []
     width = 2
     while width <= n:
         v = 0
@@ -139,8 +133,28 @@ def _hamming_pool(x: BitWord, max_flips: int, rng: random.Random) -> "list[BitWo
             block = (1 << size) - 1
             if 2 * (x.value >> shift & block).bit_count() > size:
                 v |= block << shift
-        pool.append(BitWord(n, v))
+        smoothed.append(BitWord(n, v))
         width *= 2
+    return ones, zeros, smoothed
+
+
+def _hamming_pool(
+    x: BitWord, max_flips: int, rng: random.Random, base: Optional[tuple] = None
+) -> "list[BitWord]":
+    """The starting pool at max_flips; base is _hamming_base(x), built
+    here when not given."""
+    n = x.n
+    ones, zeros, smoothed = _hamming_base(x) if base is None else base
+    pool = [x, BitWord.zeros(n), BitWord.ones(n)]
+    for positions in (ones, zeros):
+        take = min(len(positions), max_flips)
+        head = _flip_mask(n, positions[:take])
+        tail = _flip_mask(n, positions[len(positions) - take:])
+        pool += [BitWord(n, x.value ^ head), BitWord(n, x.value ^ tail)]
+        for _ in range(4):
+            pick = rng.sample(positions, take) if take else []
+            pool.append(BitWord(n, x.value ^ _flip_mask(n, pick)))
+    pool += smoothed
     return [_project_hamming(x, y, max_flips) for y in pool]
 
 
@@ -180,6 +194,7 @@ def _word_search(
     seed: int,
     extra_seeds: "Iterable[BitWord]",
     trace: Optional[list],
+    hamming_base: Optional[tuple],
 ):
     n = spec.n
     seen: "dict[int, int]" = {}
@@ -208,7 +223,7 @@ def _word_search(
     rng = random.Random(seed)
     if spec.family == HAMMING:
         max_flips = _radius_steps(spec, delta)
-        pool = _hamming_pool(x, max_flips, rng)
+        pool = _hamming_pool(x, max_flips, rng, hamming_base)
 
         def neighbor(y: BitWord) -> BitWord:
             return _project_hamming(x, y.flip(rng.randrange(n)), max_flips)
@@ -279,6 +294,7 @@ def search_min_rate(
     seed: int,
     extra_seeds: "Iterable[BitWord]" = (),
     trace: Optional[list] = None,
+    hamming_base: Optional[tuple] = None,
 ) -> Candidate:
     """Best-found destination within distortion delta of x.
 
@@ -290,7 +306,9 @@ def search_min_rate(
 
     trace, when given, receives (evaluations so far, best score) at each
     improvement and once more at the end, so its last entry holds the
-    evaluations the search spent.
+    evaluations the search spent.  hamming_base, when given, is
+    _hamming_base(x), built once by a caller that searches x at many
+    levels.
     """
     delta = Fraction(delta)
     if budget < 1:
@@ -302,7 +320,9 @@ def search_min_rate(
     if spec.family == LIST:
         best, evals = _list_search(x, spec, delta, budget, trace)
     else:
-        best, evals = _word_search(x, spec, delta, budget, seed, extra_seeds, trace)
+        best, evals = _word_search(
+            x, spec, delta, budget, seed, extra_seeds, trace, hamming_base
+        )
     if trace is not None:
         trace.append((evals, best.score))
     return best
@@ -337,13 +357,14 @@ def distortion_rate_curve(
     else:
         search_levels = [Fraction(l) for l in levels]
     extra_seeds = tuple(extra_seeds)
+    base = _hamming_base(x) if spec.family == HAMMING else None
     pool: "dict" = {}
     used = 0
     for i, level in enumerate(search_levels):
         trace: list = []
         cand = search_min_rate(
             x, spec, level, budget, _child_seed(seed, i),
-            extra_seeds=extra_seeds, trace=trace,
+            extra_seeds=extra_seeds, trace=trace, hamming_base=base,
         )
         used += trace[-1][0]
         key = cand.digest()
@@ -407,6 +428,7 @@ def canonical_estimate(
     best_bits = math.inf
     best_cand = None
     scored = (0, None)  # list family: (cylinders scored, best of them)
+    base = _hamming_base(x) if spec.family == HAMMING else None
     for l in l_grid:
         delta = radius_for_log_cardinality(spec, l)
         if spec.family == LIST:
@@ -415,7 +437,8 @@ def canonical_estimate(
         else:
             trace: list = []
             cand = search_min_rate(
-                x, spec, delta, budget, _child_seed(seed, l), trace=trace
+                x, spec, delta, budget, _child_seed(seed, l), trace=trace,
+                hamming_base=base,
             )
             evals = trace[-1][0]
         used += evals

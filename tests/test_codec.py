@@ -2,7 +2,8 @@ import hashlib
 import random
 from collections import Counter
 from datetime import timedelta
-from math import ceil, lgamma, log
+from fractions import Fraction
+from math import ceil, inf, lgamma, log
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ardtk.bits import BitWord
 from ardtk import codec
+from ardtk.denoise import default_denoise_levels, make_noisy_cross
+from ardtk.distortion import HAMMING, DistortionSpec
+from ardtk.rdsearch import distortion_rate_curve
 from ardtk.codec import (
     Codeword,
     MalformedCodewordError,
@@ -133,8 +137,7 @@ def test_codec_output_pinned():
 
 
 def _bwt_block_symbols(block: bytes) -> int:
-    last, _ = codec._bwt_encode(block)
-    return len(codec._zle_encode(codec._mtf_encode(last)))
+    return len(codec._bwt_symbols(block)[0])
 
 
 # sha256 over the MODE_BWT encodings of sparse words whose blocks run past
@@ -157,20 +160,36 @@ def test_bwt_rescale_output_pinned():
     assert h.hexdigest() == PINNED_RESCALE_DIGEST
 
 
+def _slice_order(block: bytes) -> "list[int]":
+    """The reference block sort: the rotations of block in sorted order,
+    identical rotations by index, each compared as a slice of the doubled
+    block."""
+    n = len(block)
+    doubled = block + block
+    return sorted(range(n), key=lambda i: doubled[i : i + n])
+
+
+def _bwt_last(block: bytes) -> bytes:
+    """The last column of block's BWT, from the reference sort."""
+    return bytes(block[i - 1] for i in _slice_order(block))
+
+
+def _symbols_to_last(syms, n: int) -> bytes:
+    return bytes(codec._mtf_decode(codec._zle_decode(syms, n)))
+
+
 def test_bwt_mtf_zle_stages():
     rng = random.Random(11)
     for trial in range(50):
         data = bytes(rng.randrange(256) for _ in range(rng.randint(1, 200)))
-        last, idx = codec._bwt_encode(data)
+        syms, idx = codec._bwt_symbols(data)
+        last = _symbols_to_last(syms, len(data))
+        assert last == _bwt_last(data)
         assert codec._bwt_decode(last, idx) == data
-        mtf = codec._mtf_encode(data)
-        assert bytes(codec._mtf_decode(mtf)) == data
-        syms = codec._zle_encode(mtf)
-        assert codec._zle_decode(syms, len(mtf)) == mtf
     # periodic input: all rotations collide
     data = b"\xaa" * 32
-    last, idx = codec._bwt_encode(data)
-    assert codec._bwt_decode(last, idx) == data
+    syms, idx = codec._bwt_symbols(data)
+    assert codec._bwt_decode(_symbols_to_last(syms, 32), idx) == data
 
 
 @st.composite
@@ -205,11 +224,36 @@ def _sort_blocks(draw) -> bytes:
 @example(b"\xaa\x55" * 2048)
 def test_bwt_doubling_sort_matches_slice_sort(block):
     # the slice sort is the reference; identical rotations keep index order
-    order = codec._bwt_order_slices(block)
+    order = _slice_order(block)
     assert list(codec._bwt_order_doubling(block)) == order
-    last = bytes(block[i - 1] for i in order)
-    assert codec._bwt_encode(block) == (last, order.index(0))
-    assert codec._bwt_decode(last, order.index(0)) == block
+    assert list(codec._bwt_order_rows(block)) == order
+    syms, idx = codec._bwt_symbols(block)
+    last = _symbols_to_last(syms, len(block))
+    assert (last, idx) == (bytes(block[i - 1] for i in order), order.index(0))
+    assert codec._bwt_decode(last, idx) == block
+
+
+@given(_sort_blocks())
+@settings(max_examples=100, deadline=None)
+@example(bytes(300))
+@example(b"\x07" * 300)
+@example(b"\x07" * 600)
+def test_bwt_symbols_give_back_the_last_column(block):
+    syms, _ = codec._bwt_symbols(block)
+    assert _symbols_to_last(syms, len(block)) == _bwt_last(block)
+
+
+@given(st.binary(max_size=700))
+@settings(max_examples=150, deadline=None)
+@example(b"\x00")
+@example(bytes(5) + b"\x03\x03\x00")
+@example(b"\x00\x01\x00\x00\x00\x01")
+def test_zero_run_symbols_invert(last):
+    # a last column that starts with 0 opens with a zero run
+    syms = codec._zero_run_symbols(last)
+    assert _symbols_to_last(syms, len(last)) == last
+    if last[:1] == b"\x00":
+        assert syms[0] in (codec._ZLE_RUNA, codec._ZLE_RUNB)
 
 
 # -- codelength contracts ----------------------------------------------------
@@ -636,6 +680,103 @@ def test_codelength_below_contract(kind, n):
             assert got == exact, below
         else:
             assert got >= below, below
+
+
+@pytest.mark.parametrize("kind", sorted(_WORD_KINDS))
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_codelength_below_contract_on_a_warm_cache(kind, n):
+    # refusals and exact lengths the oracle remembers answer later bounds
+    w = _WORD_KINDS[kind](random.Random(n + 1), n)
+    exact = compress(w).bit_length
+    rng = random.Random(n)
+    descending = [exact, exact - 1, exact - 9, exact // 2, 1, 0]
+    drawn = [rng.randint(0, exact + 16) for _ in range(16)]
+    codec.clear_cache()
+    for below in descending + drawn + [exact, None]:
+        got = codelength(w, below)
+        if below is None or exact < below:
+            assert got == exact, below
+        else:
+            assert got >= below, below
+
+
+def test_codelength_below_zero_on_a_cold_cache():
+    # a refusal under 0 says nothing and must not read as a length later
+    w = BitWord.random(random.Random(47), 1024)
+    exact = compress(w).bit_length
+    codec.clear_cache()
+    for below in (-3, -1, 0, 5, exact + 1):
+        got = codelength(w, below)
+        assert got == exact if exact < below else got >= below, below
+    assert codelength(w) == exact
+
+
+def _count_encodes(monkeypatch) -> list:
+    """Route codec._encode through a wrapper that lists each call's
+    (word, mode, bound, result)."""
+    calls = []
+    encode = codec._encode
+
+    def counting(word, mode, out, bound=inf):
+        ok = encode(word, mode, out, bound)
+        calls.append((word, mode, bound, ok))
+        return ok
+
+    monkeypatch.setattr(codec, "_encode", counting)
+    return calls
+
+
+def test_codelength_remembers_refusals(monkeypatch):
+    w = BitWord.random(random.Random(41), 1024)
+    exact = compress(w).bit_length
+    calls = _count_encodes(monkeypatch)
+    codec.clear_cache()
+    assert codelength(w, exact) >= exact
+    assert [mode for _, mode, _, _ in calls] == [codec.MODE_LZ, codec.MODE_BWT]
+    calls.clear()
+    for below in (exact, exact - 1, exact // 2, 0):
+        assert codelength(w, below) == below
+    assert calls == []
+    # a larger bound is a new question
+    assert codelength(w, exact + 1) == exact
+    assert calls
+    calls.clear()
+    assert codelength(w, exact - 1) == exact
+    assert calls == []
+
+
+def test_clear_cache_forgets_refusals(monkeypatch):
+    w = BitWord.random(random.Random(43), 1024)
+    exact = compress(w).bit_length
+    calls = _count_encodes(monkeypatch)
+    codec.clear_cache()
+    codelength(w, exact)
+    first = len(calls)
+    codec.clear_cache()
+    assert codelength(w, exact) >= exact
+    assert first and len(calls) == 2 * first
+
+
+def test_no_block_pass_at_a_refused_bound(monkeypatch):
+    # the oracle counts calls, not seconds: over a denoising curve, no
+    # word's BWT block pass runs at a bound at or under one that BWT
+    # already refused it at
+    n = 1024
+    _, noisy = make_noisy_cross(32, Fraction(1, 10), 0)
+    calls = _count_encodes(monkeypatch)
+    codec.clear_cache()
+    distortion_rate_curve(noisy, DistortionSpec(HAMMING, n), None, 40, 0,
+                          levels=default_denoise_levels(n))
+    refused = {}
+    passes = 0
+    for word, mode, bound, ok in calls:
+        if mode != codec.MODE_BWT:
+            continue
+        passes += 1
+        assert bound > refused.get(word.value, -1), (word.value, bound)
+        if not ok:
+            refused[word.value] = bound
+    assert passes and refused
 
 
 def test_codelength_below_refuses_long_words():
