@@ -29,6 +29,14 @@ are popcounts of mask intersections.  Sparser streams, such as the repeat
 and balls adversaries at n = 16, keep frozensets of word values and a
 dict of counts, whose cost follows the set sizes.  Both forms give the
 same marks.  The transcript lists each set as a sorted tuple of BitWords.
+
+Each set is read once at Python speed.  play_game checks its elements
+with _as_words, sorts their values as a uint16 array (sorted() for a set
+of a few dozen words) and builds the transcript tuple from that order;
+until the form is picked, a set keeps either those sorted values or,
+when it is smaller, its mask, and never more than its tuple's size.
+verify_transcript takes the values of a tuple of BitWords of length n in
+one pass and sends any other set through _as_words.
 """
 from __future__ import annotations
 
@@ -36,7 +44,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence, Sized
+from typing import Iterable, Optional, Sequence, Sized
 
 import numpy as np
 
@@ -50,6 +58,10 @@ GAME_MAX_N = 16
 
 # bytes a frozenset of word values takes per word, about (CPython); see _form
 _SET_BYTES_PER_WORD = 64
+
+# a set of fewer words is sorted by sorted(), at least as fast there as a
+# numpy sort with its per-call cost; see _read_set
+_NUMPY_SORT_MIN = 32
 
 
 class GameOverflowError(RuntimeError):
@@ -158,6 +170,12 @@ def _as_words(alice_set, n: int) -> "dict[int, BitWord]":
     return words
 
 
+def _mask_positions(mask: int, n: int) -> np.ndarray:
+    """The positions of the set bits of a 2^n-bit mask, ascending."""
+    data = np.frombuffer(mask.to_bytes(((1 << n) + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+
+
 class _Masks:
     """Sets as ints of 2^n bits, bit v set iff word v is in the set."""
 
@@ -165,9 +183,12 @@ class _Masks:
     size = int.bit_count        # size(s): how many words s holds
 
     @staticmethod
-    def make(values: "Collection[int]", n: int) -> int:
+    def make(values: "int | Sequence[int]", n: int) -> int:
+        """The mask of a set given by its word values, or by its mask."""
+        if isinstance(values, int):
+            return values
         flags = np.zeros(1 << n, np.uint8)
-        flags[np.fromiter(values, np.intp, len(values))] = 1
+        flags[np.asarray(values, np.intp)] = 1
         return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
     @staticmethod
@@ -213,7 +234,12 @@ class _Sets:
     least = min                 # least(s): the least word value in s
 
     @staticmethod
-    def make(values: "Collection[int]", n: int) -> "frozenset[int]":
+    def make(values: "int | Sequence[int]", n: int) -> "frozenset[int]":
+        """As _Masks.make."""
+        if isinstance(values, int):
+            values = _mask_positions(values, n)
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
         return frozenset(values)
 
     @staticmethod
@@ -244,6 +270,39 @@ def _form(alice_sets: "Sequence[Sized]", n: int):
     if len(alice_sets) << n <= 8 * _SET_BYTES_PER_WORD * words:
         return _Masks
     return _Sets
+
+
+def _read_set(alice_set, n: int) -> "tuple[tuple[BitWord, ...], int | Sequence[int]]":
+    """One of Alice's sets as its transcript tuple, the words sorted by
+    value, and what is kept of it until its form is built: its sorted
+    values, or its mask when that is smaller.
+
+    _as_words is the one Python pass over the elements; the sort, the
+    tuple and the mask run at C speed.  The values are sorted as a uint16
+    array, 2 bytes a word where the tuple holds 8; a set of 2^n/16 words
+    or more keeps its 2^n-bit mask instead.  A set of fewer than
+    _NUMPY_SORT_MIN words, where numpy's per-call cost is larger than the
+    sort, is sorted by sorted() and keeps a tuple of its values.
+    """
+    words = _as_words(alice_set, n)
+    if len(words) < _NUMPY_SORT_MIN:
+        values = tuple(sorted(words))
+        return tuple(map(words.__getitem__, values)), values
+    keys = np.fromiter(words, np.uint16, len(words))
+    keys.sort()
+    ordered = tuple(map(words.__getitem__, keys.tolist()))
+    if 1 << n <= 16 * len(keys):
+        return ordered, _Masks.make(keys, n)
+    return ordered, keys
+
+
+def _transcript_values(alice_set, n: int) -> "list[int]":
+    """The values of a transcript's set: one pass when every element is a
+    BitWord of length n (a subclass is not), else through _as_words."""
+    values = [w.value for w in alice_set if type(w) is BitWord and w.n == n]
+    if len(values) != len(alice_set):
+        values = list(_as_words(alice_set, n))
+    return values
 
 
 def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...]":
@@ -290,7 +349,7 @@ def bob_deterministic_step(history, params: GameParams) -> "tuple[int, ...]":
     if len(word_sets) > params.max_moves:
         raise GameOverflowError(f"move {len(word_sets)} exceeds limit {params.max_moves}")
     form = _form(word_sets, params.n)
-    return _greedy_marks([form.make(ws, params.n) for ws in word_sets], params, form)
+    return _greedy_marks([form.make(list(ws), params.n) for ws in word_sets], params, form)
 
 
 def bob_probabilistic_step(params: GameParams, rng) -> bool:
@@ -311,6 +370,10 @@ def play_game(
     alice yields collections of BitWords (or raw values).  The whole
     stream is read before Bob's first move, to pick the form the sets are
     held in; his marks at move t still depend on her first t sets only.
+    Each set is read once (_read_set): its transcript tuple lists the
+    first element with each value, sorted, and until its form is built
+    the set keeps its sorted values as a uint16 array, or its mask when
+    that is smaller, and never its intake dict.
     Raises GameOverflowError on the 2^k-th set, and ValueError before
     drawing any set when n > GAME_MAX_N.
     """
@@ -318,22 +381,24 @@ def play_game(
     if strategy not in ("det", "prob"):
         raise ValueError("strategy must be 'det' or 'prob'")
     alice_sets: "list[tuple[BitWord, ...]]" = []
+    kept: "list[int | Sequence[int]]" = []
     for raw in alice:
         if len(alice_sets) == params.max_moves:
             raise GameOverflowError(
                 f"adversary produced move {params.max_moves + 1}; "
                 f"limit is {params.max_moves}"
             )
-        words = _as_words(raw, params.n)
-        alice_sets.append(tuple(map(words.__getitem__, sorted(words))))
+        alice_set, values = _read_set(raw, params.n)
+        alice_sets.append(alice_set)
+        kept.append(values)
     form = _form(alice_sets, params.n)
     rng = random.Random(seed) if strategy == "prob" else None
     tr = GameTranscript(params=params, strategy=strategy, seed=seed)
     sets: "list" = []
     add = form.counter(params.frequency_threshold, params.n)
     frequent, covered = form.empty(), form.empty()
-    for t, alice_set in enumerate(alice_sets, start=1):
-        sets.append(form.make([w.value for w in alice_set], params.n))
+    for t, (alice_set, values) in enumerate(zip(alice_sets, kept), start=1):
+        sets.append(form.make(values, params.n))
         frequent |= add(sets[-1])
         if strategy == "det":
             marks = _greedy_marks(sets, params, form)
@@ -369,7 +434,7 @@ def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
     frequent, covered = form.empty(), form.empty()
     sets: "list" = []
     for t, move in enumerate(tr.moves, start=1):
-        sets.append(form.make(_as_words(move.alice_set, params.n), params.n))
+        sets.append(form.make(_transcript_values(move.alice_set, params.n), params.n))
         frequent |= add(sets[-1])
         for p in move.marks:
             if not 1 <= p <= t:
@@ -401,9 +466,9 @@ def adversary_random(params: GameParams, seed: int):
     size = 1 << params.n
     words = [BitWord(params.n, v) for v in range(size)]
     for _ in range(params.max_moves):
-        # bit v of the mask, read least significant first, selects word v
-        bits = reversed(format(rng.getrandbits(size), f"0{size}b"))
-        yield frozenset(w for w, b in zip(words, bits) if b == "1")
+        # bit v of the mask selects word v
+        positions = _mask_positions(rng.getrandbits(size), params.n)
+        yield frozenset(map(words.__getitem__, positions.tolist()))
 
 
 def adversary_repeat(params: GameParams, seed: int):

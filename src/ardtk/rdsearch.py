@@ -98,12 +98,15 @@ def _project_hamming(x: BitWord, y: BitWord, max_flips: int) -> BitWord:
     diff = x.value ^ y.value
     if diff.bit_count() <= max_flips:
         return y
-    kept = 0
-    for _ in range(max_flips):
-        low = diff & -diff
-        kept |= low
-        diff ^= low
-    return BitWord(x.n, x.value ^ kept)
+    # bisect for the least k whose low k bits of diff hold max_flips ones
+    lo, hi = max_flips, diff.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (diff & ((1 << mid) - 1)).bit_count() >= max_flips:
+            hi = mid
+        else:
+            lo = mid + 1
+    return BitWord(x.n, x.value ^ (diff & ((1 << lo) - 1)))
 
 
 def _flip_mask(n: int, positions) -> int:

@@ -396,6 +396,28 @@ class TestEngineForms:
             lost_moves += sum(not mv.win for mv in tr.moves)
         assert lost_moves >= 100
 
+    def test_every_kept_kind_matches_reference(self, form):
+        # sets small enough for sorted(), sparse enough to keep their
+        # sorted values, and dense enough to keep their mask
+        rng = random.Random(41)
+        kinds = Counter()
+        for n in (10, 11, 12):
+            p = GameParams(n=n, k=5, m=rng.randint(0, 3))
+            stream = []
+            for _ in range(p.max_moves):
+                size = rng.choice([rng.randint(0, 31), rng.randint(32, (1 << n) // 16 - 1),
+                                   rng.randint((1 << n) // 16, 1 << n)])
+                chosen = rng.sample(range(1 << n), size)
+                stream.append([BitWord(n, v) for v in chosen] + chosen[: size // 4])
+                kept = game._read_set(stream[-1], n)[1]
+                kinds[type(kept).__name__] += 1
+                assert len(game._Sets.make(kept, n)) == size
+            tr = play_game(stream, p, "det")
+            got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
+            assert got == reference_play(stream, p, "det"), n
+            assert verify_transcript(tr, p).ok
+        assert set(kinds) == {"tuple", "ndarray", "int"} and min(kinds.values()) >= 10
+
     @pytest.mark.parametrize("seed, digest", [
         (0, "b23b7bddad211712007e05d5ec1cf3c5f4a3795397d3fb868d692c52f5963559"),
         (1, "9467f0106c3b5972041e9aaa9b60335f786f3bc10231c68aa2b0cc713e520dab"),
@@ -418,6 +440,34 @@ class TestEngineForms:
             play_game(untouchable(), p, "det")
         with pytest.raises(ValueError, match="n <= 16"):
             bob_deterministic_step(untouchable(), p)
+
+
+def test_sparse_stream_allocates_no_cube_per_set(monkeypatch):
+    """On the balls stream at n = 16 no numpy array of 2^n bits or more
+    is made, and no set becomes a mask."""
+    p = GameParams(n=16, k=12, m=4)
+    cube_bytes = (1 << p.n) // 8
+    large = []
+
+    def recording(make):
+        def wrapped(*args, **kwargs):
+            out = make(*args, **kwargs)
+            if getattr(out, "nbytes", 0) >= cube_bytes:
+                large.append((make.__name__, out.nbytes))
+            return out
+        return wrapped
+
+    for name in ("zeros", "empty", "ones", "fromiter", "frombuffer", "asarray",
+                 "array", "packbits", "unpackbits", "flatnonzero"):
+        monkeypatch.setattr(game.np, name, recording(getattr(game.np, name)))
+    masks = []
+    make = game._Masks.make
+    monkeypatch.setattr(game._Masks, "make",
+                        staticmethod(lambda values, n: masks.append(n) or make(values, n)))
+    tr = play_game(adversary_balls(p), p, "det")
+    assert len(tr.moves) == p.max_moves and tr.won
+    assert verify_transcript(tr, p).ok
+    assert large == [] and masks == []
 
 
 class TestVerifyTranscript:
@@ -488,6 +538,95 @@ class TestVerifyTranscript:
             )
 
 
+class SubWord(BitWord):
+    """A BitWord subclass, which the verifier's one-pass read does not take."""
+    __slots__ = ()
+
+
+def reference_verify(tr, params):
+    """Reference verifier: every set read through game._as_words."""
+    n = params.n
+    if len(tr.moves) > params.max_moves:
+        return game.VerifyResult(False, params.max_moves + 1, None, "too many moves")
+    form = game._form([m.alice_set for m in tr.moves], n)
+    add = form.counter(params.frequency_threshold, n)
+    frequent, covered = form.empty(), form.empty()
+    sets = []
+    for t, move in enumerate(tr.moves, start=1):
+        sets.append(form.make(list(game._as_words(move.alice_set, n)), n))
+        frequent |= add(sets[-1])
+        for p in move.marks:
+            if not 1 <= p <= t:
+                return game.VerifyResult(False, t, None, f"mark {p} not yet produced")
+            covered |= sets[p - 1]
+        missed = form.missed(frequent, covered)
+        if missed:
+            return game.VerifyResult(False, t, BitWord(n, form.least(missed)),
+                                     "frequent element uncovered")
+        if not move.win:
+            return game.VerifyResult(False, t, None, "recorded win flag is false")
+    if tr.strategy == "det" and tr.total_marks > mark_bound(params):
+        return game.VerifyResult(False, len(tr.moves), None, "total marks exceed bound")
+    return game.VerifyResult(True)
+
+
+def hand_made(alice_set, n, rng):
+    """alice_set rewritten as ints, subclass words, duplicates, a
+    wrong-length word or an out-of-range int, chosen at random."""
+    items = list(alice_set)
+    kind = rng.randrange(7)
+    if kind == 0 or not items:
+        return tuple(items)
+    if kind == 1:
+        return tuple(w.value for w in items)
+    if kind == 2:
+        return tuple(SubWord(n, w.value) if rng.random() < 0.5 else w for w in items)
+    if kind == 3:
+        return tuple(items + rng.choices(items, k=len(items) // 2 + 1))
+    if kind == 4:
+        return tuple(w.value if rng.random() < 0.3 else w for w in items) + tuple(items[:1])
+    if kind == 5:
+        return tuple(items) + (BitWord(n + 1, 0),)
+    return tuple(items) + (1 << n,)
+
+
+def verdict(check, tr, params):
+    try:
+        return check(tr, params)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+class TestVerifierReadsEachSetOnce:
+    def test_hand_made_sets_match_as_words_reference(self, form):
+        rng = random.Random(29)
+        verdicts = Counter()
+        for _ in range(80):
+            k = rng.randint(2, 6)
+            n = rng.randint(1, 7)
+            p = GameParams(n=n, k=k, m=rng.randint(0, 2))
+            tr = play_game(adversary_random(p, rng.randrange(1 << 16)), p, "det")
+            moves = []
+            for mv in tr.moves:
+                alice_set = hand_made(mv.alice_set, n, rng) if rng.random() < 0.1 else mv.alice_set
+                marks = tuple(q for q in mv.marks if rng.random() < 0.6)
+                moves.append(MoveRecord(alice_set, marks, mv.win and rng.random() < 0.95))
+            made = GameTranscript(p, "det", None, moves)
+            got = verdict(verify_transcript, made, p)
+            assert got == verdict(reference_verify, made, p), p
+            verdicts[got[0] if isinstance(got, tuple) else got.reason or "ok"] += 1
+        assert min(verdicts["ValueError"], verdicts["ok"],
+                   verdicts["frequent element uncovered"]) >= 5
+
+    def test_single_odd_elements(self, form):
+        p = GameParams(n=4, k=3, m=0)
+        base = (BitWord(4, 3), BitWord(4, 9))
+        for odd in [(3, 9), (SubWord(4, 3), BitWord(4, 9)), base + base,
+                    base + (BitWord(5, 3),), base + (16,), base + (-1,)]:
+            made = GameTranscript(p, "det", None, [MoveRecord(odd, (1,), True)])
+            assert verdict(verify_transcript, made, p) == verdict(reference_verify, made, p)
+
+
 class TestProbabilisticStrategy:
     def test_clamped_coin_always_marks(self):
         p = GameParams(n=4, k=3, m=0)
@@ -556,6 +695,15 @@ class TestAdversaries:
     def test_random_stream_matches_reference_n10(self):
         p = GameParams(n=10, k=10, m=4)
         assert list(adversary_random(p, 0)) == list(reference_adversary_random(p, 0))
+
+    @pytest.mark.parametrize("n, k", [(11, 3), (12, 3), (16, 2)])
+    def test_random_stream_matches_reference_multibyte(self, n, k):
+        p = GameParams(n=n, k=k, m=1)
+        for seed in (0, 5):
+            got = list(adversary_random(p, seed))
+            want = list(reference_adversary_random(p, seed))
+            assert got == want
+            assert [list(s) for s in got] == [list(s) for s in want]
 
     def test_random_stream_length_and_domain(self):
         p = GameParams(n=3, k=3, m=1)

@@ -347,6 +347,38 @@ def test_hamming_pool_matches_bitwise_build_at_1024():
             assert a.getstate() == b.getstate()
 
 
+def _project_hamming_by_flips(x, y, max_flips):
+    """Reference: keep the lowest differing bits one at a time."""
+    diff = x.value ^ y.value
+    if diff.bit_count() <= max_flips:
+        return y
+    kept = 0
+    for _ in range(max_flips):
+        low = diff & -diff
+        kept |= low
+        diff ^= low
+    return BitWord(x.n, x.value ^ kept)
+
+
+def test_project_hamming_matches_flip_loop():
+    rng = random.Random(17)
+    cases = 0
+    for n in list(range(1, 65)) + [1024]:
+        for _ in range(12):
+            x = BitWord(n, rng.getrandbits(n))
+            y = BitWord(n, x.value ^ (rng.getrandbits(n) & rng.getrandbits(n)))
+            distance = (x.value ^ y.value).bit_count()
+            for max_flips in {0, rng.randint(0, distance + 2), distance - 1, distance,
+                              distance + 1}:
+                if max_flips < 0:
+                    continue
+                got = rdsearch._project_hamming(x, y, max_flips)
+                assert got == _project_hamming_by_flips(x, y, max_flips), (n, max_flips)
+                assert (got.value ^ x.value).bit_count() == min(max_flips, distance)
+                cases += 1
+    assert cases > 2000
+
+
 class TestCanonicalEstimate:
     def test_endpoints(self):
         rng = random.Random(17)
