@@ -31,12 +31,12 @@ dict of counts, whose cost follows the set sizes.  Both forms give the
 same marks.  The transcript lists each set as a sorted tuple of BitWords.
 
 Each set is read once at Python speed.  play_game checks its elements
-with _as_words, sorts their values as a uint16 array (sorted() for a set
-of a few dozen words) and builds the transcript tuple from that order;
-until the form is picked, a set keeps either those sorted values or,
-when it is smaller, its mask, and never more than its tuple's size.
-verify_transcript takes the values of a tuple of BitWords of length n in
-one pass and sends any other set through _as_words.
+with _as_words; a set of at least 2^n/16 words is then ordered and packed
+into its mask at C speed from 2^n flags, and a smaller one is sorted by
+sorted() and keeps the tuple of its values.  Until the form is picked a
+set keeps only that mask or tuple, never more than its transcript
+tuple's size.  verify_transcript takes the values of a tuple of BitWords
+of length n in one pass and sends any other set through _as_words.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Sized
+from typing import Collection, Iterable, Optional, Sequence, Sized
 
 import numpy as np
 
@@ -58,10 +58,6 @@ GAME_MAX_N = 16
 
 # bytes a frozenset of word values takes per word, about (CPython); see _form
 _SET_BYTES_PER_WORD = 64
-
-# a set of fewer words is sorted by sorted(), at least as fast there as a
-# numpy sort with its per-call cost; see _read_set
-_NUMPY_SORT_MIN = 32
 
 
 class GameOverflowError(RuntimeError):
@@ -170,6 +166,11 @@ def _as_words(alice_set, n: int) -> "dict[int, BitWord]":
     return words
 
 
+def _pack(flags: np.ndarray) -> int:
+    """The mask whose bit v is flags[v], for 2^n bool flags."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _mask_positions(mask: int, n: int) -> np.ndarray:
     """The positions of the set bits of a 2^n-bit mask, ascending."""
     data = np.frombuffer(mask.to_bytes(((1 << n) + 7) // 8, "little"), np.uint8)
@@ -183,13 +184,13 @@ class _Masks:
     size = int.bit_count        # size(s): how many words s holds
 
     @staticmethod
-    def make(values: "int | Sequence[int]", n: int) -> int:
+    def make(values: "int | Collection[int]", n: int) -> int:
         """The mask of a set given by its word values, or by its mask."""
         if isinstance(values, int):
             return values
-        flags = np.zeros(1 << n, np.uint8)
-        flags[np.asarray(values, np.intp)] = 1
-        return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+        flags = np.zeros(1 << n, bool)
+        flags[np.fromiter(values, np.intp, len(values))] = True
+        return _pack(flags)
 
     @staticmethod
     def missed(a: int, b: int) -> int:
@@ -234,12 +235,10 @@ class _Sets:
     least = min                 # least(s): the least word value in s
 
     @staticmethod
-    def make(values: "int | Sequence[int]", n: int) -> "frozenset[int]":
+    def make(values: "int | Collection[int]", n: int) -> "frozenset[int]":
         """As _Masks.make."""
         if isinstance(values, int):
-            values = _mask_positions(values, n)
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
+            values = _mask_positions(values, n).tolist()
         return frozenset(values)
 
     @staticmethod
@@ -272,28 +271,24 @@ def _form(alice_sets: "Sequence[Sized]", n: int):
     return _Sets
 
 
-def _read_set(alice_set, n: int) -> "tuple[tuple[BitWord, ...], int | Sequence[int]]":
+def _read_set(alice_set, n: int) -> "tuple[tuple[BitWord, ...], int | tuple[int, ...]]":
     """One of Alice's sets as its transcript tuple, the words sorted by
-    value, and what is kept of it until its form is built: its sorted
-    values, or its mask when that is smaller.
+    value, and what is kept of it until its form is built: its mask when
+    the set has at least 2^n/16 words, else the sorted tuple of its values.
 
-    _as_words is the one Python pass over the elements; the sort, the
-    tuple and the mask run at C speed.  The values are sorted as a uint16
-    array, 2 bytes a word where the tuple holds 8; a set of 2^n/16 words
-    or more keeps its 2^n-bit mask instead.  A set of fewer than
-    _NUMPY_SORT_MIN words, where numpy's per-call cost is larger than the
-    sort, is sorted by sorted() and keeps a tuple of its values.
+    _as_words is the one Python pass over the elements.  A large set's
+    2^n flags give its ascending values (flatnonzero, no sort) and its
+    2^n-bit mask, at most 2 bytes a word where the tuple holds 8; the
+    flags are dropped at once.  A smaller set is sorted by sorted().
     """
     words = _as_words(alice_set, n)
-    if len(words) < _NUMPY_SORT_MIN:
+    if 16 * len(words) < 1 << n:
         values = tuple(sorted(words))
         return tuple(map(words.__getitem__, values)), values
-    keys = np.fromiter(words, np.uint16, len(words))
-    keys.sort()
-    ordered = tuple(map(words.__getitem__, keys.tolist()))
-    if 1 << n <= 16 * len(keys):
-        return ordered, _Masks.make(keys, n)
-    return ordered, keys
+    flags = np.zeros(1 << n, bool)
+    flags[np.fromiter(words, np.intp, len(words))] = True
+    ordered = tuple(map(words.__getitem__, np.flatnonzero(flags).tolist()))
+    return ordered, _pack(flags)
 
 
 def _transcript_values(alice_set, n: int) -> "list[int]":
@@ -349,7 +344,7 @@ def bob_deterministic_step(history, params: GameParams) -> "tuple[int, ...]":
     if len(word_sets) > params.max_moves:
         raise GameOverflowError(f"move {len(word_sets)} exceeds limit {params.max_moves}")
     form = _form(word_sets, params.n)
-    return _greedy_marks([form.make(list(ws), params.n) for ws in word_sets], params, form)
+    return _greedy_marks([form.make(ws, params.n) for ws in word_sets], params, form)
 
 
 def bob_probabilistic_step(params: GameParams, rng) -> bool:
@@ -372,8 +367,8 @@ def play_game(
     held in; his marks at move t still depend on her first t sets only.
     Each set is read once (_read_set): its transcript tuple lists the
     first element with each value, sorted, and until its form is built
-    the set keeps its sorted values as a uint16 array, or its mask when
-    that is smaller, and never its intake dict.
+    the set keeps its mask if it holds at least 2^n/16 words, else the
+    sorted tuple of its values, and never its intake dict.
     Raises GameOverflowError on the 2^k-th set, and ValueError before
     drawing any set when n > GAME_MAX_N.
     """
@@ -381,7 +376,7 @@ def play_game(
     if strategy not in ("det", "prob"):
         raise ValueError("strategy must be 'det' or 'prob'")
     alice_sets: "list[tuple[BitWord, ...]]" = []
-    kept: "list[int | Sequence[int]]" = []
+    kept: "list[int | tuple[int, ...]]" = []
     for raw in alice:
         if len(alice_sets) == params.max_moves:
             raise GameOverflowError(
