@@ -25,6 +25,11 @@ class BitWord:
     def __setattr__(self, *_):
         raise AttributeError("BitWord is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__
+        # blocks the default slot restore
+        return BitWord, (self.n, self.value)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

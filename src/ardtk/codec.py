@@ -31,23 +31,34 @@ the bits written so far.  So the bounds change no codeword, only the
 time spent on losers, and under an inf bound every method writes its
 codeword in full.
 
+Each of LZ and BWT also has a least length, the same kind of lower
+bound taken before its pass, from the word's length and bytes alone.
+LZ's is the header and 16 bits, since the first byte is always a literal
+behind a one-byte LEB.  BWT's is the header and, for each block, two
+one-byte LEBs and the floor of the fewest zero-run symbols the block's
+byte histogram allows (see _bwt_least); with one symbol per block, 24
+bits per block, it costs nothing to check.  At or under its least
+length a method's bounded pass would refuse, so codelength does not run
+it.
+
 codelength(x, below) answers the question a search asks, whether x
 undercuts below: it returns the exact length when that is less than
 below, and otherwise some value of at least below.  It takes the exact
 path when raw, or the floor on bitac set out below, is shorter than
-below.  Otherwise it runs only LZ and then BWT, each bounded by below: a
-method that refuses is no candidate, and one that completes under below
-sends the word down the exact path.  When none does, the word is
-refused: codelength returns below, and no bitac coder runs.
+below.  Otherwise it runs only LZ and then BWT, each bounded by below
+and each only when below is over its least length: a method that
+refuses is no candidate, and one that completes under below sends the
+word down the exact path.  When none does, the word is refused:
+codelength returns below, and no bitac coder runs.
 
 The oracle remembers, by (n, value), each word's exact length or else
 the largest below it refused the word at, in one store of at most 2^18
 words that drops the least recently used first.  A remembered length
 answers every question.  A refusal at b proves the length is at least b,
 and each refusal rule above (raw, the bitac floor, LZ's and BWT's
-bounds) refuses at every bound under one it refused at, so a question
-at or under b is answered below at once, with no method run; a larger
-below asks again.  clear_cache forgets the store.
+least lengths and bounds) refuses at every bound under one it refused
+at, so a question at or under b is answered below at once, with no
+method run; a larger below asks again.  clear_cache forgets the store.
 
 The BWT model is a plain list of 257 counts, every one starting at 1:
 each coded symbol adds 32 to its count, and once the total passes 2^16
@@ -96,17 +107,17 @@ table built once; the terms are the floats lgamma gives, added in the
 same order, so the floor is the same number.
 
 Below _BWT_DOUBLING_MIN (1024) bytes the block sort is one stable numpy
-argsort of the rotations, each copied out as a row of n bytes that
-compares bytewise as a single void item; from there it sorts by numpy
-prefix doubling.  The rows copy n^2 bytes, under 1 MiB below the
-cutover, while a doubling step costs a few numpy calls of fixed
-overhead.  Summed over a uniform, a sparse, a periodic and a
-repeated-chunk block, the row sort is 8 times faster than doubling at
-128 bytes, 3.1 times at 512, 2.0 at 1024 and 1.4 at 1536; the two break
-even near 2048, and doubling is 2.1 times faster at 4096.  The cutover
-stays below the break-even so that the copy stays under 1 MiB.  On the
-128-byte blocks of a denoising search the row sort takes about half the
-time of a Python sort of slices of the doubled block.
+argsort of the rotations, each a row of n bytes that compares bytewise
+as a single void item; from there it sorts by numpy prefix doubling.
+The rows are one overlapping view of the doubled block, row i starting
+at byte i, so none is copied out, while a doubling step costs a few
+numpy calls of fixed overhead.  Summed over a uniform, a sparse, a
+periodic and a repeated-chunk block, the row sort is 12 times faster
+than doubling at 128 bytes, 3.5 times at 512, 2.2 at 1024 and 1.6 at
+1536; the two break even near 2048, and doubling is 1.7 times faster
+at 4096.  The cutover stays below the break-even.  On the 128-byte
+blocks of a denoising search the row sort takes about half the time of
+a Python sort of slices of the doubled block.
 
 Bitac resumes a word from a recently coded one.  A search asks for many
 words that differ from its current best in a bit or two, and the coder's
@@ -158,7 +169,10 @@ _LZ_MIN = 64
 # the bitac coders never halve a context total (see method 1)
 assert _BITAC_MAX + 2 < 1 << 14
 
-_LZ_MIN_MATCH = 4
+_LZ_MIN_MATCH = 4   # a match key is these bytes read as one uint32
+# the least LZ payload: the first byte is always a literal behind a
+# one-byte LEB
+_LZ_LEAST = 16
 
 BWT_BLOCK_BITS = 32768     # input bits per BWT block
 CODER_PRECISION = 32       # arithmetic coder state size in bits
@@ -628,9 +642,10 @@ def _bwt_order_rows(block: bytes) -> np.ndarray:
     index: a stable argsort of the rotations as rows of n bytes, each
     row one numpy void item, which compare bytewise as unsigned."""
     n = len(block)
-    # row i starts at byte i of the doubled block; the copy packs the rows
-    rows = np.ndarray((n, n), np.uint8, block * 2, strides=(1, 1)).copy()
-    return np.argsort(rows.view(f"V{n}")[:, 0], kind="stable")
+    # row i is the n bytes from byte i of the doubled block: the rows
+    # overlap in one buffer, so none is copied out
+    rows = np.ndarray((n,), f"V{n}", block * 2, strides=(1,))
+    return np.argsort(rows, kind="stable")
 
 
 def _bwt_order_doubling(block: bytes) -> np.ndarray:
@@ -822,6 +837,48 @@ def _zle_floor(syms: list, hist: Counter) -> int:
         start = end
 
 
+def _zle_least(m: int) -> int:
+    """A lower bound on the _zle_floor of any block of at least m zero-run
+    symbols, 1 <= m <= _ZLE_FREE: the floor of m copies of one symbol,
+    the same floats in the same order."""
+    prior = _ZLE_ALPHABET / _ZLE_INC
+    nats = lgamma(m + prior) - lgamma(prior) - _URN_FROM_ONE[m]
+    return ceil(nats / log(2) - 3) + 2
+
+
+# the least _zle_floor of any block: one symbol
+_ZLE_LEAST_ONE = _zle_least(1)
+
+
+def _bwt_least(word: BitWord) -> int:
+    """A lower bound on word's BWT codeword: the header and, for each
+    block, two one-byte LEBs and the _zle_least of its fewest zero-run
+    symbols.
+
+    The first segment alone bounds the floor, so the symbols are
+    counted up to _ZLE_FREE."""
+    bs = BWT_BLOCK_BITS // 8
+    data = np.frombuffer(word.to_bytes(), np.uint8)
+    least = _header_bits(word.n)
+    for off in range(0, len(data), bs):
+        least += 16 + _zle_least(min(_fewest_symbols(data[off : off + bs]), _ZLE_FREE))
+    return least
+
+
+def _fewest_symbols(block: np.ndarray) -> int:
+    """A lower bound on the zero-run symbols of any order of block's
+    bytes: the sum over its byte values c of n_c.bit_length(), less one.
+
+    A run of l equal bytes costs a literal and the digits of its l - 1
+    repeats, l.bit_length() symbols, or l.bit_length() - 1 when it is the
+    leading run of zeros, and the runs of one byte value sum to at least
+    the bit length of its count.  A block that is not empty has a
+    symbol."""
+    counts = np.bincount(block, minlength=256)
+    # frexp's exponent of a positive integer is its bit length
+    return max(int(np.frexp(counts.astype(np.float64))[1].sum()) - 1, 1)
+
+
 def _encode_zle(syms, out: _BitWriter):
     """Arithmetic-code a zero-run symbol sequence under the adaptive model."""
     counts = [1] * _ZLE_ALPHABET
@@ -907,39 +964,33 @@ def _encode_lz(word: BitWord, out: _BitWriter, bound: float) -> bool:
     out shorter."""
     data = word.to_bytes()
     n = len(data)
+    # keys[p]: the _LZ_MIN_MATCH bytes from p, read as one int
+    keys = np.ndarray((max(n - _LZ_MIN_MATCH + 1, 0),), ">u4", data, strides=(1,)).tolist()
+    nkeys = len(keys)
     table = {}
     pos = 0
     lit_start = 0
     tokens = []  # (lit_start, lit_end, match_len, dist)
     spent = out.bit_length + 8
     while pos < n:
-        match_len = 0
-        match_dist = 0
-        if pos + _LZ_MIN_MATCH <= n:
-            key = data[pos : pos + _LZ_MIN_MATCH]
-            cand = table.get(key)
-            if cand is not None:
-                length = _LZ_MIN_MATCH
-                limit = n - pos
-                while length < limit and data[cand + length] == data[pos + length]:
-                    length += 1
-                match_len = length
-                match_dist = pos - cand
-        if match_len >= _LZ_MIN_MATCH:
-            tokens.append((lit_start, pos, match_len, match_dist))
+        cand = table.get(keys[pos]) if pos < nkeys else None
+        if cand is not None:
+            length = _LZ_MIN_MATCH
+            limit = n - pos
+            while length < limit and data[cand + length] == data[pos + length]:
+                length += 1
+            tokens.append((lit_start, pos, length, pos - cand))
             # its three LEBs take a byte each at least
             spent += 24
             if spent >= bound:
                 return False
-            end = pos + match_len
-            while pos < end and pos + _LZ_MIN_MATCH <= n:
-                table[data[pos : pos + _LZ_MIN_MATCH]] = pos
-                pos += 1
+            end = pos + length
+            table.update(zip(keys[pos:end], range(pos, end)))
             pos = end
             lit_start = pos
         else:
-            if pos + _LZ_MIN_MATCH <= n:
-                table[data[pos : pos + _LZ_MIN_MATCH]] = pos
+            if pos < nkeys:
+                table[keys[pos]] = pos
             pos += 1
             spent += 8
             if spent >= bound:
@@ -1099,19 +1150,45 @@ def _remember(key: "tuple[int, int]", entry: int):
 def _may_undercut(word: BitWord, below: int) -> bool:
     """False only when compress(word).bit_length >= below: raw and the
     bitac floor reach below, and LZ and BWT decline or complete at or
-    above it."""
+    above it.
+
+    LZ and BWT run only when below is over their least length (see the
+    module docstring), since at or under it their bounded pass would
+    refuse the word anyway."""
     n = word.n
     modes = _methods(n)
-    if _header_bits(n) + n < below:
+    header = _header_bits(n)
+    if header + n < below:
         return True
     if MODE_BITAC in modes and _bitac_floor(word) < below:
         return True
     for mode in (MODE_LZ, MODE_BWT):
-        if mode in modes:
-            out = _BitWriter()
-            if _encode(word, mode, out, below) and out.bit_length < below:
-                return True
+        if mode not in modes:
+            continue
+        if mode == MODE_LZ and below <= header + _LZ_LEAST:
+            continue
+        if mode == MODE_BWT and _bwt_least_refuses(word, below):
+            continue
+        out = _BitWriter()
+        if _encode(word, mode, out, below) and out.bit_length < below:
+            return True
     return False
+
+
+def _bwt_least_refuses(word: BitWord, below: int) -> bool:
+    """True when below is at or under a least length of word's BWT
+    codeword.  The O(1) bound takes one zero-run symbol per block.  The
+    histogram bound, _bwt_least, runs only when below is at or under the
+    most it can reach, the least length of blocks with a symbol for each
+    byte."""
+    header = _header_bits(word.n)
+    bs = BWT_BLOCK_BITS // 8
+    nbytes = (word.n + 7) // 8
+    offsets = range(0, nbytes, bs)
+    if below <= header + (16 + _ZLE_LEAST_ONE) * len(offsets):
+        return True
+    most = sum(16 + _zle_least(min(bs, nbytes - off, _ZLE_FREE)) for off in offsets)
+    return below <= header + most and below <= _bwt_least(word)
 
 
 def conditional_codelength(x: BitWord, y: BitWord) -> int:

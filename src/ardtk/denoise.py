@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .bits import BitWord
 from .codec import codelength, conditional_codelength
 from .distortion import HAMMING, Ball, DistortionSpec, ball_cardinality
@@ -235,23 +237,22 @@ def majority_filter(word: BitWord, width: int, rounds: int = 1) -> BitWord:
     if width < 1 or n % width:
         raise ValueError("width must divide the word length")
     height = n // width
-    cur = list(word.bits())
+    cur = np.unpackbits(np.frombuffer(word.to_bytes(), np.uint8), count=n)
+    cur = cur.reshape(height, width)
+    # the voters of each cell: the in-image cells of its 3x3 box
+    total = _box_sums(np.ones_like(cur))
     for _ in range(rounds):
-        nxt = cur[:]
-        for r in range(height):
-            for c in range(width):
-                ones = 0
-                total = 0
-                for rr in range(max(r - 1, 0), min(r + 2, height)):
-                    for cc in range(max(c - 1, 0), min(c + 2, width)):
-                        total += 1
-                        ones += cur[rr * width + cc]
-                if 2 * ones > total:
-                    nxt[r * width + c] = 1
-                elif 2 * ones < total:
-                    nxt[r * width + c] = 0
-        cur = nxt
-    return BitWord.from_bits(cur)
+        ones = _box_sums(cur)
+        cur = np.where(2 * ones > total, 1, np.where(2 * ones < total, 0, cur))
+    return BitWord.from_bytes(np.packbits(cur.astype(np.uint8)).tobytes(), n)
+
+
+def _box_sums(img: np.ndarray) -> np.ndarray:
+    """The sum over each cell's 3x3 box, the cells outside img read as 0."""
+    p = np.zeros((img.shape[0] + 2, img.shape[1] + 2), np.int16)
+    p[1:-1, 1:-1] = img
+    rows = p[:-2] + p[1:-1] + p[2:]
+    return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
 
 
 def make_noisy_cross(side: int, flip_fraction, seed: int):

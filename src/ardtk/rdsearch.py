@@ -110,11 +110,12 @@ def _project_hamming(x: BitWord, y: BitWord, max_flips: int) -> BitWord:
 
 
 def _flip_mask(n: int, positions) -> int:
-    """The n-bit mask with bit index i (0 = leftmost) set for each i."""
-    mask = 0
+    """The n-bit mask with bit index i (0 = leftmost) set for each i: n
+    binary digits, a 1 at each i, read as one int."""
+    digits = bytearray(b"0" * n)
     for i in positions:
-        mask |= 1 << (n - 1 - i)
-    return mask
+        digits[i] = 49  # "1"
+    return int(digits, 2) if n else 0
 
 
 def _hamming_base(x: BitWord) -> tuple:

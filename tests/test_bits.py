@@ -1,9 +1,15 @@
+import copy
+import dataclasses
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ardtk.bits import BitWord, iter_words
+from ardtk.game import GameParams, adversary_balls, play_game
+from ardtk.rdsearch import Candidate
 
 
 def test_construction_and_views():
@@ -78,3 +84,24 @@ def test_join_equals_folded_concat(shapes):
         folded = folded.concat(p)
     assert BitWord.join(parts) == folded
     assert BitWord.join(iter(parts)) == folded
+
+
+@pytest.mark.parametrize("w", [BitWord(0, 0), BitWord.from_str("1011"),
+                               BitWord.random(random.Random(7), 1024)])
+def test_copy_and_pickle_give_the_same_word(w):
+    for got in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert got == w and type(got) is BitWord
+    with pytest.raises(AttributeError, match="immutable"):
+        copy.copy(w).n = 3
+
+
+def test_records_holding_words_copy_and_convert():
+    w = BitWord.from_str("0110")
+    cand = Candidate(destination=w, score=12, distortion=Fraction(1, 4))
+    assert dataclasses.asdict(cand) == {"destination": w, "score": 12,
+                                        "distortion": Fraction(1, 4)}
+    params = GameParams(n=4, k=3, m=1)
+    tr = play_game(adversary_balls(params), params)
+    clone = copy.deepcopy(tr)
+    assert clone == tr and clone.moves is not tr.moves
+    assert pickle.loads(pickle.dumps(tr)) == tr

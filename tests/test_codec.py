@@ -779,6 +779,118 @@ def test_no_block_pass_at_a_refused_bound(monkeypatch):
     assert passes and refused
 
 
+# -- least lengths -------------------------------------------------------------
+
+
+@given(st.one_of(_sort_blocks(), st.binary(min_size=1, max_size=700)))
+@settings(max_examples=150, deadline=None)
+@example(bytes(1))
+@example(bytes(4095))
+@example(bytes(4096))
+@example(b"\x00\x01" * 64)
+@example(bytes(100) + b"\x05" * 28)
+def test_fewest_symbols_bounds_every_order(data):
+    # the block's own order, its BWT order and a shuffle are all orders
+    fewest = codec._fewest_symbols(np.frombuffer(data, np.uint8))
+    shuffled = bytearray(data)
+    random.Random(len(data)).shuffle(shuffled)
+    for last in (data, _bwt_last(data), bytes(shuffled)):
+        assert fewest <= len(codec._zero_run_symbols(last))
+
+
+def test_zle_least_is_the_floor_of_one_repeated_symbol():
+    # the same floats as _zle_floor, and never smaller for more symbols
+    least = [codec._zle_least(m) for m in range(1, codec._ZLE_FREE + 1)]
+    assert least == sorted(least) and least[0] == codec._ZLE_LEAST_ONE == 8
+    for m in (1, 2, 3, 7, 100, codec._ZLE_FREE - 1, codec._ZLE_FREE):
+        for s in (codec._ZLE_RUNA, codec._ZLE_RUNB, 5, codec._ZLE_ALPHABET - 1):
+            syms = [s] * m
+            assert codec._zle_least(m) == codec._zle_floor(syms, Counter(syms))
+
+
+def _least_words():
+    """Words to hold the least lengths to: zeros, ones, one repeated byte,
+    few distinct bytes and each drawn kind, at lengths from LZ's cutoff
+    to three BWT blocks, and two-block words whose last block is all
+    zeros, so that its BWT output starts with a zero run."""
+    rng = random.Random(53)
+    block = codec.BWT_BLOCK_BITS
+    for n in (64, 256, 264, 1000, 1024, 4096, block, block + 8, 2 * block + 4000):
+        nbytes = -(-n // 8)
+        yield BitWord.zeros(n)
+        yield BitWord.ones(n)
+        yield BitWord.from_bytes(bytes([rng.randrange(256)]) * nbytes, n)
+        for distinct in (2, 3, 5):
+            values = rng.sample(range(256), distinct)
+            yield BitWord.from_bytes(bytes(rng.choices(values, k=nbytes)), n)
+        for kind in sorted(_WORD_KINDS):
+            yield _WORD_KINDS[kind](rng, n)
+    for tail in (8, block):
+        yield _sparse_word(rng, block, 1 / 64).concat(BitWord.zeros(tail))
+
+
+def test_least_words_cover_a_leading_zero_run():
+    # the second block of each word whose bits past the first are zeros
+    bs = codec.BWT_BLOCK_BITS // 8
+    starts = [codec._bwt_symbols(w.to_bytes()[bs : 2 * bs])[0][0] for w in _least_words()
+              if w.n > 8 * bs and not w.value & ((1 << (w.n - 8 * bs)) - 1)]
+    assert len(starts) >= 4
+    assert all(s in (codec._ZLE_RUNA, codec._ZLE_RUNB) for s in starts)
+
+
+def test_least_lengths_bound_the_codewords():
+    for w in _least_words():
+        header = codec._header_bits(w.n)
+        lz = codec._encode_with_mode(w, codec.MODE_LZ).bit_length
+        assert header + codec._LZ_LEAST <= lz, w
+        if w.n < codec._BWT_MIN:
+            continue
+        blocks = -(-w.n // codec.BWT_BLOCK_BITS)
+        least = codec._bwt_least(w)
+        assert header + (16 + codec._ZLE_LEAST_ONE) * blocks <= least, w
+        assert least <= codec._encode_with_mode(w, codec.MODE_BWT).bit_length, w
+
+
+def _word_least(w: BitWord) -> int:
+    """The larger of w's LZ and BWT least lengths."""
+    lz = codec._header_bits(w.n) + codec._LZ_LEAST
+    return max(lz, codec._bwt_least(w)) if w.n >= codec._BWT_MIN else lz
+
+
+def _cheap_least_words():
+    """_least_words up to 4096 bits, and one all-zero word of three blocks."""
+    yield from (w for w in _least_words() if w.n <= 4096)
+    yield BitWord.zeros(2 * codec.BWT_BLOCK_BITS + 4000)
+
+
+def test_codelength_below_contract_up_to_the_least_length():
+    for w in _cheap_least_words():
+        exact = compress(w).bit_length
+        for below in range(_word_least(w) + 3):
+            codec.clear_cache()
+            got = codelength(w, below)
+            assert got == exact if exact < below else got >= below, (w, below)
+
+
+def test_no_pass_at_or_under_a_least_length(monkeypatch):
+    calls = _count_encodes(monkeypatch)
+    refused_without_a_pass = 0
+    for w in _cheap_least_words():
+        lz = codec._header_bits(w.n) + codec._LZ_LEAST
+        bwt = codec._bwt_least(w) if w.n >= codec._BWT_MIN else None
+        for below in range(_word_least(w) + 3):
+            codec.clear_cache()
+            calls.clear()
+            codelength(w, below)
+            modes = [mode for _, mode, _, _ in calls]
+            if codec.MODE_RAW in modes:
+                continue  # the exact path: compress runs every method
+            assert (codec.MODE_LZ in modes) == (below > lz), (w, below)
+            assert (codec.MODE_BWT in modes) == (bwt is not None and below > bwt), (w, below)
+            refused_without_a_pass += not modes
+    assert refused_without_a_pass
+
+
 def test_codelength_below_refuses_long_words():
     w = BitWord(codec.MAX_WORD_BITS + 1, 0)
     for below in (None, 0, 1 << 30):

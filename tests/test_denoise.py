@@ -147,6 +147,43 @@ class TestMajorityFilter:
             assert majority_filter(img, width, 2) == twice
             assert majority_filter(img, width, 3) == majority_filter(twice, width)
 
+    @staticmethod
+    def _by_cells(word, width, rounds=1):
+        """Reference: the vote cell by cell over the in-image neighbours."""
+        n = word.n
+        height = n // width
+        cur = list(word.bits())
+        for _ in range(rounds):
+            nxt = cur[:]
+            for r in range(height):
+                for c in range(width):
+                    ones = 0
+                    total = 0
+                    for rr in range(max(r - 1, 0), min(r + 2, height)):
+                        for cc in range(max(c - 1, 0), min(c + 2, width)):
+                            total += 1
+                            ones += cur[rr * width + cc]
+                    if 2 * ones > total:
+                        nxt[r * width + c] = 1
+                    elif 2 * ones < total:
+                        nxt[r * width + c] = 0
+            cur = nxt
+        return BitWord.from_bits(cur)
+
+    def test_matches_cell_loop_on_crosses(self):
+        for seed in range(20):
+            _, noisy = make_noisy_cross(32, Fraction(1, 10), seed)
+            for rounds in (1, 2, 3):
+                assert majority_filter(noisy, 32, rounds) == self._by_cells(noisy, 32, rounds)
+
+    def test_matches_cell_loop_on_random_bitmaps(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            width, height = rng.randint(1, 9), rng.randint(0, 9)
+            img = BitWord.random(rng, width * height)
+            for rounds in (0, 1, 2):
+                assert majority_filter(img, width, rounds) == self._by_cells(img, width, rounds)
+
     def test_width_validation(self):
         with pytest.raises(ValueError, match="width"):
             majority_filter(BitWord.zeros(10), 4)

@@ -347,6 +347,27 @@ def test_hamming_pool_matches_bitwise_build_at_1024():
             assert a.getstate() == b.getstate()
 
 
+def _flip_mask_by_shifts(n, positions):
+    """Reference: one shift ORed in per position."""
+    mask = 0
+    for i in positions:
+        mask |= 1 << (n - 1 - i)
+    return mask
+
+
+def test_flip_mask_matches_shift_loop():
+    rng = random.Random(31)
+    for n in list(range(0, 17)) + [1023, 1024]:
+        for k in sorted({0, 1, n // 3, n // 2, n} | set(range(0, min(n, 600) + 1, 50))):
+            if k > n:
+                continue
+            positions = rng.sample(range(n), k)
+            assert rdsearch._flip_mask(n, positions) == _flip_mask_by_shifts(n, positions)
+            # a repeated position sets its bit once, as the OR does
+            again = positions + positions[: k // 2]
+            assert rdsearch._flip_mask(n, again) == _flip_mask_by_shifts(n, again)
+
+
 def _project_hamming_by_flips(x, y, max_flips):
     """Reference: keep the lowest differing bits one at a time."""
     diff = x.value ^ y.value
