@@ -8,7 +8,7 @@ integer comparison and keeps XOR / Hamming weight at C speed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class BitWord:
@@ -70,16 +70,6 @@ class BitWord:
     @classmethod
     def random(cls, rng, n: int) -> "BitWord":
         return cls(n, rng.getrandbits(n) if n else 0)
-
-    @classmethod
-    def join(cls, words: Iterable["BitWord"]) -> "BitWord":
-        """Concatenation w_1 w_2 ... w_k; the empty join is the empty word."""
-        n = 0
-        value = 0
-        for w in words:
-            value = (value << w.n) | w.value
-            n += w.n
-        return cls(n, value)
 
     # -- views ---------------------------------------------------------
 
@@ -155,8 +145,3 @@ class BitWord:
             return f"BitWord('{self.to01()}')"
         return f"BitWord(n={self.n}, value=0x{self.value:x})"
 
-
-def iter_words(n: int) -> Iterator[BitWord]:
-    """All words of length n in lexicographic order."""
-    for v in range(1 << n):
-        yield BitWord(n, v)

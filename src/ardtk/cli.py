@@ -13,9 +13,9 @@ byte-identical.
 
 File conventions:
 
-  words    ASCII '0'/'1', whitespace ignored, '#' lines are comments;
-           --raw switches to a packed form (8-byte big-endian bit
-           count, then MSB-first packed bytes)
+  words    read only: ASCII '0'/'1', whitespace ignored, '#' lines are
+           comments; --raw switches to a packed form (8-byte big-endian
+           bit count, then MSB-first packed bytes)
   images   PBM; plain P1 and packed P4 are read, P1 is written
   tables   CSV with a header row; rational columns come as exact
            num/den pairs, other reals carry 12 significant digits
@@ -178,15 +178,6 @@ def read_word(path, raw: bool = False) -> BitWord:
     return word
 
 
-def write_word(path, word: BitWord, raw: bool = False) -> None:
-    if raw:
-        Path(path).write_bytes(word.n.to_bytes(8, "big") + word.to_bytes())
-        return
-    s = word.to01()
-    lines = [s[i : i + 64] for i in range(0, len(s), 64)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def read_pbm(path) -> "tuple[BitWord, int, int]":
     """PBM image as (word, width, height); bit 1 is a black pixel."""
     data = Path(path).read_bytes()
@@ -322,21 +313,39 @@ def write_manifest(out_dir: Path, args, argv, seed, inputs, outputs) -> Path:
     return path
 
 
+def _read_manifest(path: Path) -> dict:
+    """The manifest at path, checked for the fields replay reads."""
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a manifest is a JSON object")
+    argv = doc.get("argv")
+    if not (isinstance(argv, list) and all(isinstance(t, str) for t in argv)):
+        raise ValueError(f"{path}: manifest argv must be a list of strings")
+    if type(doc.get("seed")) is not int:
+        raise ValueError(f"{path}: manifest seed must be an integer")
+    for key in ("inputs", "outputs"):
+        table = doc.get(key)  # JSON object keys are always strings
+        if not (
+            isinstance(table, dict) and all(isinstance(v, str) for v in table.values())
+        ):
+            raise ValueError(f"{path}: manifest {key} must map names to hashes")
+    return doc
+
+
 def run_replay(args) -> int:
     man_path = Path(args.manifest)
-    doc = json.loads(man_path.read_text())
-    for path, digest in sorted(doc.get("inputs", {}).items()):
+    doc = _read_manifest(man_path)
+    for path, digest in sorted(doc["inputs"].items()):
         actual = sha256_file(path)
         if actual != digest:
             raise ValueError(f"input {path} changed since the recorded run")
     new_dir = Path(args.out_dir) if args.out_dir else man_path.parent / "replay"
     # argparse keeps the last value given for an option
-    argv = [str(t) for t in doc["argv"]]
-    code = main(argv + ["--out-dir", str(new_dir), "--seed", str(doc["seed"])])
+    code = main(doc["argv"] + ["--out-dir", str(new_dir), "--seed", str(doc["seed"])])
     if code != 0:
         raise ValueError(f"replayed command exited {code}")
     ok = True
-    for name, digest in sorted(doc.get("outputs", {}).items()):
+    for name, digest in sorted(doc["outputs"].items()):
         if name == "manifest.json":
             continue
         actual = sha256_file(new_dir / name)

@@ -677,20 +677,9 @@ def _bwt_decode(last: bytes, idx: int) -> bytes:
     n = len(last)
     if not 0 <= idx < n:
         raise MalformedCodewordError("BWT index out of range")
-    counts = [0] * 256
-    for b in last:
-        counts[b] += 1
-    starts = [0] * 256
-    s = 0
-    for v in range(256):
-        starts[v] = s
-        s += counts[v]
-    # next[i]: row following row i when reading the original string
-    nxt = [0] * n
-    seen = [0] * 256
-    for i, b in enumerate(last):
-        nxt[starts[b] + seen[b]] = i
-        seen[b] += 1
+    # nxt[i]: the row following row i when reading the original string;
+    # the rows that start with byte b are, in order, those ending with it
+    nxt = np.argsort(np.frombuffer(last, np.uint8), kind="stable").tolist()
     out = bytearray(n)
     j = idx
     for i in range(n):
@@ -744,46 +733,39 @@ def _zero_run_symbols(last) -> list:
     return syms
 
 
-def _mtf_decode(seq) -> bytearray:
+def _zero_run_bytes(syms, limit: int) -> bytearray:
+    """Inverse of _zero_run_symbols, in one pass.
+
+    A zero run repeats the byte at the front of the move-to-front list,
+    and one that would take the output past limit bytes is rejected
+    before it is materialized; the literal s moves the list's byte s - 1
+    to the front.
+    """
     order = bytearray(range(256))
-    out = bytearray()
-    for i in seq:
-        b = order[i]
-        out.append(b)
-        if i:
-            del order[i]
-            order.insert(0, b)
-    return out
-
-
-def _zle_decode(syms, limit: int) -> bytearray:
-    """Inverse of the zero-run stage of _zero_run_symbols; a zero run
-    that would take the output past limit bytes is rejected before it is
-    materialized."""
     out = bytearray()
     run = 0
     place = 1
     for s in syms:
-        if s in (_ZLE_RUNA, _ZLE_RUNB):
-            run += place * (1 + s)
+        if s <= _ZLE_RUNB:
+            run += place << s  # digit s + 1
             place <<= 1
             continue
         if run:
-            _zle_flush_zeros(out, run, limit)
+            if len(out) + run > limit:
+                raise MalformedCodewordError("zero run overflows block")
+            out += order[:1] * run
             run = 0
             place = 1
-        if s - 1 > 255:
+        if s > 256:
             raise MalformedCodewordError("bad zero-run literal")
-        out.append(s - 1)
-    if run:
-        _zle_flush_zeros(out, run, limit)
-    return out
-
-
-def _zle_flush_zeros(out: bytearray, run: int, limit: int):
-    if len(out) + run > limit:
+        b = order[s - 1]
+        del order[s - 1]
+        order.insert(0, b)
+        out.append(b)
+    if run and len(out) + run > limit:
         raise MalformedCodewordError("zero run overflows block")
-    out.extend(b"\x00" * run)
+    out += order[:1] * run
+    return out
 
 
 # Between two rescales the model codes symbol i of the segment with total
@@ -945,10 +927,10 @@ def _decode_bwt(r: _BitReader, n: int) -> int:
                 counts, total = _zle_halve(counts)
             syms.append(s)
         dec.finish()
-        mtf = _zle_decode(syms, blen)
-        if len(mtf) != blen:
+        last = _zero_run_bytes(syms, blen)
+        if len(last) != blen:
             raise MalformedCodewordError("block length mismatch")
-        packed.extend(_bwt_decode(bytes(_mtf_decode(mtf)), idx))
+        packed.extend(_bwt_decode(last, idx))
         remaining -= blen
     return int.from_bytes(bytes(packed), "big") >> (8 * nbytes - n)
 

@@ -358,6 +358,9 @@ def cover_ball(
 ) -> CoverResult:
     delta, d = Fraction(delta), Fraction(d)
     _check_pair(spec, delta, d, seed)
+    # a negative c makes the per-shell budget n^(c+1) a fraction or a float
+    if not isinstance(draw_exponent, int) or draw_exponent < 0:
+        raise ValueError("draw exponent must be a non-negative integer")
     n = spec.n
     dn = _radius_steps(spec, d)
     deltan = _radius_steps(spec, delta)  # fractional big radii shrink to the grid

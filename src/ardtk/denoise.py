@@ -34,7 +34,6 @@ from .rdsearch import CurveEstimate, distortion_rate_curve
 # fraction) before the residual is accepted as noise-like
 RESIDUAL_FLOOR_FACTOR = 0.8
 
-MEMBER_CONDITION_MAX_N = 16     # member-list conditioning cutoff
 MAJORITY_CHECK_MAX_N = 12       # exhaustive counting check cutoff
 MIN_CROSS_SIDE = 8
 COLLINEAR_TOL = 1e-9
@@ -55,29 +54,16 @@ class DeficiencyEstimate:
     value: float                 # log_cardinality - conditional_bits
 
 
-def deficiency_estimate(
-    x: BitWord,
-    ball: Ball,
-    by_members: bool = False,
-) -> DeficiencyEstimate:
+def deficiency_estimate(x: BitWord, ball: Ball) -> DeficiencyEstimate:
     """How atypical x is inside the ball, in bits.
 
-    Conditioning object is the ball's canonical descriptor; by_members
-    switches to the sorted member list (n <= 16, the list is
-    materialized verbatim).  Typical members land near or below zero,
-    special ones (the center of a big ball, say) land high.
+    The conditioning object is the ball's canonical descriptor.  Typical
+    members land near or below zero, special ones (the center of a big
+    ball, say) land high.
     """
     if not ball.contains(x):
         raise ValueError("x is not a member of the ball")
-    if by_members:
-        if ball.spec.n > MEMBER_CONDITION_MAX_N:
-            raise ValueError(
-                f"member-list conditioning needs n <= {MEMBER_CONDITION_MAX_N}"
-            )
-        cond = BitWord.join(ball.members())
-    else:
-        cond = ball.descriptor()
-    bits = conditional_codelength(x, cond)
+    bits = conditional_codelength(x, ball.descriptor())
     log_size = ball.log_cardinality()
     return DeficiencyEstimate(
         ball=ball,

@@ -4,16 +4,13 @@ Three families are supported:
 
     hamming    d(x, y) = |{i : x_i != y_i}| / n, radius 0..1/2
     euclid     words read as binary fractions in [0, 1); d(x, y) = |x - y|
-    list       destinations are finite sets S of words containing x;
+    list       destinations are list balls S containing x;
                d(x, S) = log2 |S|.  A list ball with a center c and an
                integer radius t is the suffix cylinder of the 2^t words
-               sharing c's first n - t bits; one with a member list is
-               that explicit list
+               sharing c's first n - t bits, so d(x, S) = t
 
-Distances are exact rationals (fractions.Fraction) whenever the value is
-rational; the list family returns a float for non-power-of-two sizes,
-since log2 |S| has no exact rational form there.  Mismatched lengths and
-non-membership give infinite distortion.
+Distances are exact rationals (fractions.Fraction).  Mismatched lengths
+and non-membership give infinite distortion.
 """
 from __future__ import annotations
 
@@ -21,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, log2
-from typing import Iterable, Optional, Sequence
 
 from .bits import BitWord
 
@@ -71,13 +67,6 @@ def _radius_steps(spec: DistortionSpec, delta: Fraction) -> int:
     return int(delta * (1 << spec.n))
 
 
-def _log_size(size: int):
-    """log2 of a list size: an exact Fraction for a power of two, else a float."""
-    if size & (size - 1) == 0:
-        return Fraction(size.bit_length() - 1)
-    return log2(size)
-
-
 def _shell(n: int, w: int):
     """The n-bit values of weight w, in itertools.combinations order of bits 1 << p."""
     return map(sum, itertools.combinations([1 << p for p in range(n)], w))
@@ -94,15 +83,10 @@ def _volumes(n: int):
 
 
 def distance(spec: DistortionSpec, x: BitWord, y):
-    """Exact distortion between x and destination y (word, word set or
-    list ball)."""
+    """Exact distortion between x and destination y (a word, or a list
+    ball for the list family)."""
     if spec.family == LIST:
-        if isinstance(y, Ball):
-            return _log_size(y.cardinality()) if y.contains(x) else inf
-        members = list(y)
-        if x not in members:
-            return inf
-        return _log_size(len(members))
+        return y.radius if isinstance(y, Ball) and y.contains(x) else inf
     if not isinstance(y, BitWord) or x.n != y.n or x.n != spec.n:
         return inf
     if spec.family == HAMMING:
@@ -138,16 +122,6 @@ def binary_entropy(p: float) -> float:
     return -p * log2(p) - (1 - p) * log2(1 - p)
 
 
-def entropy_bounds(n: int, delta: Fraction) -> "tuple[float, float]":
-    """Lower/upper bounds on log2 of the Hamming ball cardinality."""
-    if not 0 <= delta <= Fraction(1, 2):
-        raise ValueError("delta must lie in [0, 1/2]")
-    h = binary_entropy(float(delta))
-    upper = n * h
-    lower = n * h - log2(n) / 2 - 1
-    return lower, upper
-
-
 def _ball_value_range(spec: DistortionSpec, center: BitWord, delta: Fraction):
     """Clamped [lo, hi] integer grid range of a euclid ball."""
     steps = _radius_steps(spec, delta)
@@ -158,27 +132,19 @@ def _ball_value_range(spec: DistortionSpec, center: BitWord, delta: Fraction):
 
 @dataclass(frozen=True)
 class Ball:
-    """A destination ball: center and radius, or an explicit member list.
+    """A destination ball: a center and a radius.
 
-    Hamming and euclid balls have a center.  A list ball has exactly one
-    of the two: a center with integer radius t in 0..n is the suffix
-    cylinder of the 2^t words sharing the center's first n - t bits, and
-    list_members is an explicit (sorted) member tuple.
+    A list ball's radius is an integer t in 0..n, and the ball is the
+    suffix cylinder of the 2^t words sharing the center's first n - t
+    bits.
     """
 
     spec: DistortionSpec
     radius: Fraction
-    center: Optional[BitWord] = None
-    list_members: Optional[tuple] = None
+    center: BitWord
 
     def __post_init__(self):
         _check_radius(self.spec, self.radius)
-        if (self.center is None) == (self.list_members is None):
-            raise ValueError("a ball needs exactly one of center and members")
-        if self.list_members is not None:
-            if self.spec.family != LIST:
-                raise ValueError("only a list ball takes members")
-            return
         if self.center.n != self.spec.n:
             raise ValueError("center must match the word length")
         if self.spec.family == LIST and not (
@@ -187,8 +153,6 @@ class Ball:
             raise ValueError("cylinder radius must be an integer in 0..n")
 
     def cardinality(self) -> int:
-        if self.list_members is not None:
-            return len(self.list_members)
         if self.spec.family == HAMMING:
             return ball_cardinality(self.spec, self.radius)
         if self.spec.family == EUCLID:
@@ -200,8 +164,6 @@ class Ball:
         return log2(self.cardinality())
 
     def contains(self, x: BitWord) -> bool:
-        if self.list_members is not None:
-            return x in self.list_members
         if self.spec.family == LIST:
             t = int(self.radius)
             return x.n == self.spec.n and x.value >> t == self.center.value >> t
@@ -212,12 +174,9 @@ class Ball:
 
         hamming: center bits followed by LEB128 of the flip-count radius.
         euclid:  center bits followed by LEB128 of the grid-step radius.
-        list:    a cylinder is its n - t prefix bits followed by LEB128
-                 of t (the full cube: LEB128 of n alone); an explicit
-                 list is its members concatenated in lexicographic order.
+        list:    the n - t prefix bits followed by LEB128 of t (the full
+                 cube: LEB128 of n alone).
         """
-        if self.list_members is not None:
-            return BitWord.join(sorted(self.list_members))
         if self.spec.family == LIST:
             t = int(self.radius)
             prefix = BitWord(self.spec.n - t, self.center.value >> t)
@@ -226,8 +185,6 @@ class Ball:
 
     def members(self) -> "list[BitWord]":
         """All members in lexicographic order (guarded against explosion)."""
-        if self.list_members is not None:
-            return sorted(self.list_members)
         if self.cardinality() > MEMBER_ENUM_MAX_COUNT:
             raise SizeGuardError("ball too large to enumerate")
         spec = self.spec
@@ -253,35 +210,6 @@ def _leb_word(n: int) -> BitWord:
         if not n:
             break
     return BitWord.from_bytes(bytes(groups), 8 * len(groups))
-
-
-def hamming_ball(center: BitWord, delta: Fraction) -> Ball:
-    spec = DistortionSpec(HAMMING, center.n)
-    return Ball(spec, Fraction(delta), center=center)
-
-
-def euclid_ball(center: BitWord, delta: Fraction) -> Ball:
-    spec = DistortionSpec(EUCLID, center.n)
-    return Ball(spec, Fraction(delta), center=center)
-
-
-def list_ball(members: Iterable[BitWord]) -> Ball:
-    members = tuple(sorted(set(members)))
-    if not members:
-        raise ValueError("list ball needs at least one member")
-    n = members[0].n
-    if any(m.n != n for m in members):
-        raise ValueError("members must share one length")
-    radius = Fraction(_log_size(len(members)))
-    return Ball(DistortionSpec(LIST, n), radius, list_members=members)
-
-
-def full_cube(n: int) -> Ball:
-    return Ball(DistortionSpec(LIST, n), Fraction(n), center=BitWord.zeros(n))
-
-
-def ball_members(spec: DistortionSpec, center: BitWord, delta: Fraction):
-    return Ball(spec, Fraction(delta), center=center).members()
 
 
 def admissible_radii(spec: DistortionSpec) -> "list[Fraction]":

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ardtk.bits import BitWord, iter_words
+from ardtk.bits import BitWord
 from ardtk.game import GameParams, adversary_balls, play_game
 from ardtk.rdsearch import Candidate
 
@@ -36,7 +36,7 @@ def test_value_range_checked():
 
 
 def test_lex_order_matches_int_order_within_length():
-    ws = sorted(iter_words(4))
+    ws = sorted(BitWord(4, v) for v in random.Random(0).sample(range(16), 16))
     assert [w.value for w in ws] == list(range(16))
     assert BitWord.from_str("0011") < BitWord.from_str("0100")
 
@@ -71,19 +71,6 @@ def test_concat_parts_recoverable(na, nb, seed):
     c = a.concat(b)
     assert c.n == na + nb
     assert c.to01() == a.to01() + b.to01()
-
-
-@given(
-    st.lists(st.tuples(st.integers(0, 40), st.integers()), max_size=8),
-)
-def test_join_equals_folded_concat(shapes):
-    # empty list and zero-length parts included
-    parts = [BitWord.random(random.Random(seed), n) for n, seed in shapes]
-    folded = BitWord.zeros(0)
-    for p in parts:
-        folded = folded.concat(p)
-    assert BitWord.join(parts) == folded
-    assert BitWord.join(iter(parts)) == folded
 
 
 @pytest.mark.parametrize("w", [BitWord(0, 0), BitWord.from_str("1011"),

@@ -26,10 +26,17 @@ from ardtk.cli import (
     read_pbm,
     read_word,
     write_pbm,
-    write_word,
 )
 from ardtk.denoise import make_noisy_cross
 from ardtk.game import GameParams, mark_bound
+
+
+def write_word(path, word, raw=False):
+    """A word file in the form read_word reads: one line of 0/1, or packed."""
+    if raw:
+        path.write_bytes(word.n.to_bytes(8, "big") + word.to_bytes())
+    else:
+        path.write_text(word.to01() + "\n")
 
 
 def read_csv(path):
@@ -52,9 +59,10 @@ class TestFileFormats:
         path = tmp_path / "w.bits"
         write_word(path, word)
         assert read_word(path) == word
-        # 64-column wrapping
-        lines = path.read_text().splitlines()
-        assert [len(ln) for ln in lines] == [64, 36]
+        # line breaks are whitespace
+        s = word.to01()
+        path.write_text(s[:64] + "\n" + s[64:] + "\n")
+        assert read_word(path) == word
 
     def test_word_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "w.bits"
@@ -426,6 +434,13 @@ class TestCoverCommand:
         assert main(["cover", "ball", "--n", "8", "--d", "1/8",
                      "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("mode", [["ball", "--delta", "1/2"], ["space"]])
+    def test_negative_draw_exponent_is_domain_error(self, tmp_path, capsys, mode):
+        assert main(["cover", *mode, "--n", "8", "--d", "1/8",
+                     "--draw-exponent", "-3", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "draw exponent" in err and "retries" not in err
+
 
 class TestShannonCommand:
     def test_rd_table(self, tmp_path):
@@ -543,6 +558,26 @@ class TestManifestReplay:
                      "--out-dir", str(tmp_path / "again")])
         assert code == 1
         assert "mismatch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], "manifest", None,
+        {"argv": "codec roundtrip", "seed": 0, "inputs": {}, "outputs": {}},
+        {"argv": ["codec", 1], "seed": 0, "inputs": {}, "outputs": {}},
+        {"argv": [], "seed": "0", "inputs": {}, "outputs": {}},
+        {"argv": [], "seed": 1.5, "inputs": {}, "outputs": {}},
+        {"argv": [], "seed": True, "inputs": {}, "outputs": {}},
+        {"argv": [], "seed": 0, "outputs": {}},
+        {"argv": [], "seed": 0, "inputs": [], "outputs": {}},
+        {"argv": [], "seed": 0, "inputs": {}, "outputs": {"curve.csv": 7}},
+    ])
+    def test_malformed_manifest_is_domain_error(self, tmp_path, capsys, doc):
+        man = tmp_path / "manifest.json"
+        man.write_text(json.dumps(doc))
+        assert main(["replay", str(man), "--out-dir", str(tmp_path / "again")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "again").exists()
 
     def test_replay_uses_recorded_seed_over_env(self, tmp_path, word96,
                                                 monkeypatch, capsys):

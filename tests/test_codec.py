@@ -175,7 +175,102 @@ def _bwt_last(block: bytes) -> bytes:
 
 
 def _symbols_to_last(syms, n: int) -> bytes:
-    return bytes(codec._mtf_decode(codec._zle_decode(syms, n)))
+    return bytes(codec._zero_run_bytes(syms, n))
+
+
+def _ref_zle_decode(syms, limit: int) -> bytearray:
+    """The reference zero-run stage: runs become 0 bytes, literal s the
+    move-to-front index s - 1."""
+    out = bytearray()
+    run = 0
+    place = 1
+
+    def flush():
+        if len(out) + run > limit:
+            raise codec.MalformedCodewordError("zero run overflows block")
+        out.extend(b"\x00" * run)
+
+    for s in syms:
+        if s in (codec._ZLE_RUNA, codec._ZLE_RUNB):
+            run += place * (1 + s)
+            place <<= 1
+            continue
+        if run:
+            flush()
+            run = 0
+            place = 1
+        if s - 1 > 255:
+            raise codec.MalformedCodewordError("bad zero-run literal")
+        out.append(s - 1)
+    if run:
+        flush()
+    return out
+
+
+def _ref_mtf_decode(seq) -> bytearray:
+    """The reference move-to-front decoder."""
+    order = bytearray(range(256))
+    out = bytearray()
+    for i in seq:
+        b = order[i]
+        out.append(b)
+        if i:
+            del order[i]
+            order.insert(0, b)
+    return out
+
+
+def _ref_bwt_decode(last: bytes, idx: int) -> bytes:
+    """The reference inverse BWT, with the row links built by counting."""
+    n = len(last)
+    if not 0 <= idx < n:
+        raise codec.MalformedCodewordError("BWT index out of range")
+    counts = [0] * 256
+    for b in last:
+        counts[b] += 1
+    starts, s = [], 0
+    for c in counts:
+        starts.append(s)
+        s += c
+    nxt, seen = [0] * n, [0] * 256
+    for i, b in enumerate(last):
+        nxt[starts[b] + seen[b]] = i
+        seen[b] += 1
+    out, j = bytearray(n), idx
+    for i in range(n):
+        j = nxt[j]
+        out[i] = last[j]
+    return bytes(out)
+
+
+def _decoded_or_refused(fn, *args):
+    try:
+        return bytes(fn(*args))
+    except codec.MalformedCodewordError:
+        return "refused"
+
+
+@given(
+    st.lists(st.one_of(st.integers(0, 1), st.integers(0, 300)), max_size=60),
+    st.integers(0, 400),
+)
+@settings(max_examples=300, deadline=None)
+@example([0] * 12, 4095)      # a run of 4095 bytes, at the limit
+@example([0] * 12, 4094)      # one byte past it
+@example([3, 0, 1, 257], 10)  # literal 257 after a run
+@example([256, 1, 2, 2, 0], 5)
+def test_zero_run_bytes_matches_the_two_stage_reference(syms, limit):
+    want = _decoded_or_refused(lambda: _ref_mtf_decode(_ref_zle_decode(syms, limit)))
+    assert _decoded_or_refused(codec._zero_run_bytes, syms, limit) == want
+
+
+@given(st.binary(max_size=300), st.integers(-2, 302))
+@settings(max_examples=200, deadline=None)
+@example(b"", 0)
+@example(b"\x05" * 40, 39)
+def test_bwt_decode_matches_the_counting_reference(last, idx):
+    got = _decoded_or_refused(codec._bwt_decode, last, idx)
+    assert got == _decoded_or_refused(_ref_bwt_decode, last, idx)
 
 
 def test_bwt_mtf_zle_stages():

@@ -191,6 +191,19 @@ class TestCoverBall:
 
 
 
+    @pytest.mark.parametrize("c", [-1, -3])
+    def test_negative_draw_exponent_refused_before_any_draw(self, monkeypatch, c):
+        # at c <= -2 the per-shell budget n^(c+1) would be a float
+        def no_draws(*args):
+            raise AssertionError("a center was drawn")
+
+        monkeypatch.setattr(cover, "_sample_weighted", no_draws)
+        with pytest.raises(ValueError, match="draw exponent"):
+            cover_ball(spec(8), Fraction(1, 2), Fraction(1, 8), 0, draw_exponent=c)
+        with pytest.raises(ValueError, match="draw exponent"):
+            cover_space(spec(8), Fraction(1, 8), 0, draw_exponent=c)
+
+
 class TestCoverSpace:
     def test_half_radius_needs_two(self):
         r = cover_space(spec(10), Fraction(1, 2), seed=1)

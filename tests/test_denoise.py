@@ -287,16 +287,6 @@ class TestDeficiency:
         assert est.value == pytest.approx(est.log_cardinality - est.conditional_bits)
         assert est.ball is ball
 
-    def test_member_list_conditioning(self):
-        ball = Ball(H10, Fraction(1, 10), center=BitWord(10, 37))
-        m = ball.members()[3]
-        est = deficiency_estimate(m, ball, by_members=True)
-        assert math.isfinite(est.value)
-        big = Ball(DistortionSpec("hamming", 17), Fraction(0),
-                   center=BitWord.zeros(17))
-        with pytest.raises(ValueError, match="16"):
-            deficiency_estimate(BitWord.zeros(17), big, by_members=True)
-
     def test_singleton_gap_small(self):
         x = BitWord.random(random.Random(9), 64)
         ball = Ball(H64, Fraction(0), center=x)

@@ -8,7 +8,7 @@ from math import comb, inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardtk.bits import BitWord, iter_words
+from ardtk.bits import BitWord
 from ardtk import distortion as dst
 from ardtk.distortion import (
     Ball,
@@ -16,15 +16,23 @@ from ardtk.distortion import (
     SizeGuardError,
     admissible_radii,
     ball_cardinality,
-    ball_members,
+    binary_entropy,
     distance,
-    entropy_bounds,
-    euclid_ball,
-    full_cube,
-    hamming_ball,
-    list_ball,
     radius_for_log_cardinality,
 )
+
+
+def ball_members(spec, center, delta):
+    return Ball(spec, Fraction(delta), center=center).members()
+
+
+def all_words(n):
+    return [BitWord(n, v) for v in range(1 << n)]
+
+
+def full_cube(n):
+    """The list ball holding every n-bit word: the t = n cylinder around 0^n."""
+    return Ball(DistortionSpec(dst.LIST, n), Fraction(n), center=BitWord.zeros(n))
 
 
 # -- distances ---------------------------------------------------------------
@@ -44,13 +52,16 @@ def test_euclid_distance_is_fraction_of_grid():
 
 
 def test_list_distance():
+    # a list distance is the cylinder's radius t = log2 of its size
     spec = DistortionSpec(dst.LIST, 3)
     x = BitWord.from_str("010")
-    assert distance(spec, x, [x]) == 0
-    assert distance(spec, x, [x, BitWord.from_str("011")]) == 1
-    got = distance(spec, x, [x, BitWord.from_str("011"), BitWord.from_str("111")])
-    assert got == pytest.approx(math.log2(3))
-    assert distance(spec, x, [BitWord.from_str("011")]) == inf
+    for t in range(4):
+        got = distance(spec, x, Ball(spec, Fraction(t), center=x))
+        assert got == t and isinstance(got, Fraction)
+    assert distance(spec, x, Ball(spec, Fraction(1), center=BitWord.from_str("011"))) == 1
+    assert distance(spec, x, Ball(spec, Fraction(1), center=BitWord.from_str("000"))) == inf
+    assert distance(spec, x, Ball(spec, Fraction(2), center=BitWord.from_str("110"))) == inf
+    assert distance(spec, x, x) == inf  # a list destination is a ball
 
 
 @given(st.integers(1, 16), st.integers(), st.integers())
@@ -138,17 +149,23 @@ def test_radius_validation():
 # -- entropy bounds -------------------------------------------------------------
 
 
+def _entropy_bounds(n, delta):
+    """n H(delta) - log2(n) / 2 - 1 <= log2 |B(delta)| <= n H(delta)."""
+    h = n * binary_entropy(float(delta))
+    return h - math.log2(n) / 2 - 1, h
+
+
 def test_entropy_bounds_bracket_exact_logs():
     for n in (4, 8, 12, 16, 20):
         for i in range(n // 2 + 1):
             delta = Fraction(i, n)
             b = ball_cardinality(DistortionSpec(dst.HAMMING, n), delta)
-            lo, hi = entropy_bounds(n, delta)
+            lo, hi = _entropy_bounds(n, delta)
             assert lo <= math.log2(b) <= hi + 1e-12
 
 
 def test_entropy_bounds_degenerate_zero():
-    lo, hi = entropy_bounds(16, Fraction(0))
+    lo, hi = _entropy_bounds(16, Fraction(0))
     assert lo <= 0 <= hi == 0
 
 
@@ -201,7 +218,7 @@ def test_two_hamming_balls_cover_cube():
     spec = DistortionSpec(dst.HAMMING, n)
     a = set(ball_members(spec, BitWord.zeros(n), Fraction(1, 2)))
     b = set(ball_members(spec, BitWord.ones(n), Fraction(1, 2)))
-    assert a | b == set(iter_words(n))
+    assert a | b == set(all_words(n))
 
 
 def test_full_cube_ball():
@@ -222,7 +239,7 @@ def test_full_cube_descriptor_is_leb128_of_n(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cylinder_ball_matches_brute_force(n):
     rng = random.Random(n)
-    words = list(iter_words(n))
+    words = all_words(n)
     spec = DistortionSpec(dst.LIST, n)
     for c in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(4))}:
         center = BitWord(n, c)
@@ -245,20 +262,16 @@ def test_cylinder_members_guard():
     assert ball.cardinality() == 1 << 23
 
 
-def test_list_ball_needs_one_of_center_and_members():
+def test_list_ball_needs_a_center_and_an_integer_radius():
     spec = DistortionSpec(dst.LIST, 4)
     x = BitWord.from_str("0110")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Ball(spec, Fraction(1))
-    with pytest.raises(ValueError):
-        Ball(spec, Fraction(0), center=x, list_members=(x,))
-    for bad in (Fraction(1, 2), Fraction(5)):
+    for bad in (Fraction(1, 2), Fraction(5), Fraction(-1)):
         with pytest.raises(ValueError):
             Ball(spec, bad, center=x)
     with pytest.raises(ValueError):
         Ball(spec, Fraction(1), center=BitWord.zeros(5))
-    with pytest.raises(ValueError):
-        Ball(DistortionSpec(dst.HAMMING, 4), Fraction(1, 4), center=x, list_members=(x,))
 
 
 # -- admissible_radii --------------------------------------------------------
@@ -357,21 +370,23 @@ def test_radius_for_level_list():
 
 
 def test_descriptor_is_deterministic_and_distinct():
-    b1 = hamming_ball(BitWord.from_str("1010101010"), Fraction(2, 10))
-    b2 = hamming_ball(BitWord.from_str("1010101010"), Fraction(3, 10))
-    b3 = hamming_ball(BitWord.from_str("1010101011"), Fraction(2, 10))
-    assert b1.descriptor() == hamming_ball(b1.center, b1.radius).descriptor()
+    spec = DistortionSpec(dst.HAMMING, 10)
+    b1 = Ball(spec, Fraction(2, 10), center=BitWord.from_str("1010101010"))
+    b2 = Ball(spec, Fraction(3, 10), center=BitWord.from_str("1010101010"))
+    b3 = Ball(spec, Fraction(2, 10), center=BitWord.from_str("1010101011"))
+    assert b1.descriptor() == Ball(spec, b1.radius, center=b1.center).descriptor()
     assert b1.descriptor() != b2.descriptor()
     assert b1.descriptor() != b3.descriptor()
 
 
 def test_list_ball_round_trip():
-    words = [BitWord.from_str("110"), BitWord.from_str("001"), BitWord.from_str("110")]
-    ball = list_ball(words)
+    spec = DistortionSpec(dst.LIST, 3)
+    ball = Ball(spec, Fraction(1), center=BitWord.from_str("001"))
     assert ball.cardinality() == 2
-    assert ball.radius == 1
-    assert ball.contains(BitWord.from_str("001"))
-    assert not ball.contains(BitWord.from_str("000"))
+    assert ball.members() == [BitWord.from_str("000"), BitWord.from_str("001")]
+    assert all(distance(spec, m, ball) == ball.radius for m in ball.members())
+    assert not ball.contains(BitWord.from_str("010"))
+    assert ball.descriptor() == BitWord.from_str("00" + format(1, "08b"))
 
 
 @given(st.integers(1, 12), st.integers(0, 6), st.integers())
@@ -382,5 +397,5 @@ def test_ball_members_match_distance_filter(n, i, seed):
     c = BitWord.random(random.Random(seed), n)
     delta = Fraction(i, n)
     members = set(ball_members(spec, c, delta))
-    brute = {w for w in iter_words(n) if distance(spec, w, c) <= delta}
+    brute = {w for w in all_words(n) if distance(spec, w, c) <= delta}
     assert members == brute
