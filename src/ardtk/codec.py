@@ -53,12 +53,13 @@ codelength returns below, and no bitac coder runs.
 
 The oracle remembers, by (n, value), each word's exact length or else
 the largest below it refused the word at, in one store of at most 2^18
-words that drops the least recently used first.  A remembered length
-answers every question.  A refusal at b proves the length is at least b,
-and each refusal rule above (raw, the bitac floor, LZ's and BWT's
-least lengths and bounds) refuses at every bound under one it refused
-at, so a question at or under b is answered below at once, with no
-method run; a larger below asks again.  clear_cache forgets the store.
+words and 2^28 bits of words that drops the least recently used first.
+A remembered length answers every question.  A refusal at b proves the
+length is at least b, and each refusal rule above (raw, the bitac
+floor, LZ's and BWT's least lengths and bounds) refuses at every bound
+under one it refused at, so a question at or under b is answered below
+at once, with no method run; a larger below asks again.  clear_cache
+forgets the store.
 
 The BWT model is a plain list of 257 counts, every one starting at 1:
 each coded symbol adds 32 to its count, and once the total passes 2^16
@@ -1093,9 +1094,13 @@ def decompress(cw: Codeword) -> BitWord:
 
 # the oracle's memory, least recently used first: (n, value) maps to the
 # exact codelength, or to ~b for the largest below b >= 0 at which
-# _may_undercut refused the word (see the module docstring)
+# _may_undercut refused the word (see the module docstring).  It holds at
+# most _ORACLE_SIZE keys and _ORACLE_BITS key bits (the sum of their n):
+# 2^18 keys of 1024 bits fill both at once
 _ORACLE_SIZE = 1 << 18
+_ORACLE_BITS = 1 << 28
 _oracle: "OrderedDict[tuple[int, int], int]" = OrderedDict()
+_oracle_bits = 0
 
 
 def codelength(word: BitWord, below: "int | None" = None) -> int:
@@ -1123,10 +1128,17 @@ def codelength(word: BitWord, below: "int | None" = None) -> int:
 
 
 def _remember(key: "tuple[int, int]", entry: int):
+    global _oracle_bits
+    if key in _oracle:
+        _oracle[key] = entry
+        _oracle.move_to_end(key)
+        return
     _oracle[key] = entry
-    _oracle.move_to_end(key)
-    if len(_oracle) > _ORACLE_SIZE:
-        _oracle.popitem(last=False)
+    _oracle_bits += key[0]
+    # a word holds at most MAX_WORD_BITS < _ORACLE_BITS bits, so the
+    # new key itself is never evicted
+    while len(_oracle) > _ORACLE_SIZE or _oracle_bits > _ORACLE_BITS:
+        _oracle_bits -= _oracle.popitem(last=False)[0][0]
 
 
 def _may_undercut(word: BitWord, below: int) -> bool:
@@ -1192,5 +1204,7 @@ def conditional_codelength(x: BitWord, y: BitWord) -> int:
 def clear_cache():
     """Forget every exact length and refusal the oracle remembers, and the
     bitac checkpoints."""
+    global _oracle_bits
     _oracle.clear()
+    _oracle_bits = 0
     _bitac_recent.clear()

@@ -20,6 +20,20 @@ out.  Each such question still counts as one evaluation, so results,
 traces and budgets are those of exact scoring.  List cylinders are
 scored exactly.
 
+The word climber works on int values (x_1 the most significant bit, as
+in BitWord): the seen scores, the best, the pool, the neighbours and
+the Hamming projection are all ints.  A BitWord is built only to ask
+the oracle about a fresh value, and once for the returned Candidate,
+whose distortion is computed once.  For Hamming it keeps a table of
+the current best's projected single flips by flip index, cleared when
+the best changes, so a revisit costs one draw, one dict lookup and one
+seen test.  The random draws keep one order: the pool's picks, then per
+step the neighbour's draw (a flip index; a sign, then a power of two),
+random() only after a revisit, and for a hop the pool index before its
+neighbour's draw.  So a fixed seed gives the result, trace, evaluation
+count and oracle questions of the BitWord climber the tests keep as the
+reference.
+
 Staircase shapes: g drawn from the family of integer functions on 0..n
 with g(n) = 0 and g(l-1) in {g(l), g(l)+1}; estimated curves are checked
 against that family up to a slack of c * log2(n) bits.
@@ -91,11 +105,12 @@ class CurveEstimate:
 
 
 # ---------------------------------------------------------------------------
-# word-destination search (hamming / euclid)
+# word-destination search (hamming / euclid), on int values
 
-def _project_hamming(x: BitWord, y: BitWord, max_flips: int) -> BitWord:
-    """Keep only the lowest max_flips differing bits, so d(x, .) fits."""
-    diff = x.value ^ y.value
+def _project_hamming(x: int, y: int, max_flips: int) -> int:
+    """Keep only the lowest max_flips bits where y differs from x, so
+    d(x, .) fits."""
+    diff = x ^ y
     if diff.bit_count() <= max_flips:
         return y
     # bisect for the least k whose low k bits of diff hold max_flips ones
@@ -106,7 +121,7 @@ def _project_hamming(x: BitWord, y: BitWord, max_flips: int) -> BitWord:
             hi = mid
         else:
             lo = mid + 1
-    return BitWord(x.n, x.value ^ (diff & ((1 << lo) - 1)))
+    return x ^ (diff & ((1 << lo) - 1))
 
 
 def _flip_mask(n: int, positions) -> int:
@@ -120,7 +135,8 @@ def _flip_mask(n: int, positions) -> int:
 
 def _hamming_base(x: BitWord) -> tuple:
     """The parts of x's Hamming pool that no level changes: the positions
-    of x's ones and of its zeros, and x's dyadic majority smoothings."""
+    of x's ones and of its zeros, and the values of x's dyadic majority
+    smoothings."""
     n = x.n
     bits = x.to01()
     ones = [i for i, b in enumerate(bits) if b == "1"]
@@ -137,32 +153,32 @@ def _hamming_base(x: BitWord) -> tuple:
             block = (1 << size) - 1
             if 2 * (x.value >> shift & block).bit_count() > size:
                 v |= block << shift
-        smoothed.append(BitWord(n, v))
+        smoothed.append(v)
         width *= 2
     return ones, zeros, smoothed
 
 
 def _hamming_pool(
     x: BitWord, max_flips: int, rng: random.Random, base: Optional[tuple] = None
-) -> "list[BitWord]":
-    """The starting pool at max_flips; base is _hamming_base(x), built
-    here when not given."""
-    n = x.n
+) -> "list[int]":
+    """The values of the starting pool at max_flips; base is
+    _hamming_base(x), built here when not given."""
+    n, xv = x.n, x.value
     ones, zeros, smoothed = _hamming_base(x) if base is None else base
-    pool = [x, BitWord.zeros(n), BitWord.ones(n)]
+    pool = [xv, 0, (1 << n) - 1]
     for positions in (ones, zeros):
         take = min(len(positions), max_flips)
         head = _flip_mask(n, positions[:take])
         tail = _flip_mask(n, positions[len(positions) - take:])
-        pool += [BitWord(n, x.value ^ head), BitWord(n, x.value ^ tail)]
+        pool += [xv ^ head, xv ^ tail]
         for _ in range(4):
             pick = rng.sample(positions, take) if take else []
-            pool.append(BitWord(n, x.value ^ _flip_mask(n, pick)))
+            pool.append(xv ^ _flip_mask(n, pick))
     pool += smoothed
-    return [_project_hamming(x, y, max_flips) for y in pool]
+    return [_project_hamming(xv, y, max_flips) for y in pool]
 
 
-def _euclid_pool(x: BitWord, lo: int, hi: int, rng: random.Random) -> "list[BitWord]":
+def _euclid_pool(x: BitWord, lo: int, hi: int, rng: random.Random) -> "list[int]":
     n = x.n
     pool = [x.value, lo, hi]
     # coarsest dyadic grid point inside the feasible interval
@@ -173,21 +189,7 @@ def _euclid_pool(x: BitWord, lo: int, hi: int, rng: random.Random) -> "list[BitW
             pool.append(v)
             break
     pool += [rng.randint(lo, hi) for _ in range(4)]
-    return [BitWord(n, v) for v in pool]
-
-
-def _below(best: Optional[Candidate], y: BitWord) -> Optional[int]:
-    """The score y must stay under to beat best, ties going to the
-    smaller value; None scores the first candidate exactly.
-
-    The oracle returns the exact score under this limit and some score
-    at or above it otherwise.  A score kept for a revisit stays sound:
-    the limit never rises as the best improves, so a word that could not
-    beat best then cannot beat it later.
-    """
-    if best is None:
-        return None
-    return best.score + (y.value < best.destination.value)
+    return pool
 
 
 def _word_search(
@@ -200,62 +202,81 @@ def _word_search(
     trace: Optional[list],
     hamming_base: Optional[tuple],
 ):
-    n = spec.n
+    """(best Candidate, evaluations spent) for a Hamming or Euclid spec,
+    climbing on int values (see the module docstring)."""
+    n, xv = spec.n, x.value
     seen: "dict[int, int]" = {}
-    best = None
+    flips: "dict[int, int]" = {}  # flip index -> projected flip of the best
+    best = score = None
     evals = 0
 
-    def consider(y: BitWord):
-        nonlocal best, evals
-        if y.value not in seen:
-            if evals >= budget:
-                return
-            seen[y.value] = codelength(y, _below(best, y))
-            evals += 1
-        score = seen[y.value]
-        if best is None or (score, y.value) < (best.score, best.destination.value):
-            best = Candidate(y, score, distance(spec, x, y))
+    def consider(v: int):
+        nonlocal best, score, evals
+        if v in seen or evals >= budget:
+            # a seen value lost to a best that can only have improved
+            return
+        # the oracle answers exactly under the score v must stay under
+        # to beat the best (ties go to the smaller value), and at or
+        # above it otherwise; the limit never rises, so a kept score
+        # stays sound
+        s = codelength(BitWord(n, v), None if best is None else score + (v < best))
+        seen[v] = s
+        evals += 1
+        if best is None or (s, v) < (score, best):
+            best, score = v, s
+            flips.clear()
             if trace is not None:
-                trace.append((evals, best.score))
+                trace.append((evals, s))
+
+    def result():
+        y = BitWord(n, best)
+        return Candidate(y, score, distance(spec, x, y)), evals
 
     ball = Ball(spec, delta, center=x)
     if ball.cardinality() <= budget:
         for y in ball.members():
-            consider(y)
-        return best, evals
+            consider(y.value)
+        return result()
 
     rng = random.Random(seed)
-    if spec.family == HAMMING:
+    hamming = spec.family == HAMMING
+    if hamming:
         max_flips = _radius_steps(spec, delta)
+        top = 1 << (n - 1)  # flip index i is the bit top >> i
         pool = _hamming_pool(x, max_flips, rng, hamming_base)
+        pool += [_project_hamming(xv, w.value, max_flips) for w in extra_seeds]
 
-        def neighbor(y: BitWord) -> BitWord:
-            return _project_hamming(x, y.flip(rng.randrange(n)), max_flips)
+        def neighbor(v: int) -> int:
+            return _project_hamming(xv, v ^ top >> rng.randrange(n), max_flips)
     else:
         lo, hi = _ball_value_range(spec, x, delta)
         pool = _euclid_pool(x, lo, hi, rng)
+        # the ball's values are lo..hi
+        pool += [w.value for w in extra_seeds if lo <= w.value <= hi]
 
-        def neighbor(y: BitWord) -> BitWord:
-            v = y.value + rng.choice((-1, 1)) * (1 << rng.randrange(n))
-            return BitWord(n, min(hi, max(lo, v)))
+        def neighbor(v: int) -> int:
+            v += rng.choice((-1, 1)) * (1 << rng.randrange(n))
+            return min(hi, max(lo, v))
 
-    for w in extra_seeds:
-        if spec.family == HAMMING:
-            pool.append(_project_hamming(x, w, max_flips))
-        elif distance(spec, x, w) <= delta:
-            pool.append(w)
-
-    for y in pool:
-        consider(y)
+    for v in pool:
+        consider(v)
     while evals < budget:
-        before = evals
-        consider(neighbor(best.destination))
-        if evals == before and rng.random() < 0.05:
+        if hamming:
+            i = rng.randrange(n)
+            v = flips.get(i)
+            if v is None:
+                v = flips[i] = _project_hamming(xv, best ^ top >> i, max_flips)
+        else:
+            v = neighbor(best)
+        if v not in seen:
+            consider(v)
+        elif rng.random() < 0.05:
             # stuck on revisits; hop to a fresh random feasible point
-            consider(neighbor(pool[rng.randrange(len(pool))]))
-            if evals == before:
+            v = neighbor(pool[rng.randrange(len(pool))])
+            if v in seen:
                 break
-    return best, evals
+            consider(v)
+    return result()
 
 
 def _list_search(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ardtk import rdsearch
+from ardtk import codec, rdsearch
 from ardtk.bits import BitWord
 from ardtk.distortion import HAMMING, DistortionSpec
 
@@ -41,3 +41,25 @@ def test_search_min_rate_binds_spec_delta_and_budget(tracing):
     (span,) = [s for s in tracer.spans if s[tracing.NAME] == "rdsearch.search_min_rate"]
     # the radius-1 ball holds 9 words, within the budget of 16
     assert span[tracing.INFO] is True
+
+
+def test_every_oracle_question_is_a_codelength_span_of_the_search(tracing):
+    # the tracer sees the oracle only where rdsearch looks it up as a
+    # module global at call time; one bound at import time would leave
+    # rdsearch.evals and codec.codelength.* at zero
+    tracer = tracing.Tracer()
+    spec = DistortionSpec(HAMMING, 16)
+    x = BitWord(16, 0b1011001110001011)
+    trace = []
+    codec.clear_cache()
+    with tracer.installed():
+        # the radius-4 ball holds 2,517 words, past the budget of 64
+        rdsearch.search_min_rate(x, spec, Fraction(1, 4), 64, 0, trace=trace)
+    spans = tracer.spans
+    (search,) = [i for i, s in enumerate(spans) if s[tracing.NAME] == "rdsearch.search_min_rate"]
+    assert spans[search][tracing.INFO] is False
+    questions = [s for s in spans if s[tracing.NAME] == "codec.codelength"]
+    evals = trace[-1][0]
+    assert evals > 1
+    assert len(questions) == evals
+    assert all(s[tracing.PARENT] == search for s in questions)

@@ -986,6 +986,41 @@ def test_no_pass_at_or_under_a_least_length(monkeypatch):
     assert refused_without_a_pass
 
 
+def test_oracle_store_bounds_fill_together_at_1024_bits():
+    # no run of 1024-bit questions evicts sooner than the key bound alone
+    assert codec._ORACLE_BITS == codec._ORACLE_SIZE * 1024
+    assert codec.MAX_WORD_BITS < codec._ORACLE_BITS
+
+
+def test_oracle_store_stays_under_its_bit_bound(monkeypatch):
+    bound = 3 * 4096 + 500
+    monkeypatch.setattr(codec, "_ORACLE_BITS", bound)
+    codec.clear_cache()
+    assert codec._oracle_bits == 0
+    rng = random.Random(61)
+    words = [_WORD_KINDS[rng.choice(sorted(_WORD_KINDS))](rng, n)
+             for n in (12, 64, 300, 1024, 2048, 4096, 4096, 1100) for _ in range(3)]
+    exact = {w: compress(w).bit_length for w in words}
+    asked = set()
+    for _ in range(150):
+        w = rng.choice(words)
+        if rng.random() < 0.5:
+            assert codelength(w) == exact[w]
+        else:
+            below = max(0, exact[w] + rng.randint(-40, 40))
+            got = codelength(w, below)
+            assert got == exact[w] if exact[w] < below else got >= below
+        key = (w.n, w.value)
+        asked.add(key)
+        # the question just asked is the most recent entry
+        assert next(reversed(codec._oracle)) == key
+        assert codec._oracle_bits == sum(n for n, _ in codec._oracle) <= bound
+    assert sum(n for n, _ in asked) > bound >= codec._oracle_bits
+    assert len(codec._oracle) < len(asked)
+    codec.clear_cache()
+    assert codec._oracle_bits == 0 and not codec._oracle
+
+
 def test_codelength_below_refuses_long_words():
     w = BitWord(codec.MAX_WORD_BITS + 1, 0)
     for below in (None, 0, 1 << 30):

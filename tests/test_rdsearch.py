@@ -15,7 +15,10 @@ from ardtk.distortion import (
     EUCLID,
     HAMMING,
     LIST,
+    Ball,
     DistortionSpec,
+    _ball_value_range,
+    _radius_steps,
     admissible_radii,
     distance,
 )
@@ -290,6 +293,19 @@ class TestDistortionRateCurve:
         assert a.points == b.points and a.budget_used == b.budget_used
 
 
+def _project_hamming_by_flips(x, y, max_flips):
+    """Reference: keep the lowest differing bits one at a time."""
+    diff = x.value ^ y.value
+    if diff.bit_count() <= max_flips:
+        return y
+    kept = 0
+    for _ in range(max_flips):
+        low = diff & -diff
+        kept |= low
+        diff ^= low
+    return BitWord(x.n, x.value ^ kept)
+
+
 def _hamming_pool_by_bits(x, max_flips, rng):
     """The seed pool built one bit call and one flip at a time."""
     n = x.n
@@ -321,7 +337,7 @@ def _hamming_pool_by_bits(x, max_flips, rng):
                     v |= 1 << (n - 1 - i)
         pool.append(BitWord(n, v))
         width *= 2
-    return [rdsearch._project_hamming(x, y, max_flips) for y in pool]
+    return [_project_hamming_by_flips(x, y, max_flips) for y in pool]
 
 
 @given(st.integers(0, 300), st.floats(0, 1), st.integers(0, 400), st.integers(0, 2**32))
@@ -330,7 +346,8 @@ def test_hamming_pool_matches_bitwise_build(n, density, max_flips, seed):
     rng = random.Random(seed)
     x = BitWord(n, sum(1 << i for i in range(n) if rng.random() < density))
     a, b = random.Random(seed), random.Random(seed)
-    assert rdsearch._hamming_pool(x, max_flips, a) == _hamming_pool_by_bits(x, max_flips, b)
+    assert (rdsearch._hamming_pool(x, max_flips, a)
+            == [y.value for y in _hamming_pool_by_bits(x, max_flips, b)])
     assert a.getstate() == b.getstate()
 
 
@@ -343,7 +360,7 @@ def test_hamming_pool_matches_bitwise_build_at_1024():
         for max_flips in (0, 1, 102, 512, 1024):
             a, b = random.Random(max_flips), random.Random(max_flips)
             assert (rdsearch._hamming_pool(x, max_flips, a, base)
-                    == _hamming_pool_by_bits(x, max_flips, b))
+                    == [y.value for y in _hamming_pool_by_bits(x, max_flips, b)])
             assert a.getstate() == b.getstate()
 
 
@@ -368,19 +385,6 @@ def test_flip_mask_matches_shift_loop():
             assert rdsearch._flip_mask(n, again) == _flip_mask_by_shifts(n, again)
 
 
-def _project_hamming_by_flips(x, y, max_flips):
-    """Reference: keep the lowest differing bits one at a time."""
-    diff = x.value ^ y.value
-    if diff.bit_count() <= max_flips:
-        return y
-    kept = 0
-    for _ in range(max_flips):
-        low = diff & -diff
-        kept |= low
-        diff ^= low
-    return BitWord(x.n, x.value ^ kept)
-
-
 def test_project_hamming_matches_flip_loop():
     rng = random.Random(17)
     cases = 0
@@ -393,11 +397,170 @@ def test_project_hamming_matches_flip_loop():
                               distance + 1}:
                 if max_flips < 0:
                     continue
-                got = rdsearch._project_hamming(x, y, max_flips)
-                assert got == _project_hamming_by_flips(x, y, max_flips), (n, max_flips)
-                assert (got.value ^ x.value).bit_count() == min(max_flips, distance)
+                got = rdsearch._project_hamming(x.value, y.value, max_flips)
+                assert got == _project_hamming_by_flips(x, y, max_flips).value, (n, max_flips)
+                assert (got ^ x.value).bit_count() == min(max_flips, distance)
                 cases += 1
     assert cases > 2000
+
+
+# ---------------------------------------------------------------------------
+# the BitWord climber the int-valued one replaced, kept as its reference
+
+def _euclid_pool_words(x, lo, hi, rng):
+    n = x.n
+    pool = [x.value, lo, hi]
+    for t in range(n, -1, -1):
+        step = 1 << t
+        v = (lo + step - 1) // step * step
+        if v <= hi:
+            pool.append(v)
+            break
+    pool += [rng.randint(lo, hi) for _ in range(4)]
+    return [BitWord(n, v) for v in pool]
+
+
+def _word_search_by_words(x, spec, delta, budget, seed, extra_seeds, trace, oracle):
+    """Every value a BitWord, every best a Candidate, scored through
+    oracle(word, below); returns search_min_rate's Candidate and trace."""
+    n = spec.n
+    seen = {}
+    best = None
+    evals = 0
+
+    def below(y):
+        if best is None:
+            return None
+        return best.score + (y.value < best.destination.value)
+
+    def consider(y):
+        nonlocal best, evals
+        if y.value not in seen:
+            if evals >= budget:
+                return
+            seen[y.value] = oracle(y, below(y))
+            evals += 1
+        score = seen[y.value]
+        if best is None or (score, y.value) < (best.score, best.destination.value):
+            best = Candidate(y, score, distance(spec, x, y))
+            trace.append((evals, best.score))
+
+    ball = Ball(spec, delta, center=x)
+    if ball.cardinality() <= budget:
+        for y in ball.members():
+            consider(y)
+        trace.append((evals, best.score))
+        return best
+
+    rng = random.Random(seed)
+    if spec.family == HAMMING:
+        max_flips = _radius_steps(spec, delta)
+        pool = _hamming_pool_by_bits(x, max_flips, rng)
+
+        def neighbor(y):
+            return _project_hamming_by_flips(x, y.flip(rng.randrange(n)), max_flips)
+    else:
+        lo, hi = _ball_value_range(spec, x, delta)
+        pool = _euclid_pool_words(x, lo, hi, rng)
+
+        def neighbor(y):
+            v = y.value + rng.choice((-1, 1)) * (1 << rng.randrange(n))
+            return BitWord(n, min(hi, max(lo, v)))
+
+    for w in extra_seeds:
+        if spec.family == HAMMING:
+            pool.append(_project_hamming_by_flips(x, w, max_flips))
+        elif distance(spec, x, w) <= delta:
+            pool.append(w)
+
+    for y in pool:
+        consider(y)
+    while evals < budget:
+        before = evals
+        consider(neighbor(best.destination))
+        if evals == before and rng.random() < 0.05:
+            consider(neighbor(pool[rng.randrange(len(pool))]))
+            if evals == before:
+                break
+    trace.append((evals, best.score))
+    return best
+
+
+def _recording_oracle(questions):
+    def oracle(w, below=None):
+        questions.append((w.n, w.value, below))
+        return codelength(w, below)
+    return oracle
+
+
+def _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, base):
+    """search_min_rate gives the BitWord climber's Candidate, trace (so
+    its evaluations) and sequence of oracle questions."""
+    want_questions, want_trace = [], []
+    codec.clear_cache()
+    want = _word_search_by_words(x, spec, delta, budget, seed, extra, want_trace,
+                                 _recording_oracle(want_questions))
+    got_questions, got_trace = [], []
+    codec.clear_cache()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rdsearch, "codelength", _recording_oracle(got_questions))
+        got = search_min_rate(x, spec, delta, budget, seed, extra_seeds=extra,
+                              trace=got_trace, hamming_base=base)
+    assert (got.destination, got.score, got.distortion) == (
+        want.destination, want.score, want.distortion)
+    assert type(got.distortion) is type(want.distortion)
+    assert got_trace == want_trace
+    assert got_questions == want_questions
+
+
+def _climber_case(rng, n, family, density, draw_delta, budget, extras, with_base):
+    spec = DistortionSpec(family, n)
+    x = BitWord.from_bits(int(rng.random() < density) for _ in range(n))
+    radii = admissible_radii(spec)
+    if family == EUCLID:
+        radii = radii + [Fraction(rng.randrange((1 << n) + 1), 1 << n)]
+    extra = []
+    for _ in range(extras):
+        # words near x as well as anywhere, so some fall in the ball
+        mask = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        extra.append(BitWord(n, x.value ^ mask) if rng.random() < 0.5
+                     else BitWord.random(rng, n))
+    base = rdsearch._hamming_base(x) if family == HAMMING and with_base else None
+    return x, spec, draw_delta(radii), budget, extra, base
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_word_search_matches_the_bitword_climber(data):
+    n = data.draw(st.one_of(st.integers(1, 64), st.just(1024)), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    x, spec, delta, budget, extra, base = _climber_case(
+        rng, n,
+        data.draw(st.sampled_from([HAMMING, EUCLID]), label="family"),
+        data.draw(st.sampled_from([1 / 16, 1 / 2, 15 / 16]), label="density"),
+        lambda radii: data.draw(st.sampled_from(radii), label="delta"),
+        data.draw(st.integers(1, 300), label="budget"),
+        data.draw(st.integers(0, 3), label="extra seeds"),
+        data.draw(st.booleans(), label="base"),
+    )
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, base)
+
+
+def test_word_search_matches_the_bitword_climber_on_long_climbs():
+    # the hypothesis draws favour small budgets; these cases are uniform
+    # in the budget, so many bests improve mid-climb and the flip table
+    # must follow them
+    rng = random.Random(20)
+    for _ in range(400):
+        x, spec, delta, budget, extra, base = _climber_case(
+            rng, rng.choice([8, 12, 16, 24, 40, 64, 1024]),
+            rng.choice([HAMMING, HAMMING, EUCLID]),
+            rng.choice([1 / 16, 1 / 4, 1 / 2]),
+            rng.choice, rng.randint(1, 300), rng.randint(0, 2), rng.random() < 0.5,
+        )
+        _assert_matches_bitword_climber(x, spec, delta, budget,
+                                        rng.randrange(1 << 31), extra, base)
 
 
 class TestCanonicalEstimate:
