@@ -55,9 +55,9 @@ from .distortion import (
     Ball,
     DistortionSpec,
     SizeGuardError,
-    _radius_steps,
     _shell,
-    ball_cardinality,
+    _size,
+    _steps,
 )
 
 ALPHA_EXPONENT = 5          # the n^5 cap used in the size bound
@@ -122,26 +122,31 @@ class CoverResult:
         return len(self.centers)
 
 
-def _check_pair(spec: DistortionSpec, delta: Fraction, d: Fraction, seed: int):
+def _check_pair(
+    spec: DistortionSpec, delta: Fraction, d: Fraction, seed: int
+) -> "tuple[int, int]":
+    """The flip counts (deltan, dn) of the big and the small radius."""
     if spec.family != HAMMING:
         raise ValueError("covering is defined for the hamming family")
     n = spec.n
     if n > 32:
         raise ValueError("construction packs words into uint32; need n <= 32")
-    if not (0 <= d <= delta <= Fraction(1, 2)):
-        raise ValueError("need 0 <= d <= delta <= 1/2")
+    deltan, dn = _steps(spec, delta), _steps(spec, d)
     # the small radius must land on the grid; the big one is floored like
     # every other ball radius
-    if (d * n).denominator != 1:
+    if dn != d * n:
         raise ValueError("small radius must be a multiple of 1/n")
+    if dn > deltan:
+        raise ValueError("need d <= delta")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     # the shells and the verification enumerate the whole big ball
-    if ball_cardinality(spec, delta) > MEMBER_ENUM_MAX_COUNT:
+    if _size(spec, deltan) > MEMBER_ENUM_MAX_COUNT:
         raise SizeGuardError(
             f"ball of radius {delta} at n = {n} holds more than "
             f"{MEMBER_ENUM_MAX_COUNT} words"
         )
+    return deltan, dn
 
 
 def _sample_weighted(rng: np.random.Generator, n: int, w: int, count: int) -> np.ndarray:
@@ -357,15 +362,12 @@ def cover_ball(
     draw_exponent: int = DEFAULT_DRAW_EXPONENT,
 ) -> CoverResult:
     delta, d = Fraction(delta), Fraction(d)
-    _check_pair(spec, delta, d, seed)
+    deltan, dn = _check_pair(spec, delta, d, seed)
     # a negative c makes the per-shell budget n^(c+1) a fraction or a float
     if not isinstance(draw_exponent, int) or draw_exponent < 0:
         raise ValueError("draw exponent must be a non-negative integer")
     n = spec.n
-    dn = _radius_steps(spec, d)
-    deltan = _radius_steps(spec, delta)  # fractional big radii shrink to the grid
-    b_delta = ball_cardinality(spec, delta)
-    b_d = ball_cardinality(spec, d)
+    b_delta, b_d = _size(spec, deltan), _size(spec, dn)
     size_bound = n**ALPHA_EXPONENT * b_delta // b_d + 1
     volume_lower = ceil(b_delta / b_d)
     shells: "list[ShellRecord]" = []
@@ -457,8 +459,8 @@ def cover_space(
             if v not in seen:
                 seen.add(v)
                 vals.append(v)
-    b_d = ball_cardinality(spec, d)
-    dn = _radius_steps(spec, d)
+    dn = _steps(spec, d)
+    b_d = _size(spec, dn)
     verified = None
     if n <= VERIFY_MAX_N:
         vals = _prune_and_verify(_Target(n, 0, 0, n), vals, dn, n, _Target(n, 0, 0, dn).vals)
@@ -488,6 +490,7 @@ def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[Bi
     spec = target.spec
     if spec.family != HAMMING:
         raise ValueError("verification is defined for hamming balls")
+    dn = _steps(spec, d)
     n = spec.n
     if n > VERIFY_MAX_N:
         raise ValueError(f"verification is exhaustive; need n <= {VERIFY_MAX_N}")
@@ -497,11 +500,7 @@ def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[Bi
             raise ValueError(f"center of length {c.n} against a ball of length {n}")
     if target.cardinality() > MEMBER_ENUM_MAX_COUNT:
         raise SizeGuardError("ball too large to enumerate")
-    dn = _radius_steps(spec, Fraction(d))
-    if dn < 0:
-        raise ValueError("cover radius must be non-negative")
-    r = _radius_steps(spec, target.radius)
-    ball = _Target(n, target.center.value, 0, r)
+    ball = _Target(n, target.center.value, 0, target.steps)
     bad = _first_uncovered(ball, [c.value for c in centers], dn, _Target(n, 0, 0, dn).vals)
     if bad is None:
         return True, None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bits import BitWord
 from .codec import codelength, conditional_codelength
-from .distortion import HAMMING, Ball, DistortionSpec, ball_cardinality
+from .distortion import HAMMING, Ball, DistortionSpec
 from .rdsearch import CurveEstimate, distortion_rate_curve
 
 # residual codelength must reach this fraction of log2 b(observed flip
@@ -351,9 +351,9 @@ def denoise(
     residual = x ^ xhat
     w = residual.weight()
     frac = Fraction(w, spec.n)
-    floor_bits = RESIDUAL_FLOOR_FACTOR * math.log2(ball_cardinality(spec, frac))
-    res_len = codelength(residual)
     zero_ball = Ball(spec, frac, center=BitWord.zeros(spec.n))
+    floor_bits = RESIDUAL_FLOOR_FACTOR * zero_ball.log_cardinality()
+    res_len = codelength(residual)
     model_ball = Ball(spec, frac, center=xhat)
     diagnostics = DenoiseDiagnostics(
         residual_weight=w,

@@ -2,12 +2,23 @@
 
 Three families are supported:
 
-    hamming    d(x, y) = |{i : x_i != y_i}| / n, radius 0..1/2
+    hamming    d(x, y) = |{i : x_i != y_i}| / n
     euclid     words read as binary fractions in [0, 1); d(x, y) = |x - y|
     list       destinations are list balls S containing x;
                d(x, S) = log2 |S|.  A list ball with a center c and an
                integer radius t is the suffix cylinder of the 2^t words
                sharing c's first n - t bits, so d(x, S) = t
+
+One rule says which radii each family takes and what they mean:
+
+    hamming    a radius in [0, 1/2]; a step is one bit flip
+    euclid     a radius in [0, 1]; a step is 2^-n
+    list       an integer radius t in 0..n; a step is t itself
+
+A radius floors to whole steps (floor(delta n) flips, floor(delta 2^n)
+grid steps, or t).  It is checked and floored once, by _steps, where it
+enters; a Ball calls _steps when it is built and keeps the result as
+Ball.steps, which everything after it reads.
 
 Distances are exact rationals (fractions.Fraction).  Mismatched lengths
 and non-membership give infinite distortion.
@@ -15,7 +26,7 @@ and non-membership give infinite distortion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, log2
 
@@ -47,24 +58,31 @@ class DistortionSpec:
             raise ValueError("word length must be positive")
 
 
-def _check_radius(spec: DistortionSpec, delta: Fraction):
+def _steps(spec: DistortionSpec, delta: Fraction) -> int:
+    """The whole steps delta floors to under its family's rule (see the
+    module docstring); ValueError when delta is out of the family's range.
+    A float radius is read exactly, as the binary fraction it holds."""
+    delta = Fraction(delta)
     if spec.family == HAMMING:
-        if not 0 <= delta <= Fraction(1, 2):
+        if not 0 <= 2 * delta <= 1:
             raise ValueError("hamming radius must lie in [0, 1/2]")
-    elif spec.family == EUCLID:
+        return int(delta * spec.n)
+    if spec.family == EUCLID:
         if not 0 <= delta <= 1:
             raise ValueError("euclid radius must lie in [0, 1]")
-    else:
-        if delta < 0:
-            raise ValueError("list radius must be nonnegative")
+        return int(delta * (1 << spec.n))
+    if not (0 <= delta <= spec.n and delta == int(delta)):
+        raise ValueError("list radius must be an integer in 0..n")
+    return int(delta)
 
 
-def _radius_steps(spec: DistortionSpec, delta: Fraction) -> int:
-    """Whole steps a radius floors to: bit flips (hamming) or grid steps
-    of 2^-n (euclid)."""
+def _size(spec: DistortionSpec, steps: int) -> int:
+    """Words in a ball of that many steps around an interior center."""
     if spec.family == HAMMING:
-        return int(delta * spec.n)
-    return int(delta * (1 << spec.n))
+        return next(itertools.islice(_volumes(spec.n), steps, None))
+    if spec.family == EUCLID:
+        return min(2 * steps + 1, 1 << spec.n)
+    return 1 << steps
 
 
 def _shell(n: int, w: int):
@@ -100,16 +118,7 @@ def ball_cardinality(spec: DistortionSpec, delta: Fraction) -> int:
     Hamming balls have center-independent cardinality; euclid balls match
     this count except when the interval clamps at 0 or 1.
     """
-    delta = Fraction(delta)
-    _check_radius(spec, delta)
-    n = spec.n
-    if spec.family == HAMMING:
-        return next(itertools.islice(_volumes(n), _radius_steps(spec, delta), None))
-    if spec.family == EUCLID:
-        return min(2 * _radius_steps(spec, delta) + 1, 1 << n)
-    if delta != int(delta):
-        raise ValueError("list radius must be an integer log-cardinality")
-    return 1 << int(delta)
+    return _size(spec, _steps(spec, delta))
 
 
 def binary_entropy(p: float) -> float:
@@ -122,17 +131,10 @@ def binary_entropy(p: float) -> float:
     return -p * log2(p) - (1 - p) * log2(1 - p)
 
 
-def _ball_value_range(spec: DistortionSpec, center: BitWord, delta: Fraction):
-    """Clamped [lo, hi] integer grid range of a euclid ball."""
-    steps = _radius_steps(spec, delta)
-    lo = max(0, center.value - steps)
-    hi = min((1 << spec.n) - 1, center.value + steps)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class Ball:
-    """A destination ball: a center and a radius.
+    """A destination ball: a center and a radius, and the whole steps the
+    radius floors to.
 
     A list ball's radius is an integer t in 0..n, and the ball is the
     suffix cylinder of the 2^t words sharing the center's first n - t
@@ -142,32 +144,37 @@ class Ball:
     spec: DistortionSpec
     radius: Fraction
     center: BitWord
+    steps: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_radius(self.spec, self.radius)
+        object.__setattr__(self, "steps", _steps(self.spec, self.radius))
         if self.center.n != self.spec.n:
             raise ValueError("center must match the word length")
-        if self.spec.family == LIST and not (
-            self.radius == int(self.radius) <= self.spec.n
-        ):
-            raise ValueError("cylinder radius must be an integer in 0..n")
+
+    def value_range(self) -> "tuple[int, int]":
+        """The least and greatest member values of a euclid ball, the
+        interval clamped to the cube."""
+        c = self.center.value
+        return max(0, c - self.steps), min((1 << self.spec.n) - 1, c + self.steps)
 
     def cardinality(self) -> int:
-        if self.spec.family == HAMMING:
-            return ball_cardinality(self.spec, self.radius)
         if self.spec.family == EUCLID:
-            lo, hi = _ball_value_range(self.spec, self.center, self.radius)
+            lo, hi = self.value_range()
             return hi - lo + 1
-        return 1 << int(self.radius)
+        return _size(self.spec, self.steps)
 
     def log_cardinality(self) -> float:
         return log2(self.cardinality())
 
     def contains(self, x: BitWord) -> bool:
-        if self.spec.family == LIST:
-            t = int(self.radius)
-            return x.n == self.spec.n and x.value >> t == self.center.value >> t
-        return distance(self.spec, x, self.center) <= self.radius
+        if x.n != self.spec.n:
+            return False
+        c, t = self.center.value, self.steps
+        if self.spec.family == HAMMING:
+            return (x.value ^ c).bit_count() <= t
+        if self.spec.family == EUCLID:
+            return abs(x.value - c) <= t
+        return x.value >> t == c >> t
 
     def descriptor(self) -> BitWord:
         """Canonical description of the ball as a bit word.
@@ -178,25 +185,22 @@ class Ball:
                  cube: LEB128 of n alone).
         """
         if self.spec.family == LIST:
-            t = int(self.radius)
+            t = self.steps
             prefix = BitWord(self.spec.n - t, self.center.value >> t)
             return prefix.concat(_leb_word(t))
-        return self.center.concat(_leb_word(_radius_steps(self.spec, self.radius)))
+        return self.center.concat(_leb_word(self.steps))
 
     def members(self) -> "list[BitWord]":
         """All members in lexicographic order (guarded against explosion)."""
         if self.cardinality() > MEMBER_ENUM_MAX_COUNT:
             raise SizeGuardError("ball too large to enumerate")
-        spec = self.spec
-        n, c = spec.n, self.center.value
-        if spec.family == LIST:
-            t = int(self.radius)
-            prefix = c >> t << t
-            return [BitWord(n, prefix | s) for s in range(1 << t)]
-        if spec.family == EUCLID:
-            lo, hi = _ball_value_range(spec, self.center, self.radius)
+        n, c, r = self.spec.n, self.center.value, self.steps
+        if self.spec.family == LIST:
+            prefix = c >> r << r
+            return [BitWord(n, prefix | s) for s in range(1 << r)]
+        if self.spec.family == EUCLID:
+            lo, hi = self.value_range()
             return [BitWord(n, v) for v in range(lo, hi + 1)]
-        r = _radius_steps(spec, self.radius)
         values = sorted(c ^ v for w in range(r + 1) for v in _shell(n, w))
         return [BitWord(n, v) for v in values]
 

@@ -54,9 +54,7 @@ from .distortion import (
     LIST,
     Ball,
     DistortionSpec,
-    _ball_value_range,
-    _check_radius,
-    _radius_steps,
+    _steps,
     admissible_radii,
     ball_cardinality,
     binary_entropy,
@@ -193,17 +191,16 @@ def _euclid_pool(x: BitWord, lo: int, hi: int, rng: random.Random) -> "list[int]
 
 
 def _word_search(
-    x: BitWord,
-    spec: DistortionSpec,
-    delta: Fraction,
+    ball: Ball,
     budget: int,
     seed: int,
     extra_seeds: "Iterable[BitWord]",
     trace: Optional[list],
     hamming_base: Optional[tuple],
 ):
-    """(best Candidate, evaluations spent) for a Hamming or Euclid spec,
-    climbing on int values (see the module docstring)."""
+    """(best Candidate, evaluations spent) in a Hamming or Euclid ball
+    around its center x, climbing on int values (see the module docstring)."""
+    spec, x = ball.spec, ball.center
     n, xv = spec.n, x.value
     seen: "dict[int, int]" = {}
     flips: "dict[int, int]" = {}  # flip index -> projected flip of the best
@@ -232,7 +229,6 @@ def _word_search(
         y = BitWord(n, best)
         return Candidate(y, score, distance(spec, x, y)), evals
 
-    ball = Ball(spec, delta, center=x)
     if ball.cardinality() <= budget:
         for y in ball.members():
             consider(y.value)
@@ -241,7 +237,7 @@ def _word_search(
     rng = random.Random(seed)
     hamming = spec.family == HAMMING
     if hamming:
-        max_flips = _radius_steps(spec, delta)
+        max_flips = ball.steps
         top = 1 << (n - 1)  # flip index i is the bit top >> i
         pool = _hamming_pool(x, max_flips, rng, hamming_base)
         pool += [_project_hamming(xv, w.value, max_flips) for w in extra_seeds]
@@ -249,7 +245,7 @@ def _word_search(
         def neighbor(v: int) -> int:
             return _project_hamming(xv, v ^ top >> rng.randrange(n), max_flips)
     else:
-        lo, hi = _ball_value_range(spec, x, delta)
+        lo, hi = ball.value_range()
         pool = _euclid_pool(x, lo, hi, rng)
         # the ball's values are lo..hi
         pool += [w.value for w in extra_seeds if lo <= w.value <= hi]
@@ -282,12 +278,12 @@ def _word_search(
 def _list_search(
     x: BitWord,
     spec: DistortionSpec,
-    delta: Fraction,
+    steps: int,
     budget: int,
     trace: Optional[list],
     start: "tuple[int, Optional[Candidate]]" = (0, None),
 ):
-    """The suffix cylinders around x of radius t = 0 .. min(n, delta,
+    """The suffix cylinders around x of radius t = 0 .. min(steps,
     budget - 1): the 2^t words sharing x's first n - t bits.
 
     A cylinder is scored by the codelength of its descriptor, those
@@ -300,7 +296,7 @@ def _list_search(
     """
     t0, best = start
     evals = 0
-    for t in range(t0, min(spec.n, math.floor(delta), budget - 1) + 1):
+    for t in range(t0, min(steps, budget - 1) + 1):
         ball = Ball(spec, Fraction(t), center=x)
         score = codelength(ball.descriptor())
         evals += 1
@@ -338,15 +334,15 @@ def search_min_rate(
     delta = Fraction(delta)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _check_radius(spec, delta)
     extra_seeds = tuple(extra_seeds)
     if any(w.n != spec.n for w in extra_seeds):
         raise ValueError("extra seeds must have the word length n")
     if spec.family == LIST:
-        best, evals = _list_search(x, spec, delta, budget, trace)
+        best, evals = _list_search(x, spec, _steps(spec, delta), budget, trace)
     else:
         best, evals = _word_search(
-            x, spec, delta, budget, seed, extra_seeds, trace, hamming_base
+            Ball(spec, delta, center=x), budget, seed, extra_seeds, trace,
+            hamming_base,
         )
     if trace is not None:
         trace.append((evals, best.score))
@@ -455,15 +451,15 @@ def canonical_estimate(
     scored = (0, None)  # list family: (cylinders scored, best of them)
     base = _hamming_base(x) if spec.family == HAMMING else None
     for l in l_grid:
-        delta = radius_for_log_cardinality(spec, l)
         if spec.family == LIST:
-            cand, evals = _list_search(x, spec, delta, budget, None, scored)
+            # a list level l is the cylinder radius l itself
+            cand, evals = _list_search(x, spec, l, budget, None, scored)
             scored = (scored[0] + evals, cand)
         else:
             trace: list = []
             cand = search_min_rate(
-                x, spec, delta, budget, _child_seed(seed, l), trace=trace,
-                hamming_base=base,
+                x, spec, radius_for_log_cardinality(spec, l), budget,
+                _child_seed(seed, l), trace=trace, hamming_base=base,
             )
             evals = trace[-1][0]
         used += evals

@@ -32,9 +32,8 @@ from .codec import LENGTH_TABLE_MAX_N, codelength, length_table  # noqa: F401
 from .distortion import (
     HAMMING,
     DistortionSpec,
-    _check_radius,
-    _radius_steps,
-    ball_cardinality,
+    _size,
+    _steps,
     binary_entropy,
 )
 from .rdsearch import search_min_rate
@@ -293,13 +292,10 @@ def expected_rate_comparison(
         raise ValueError("source block length must match the distortion spec")
     n = src.n
     grid = tuple(sorted(Fraction(d) for d in delta_grid))
-    for delta in grid:
-        _check_radius(spec, delta)
+    grid_steps = [_steps(spec, delta) for delta in grid]
     rng = random.Random(seed)
     words = [src.sample_word(rng) for _ in range(samples)]
-    from_table = [
-        n <= CODE_MAP_MAX_N and ball_cardinality(spec, delta) <= budget for delta in grid
-    ]
+    from_table = [n <= CODE_MAP_MAX_N and _size(spec, r) <= budget for r in grid_steps]
     delta2 = support = exact_mean = None
     if n <= CODE_MAP_MAX_N:
         p1 = float(src.pmf[1])
@@ -309,12 +305,9 @@ def expected_rate_comparison(
         # L[y] << n | y: the low n bits of a dilated key hold the
         # destination, the lexicographically first word of least codelength
         key = (length_table(n) << n) | np.arange(1 << n, dtype=np.int64)
-        steps = 0
         exact, d2, sup, mean = [], [], [], []
-        for delta in grid:
-            r = _radius_steps(spec, delta)
-            key = _dilate(key, n, r - steps)
-            steps = r
+        for r, prev in zip(grid_steps, [0] + grid_steps):
+            key = _dilate(key, n, r - prev)
             rates = key >> n
             exact.append(rates[xs].tolist())
             h_s, used = _code_map_entropy(key, n, weights)

@@ -1,10 +1,13 @@
-"""The benchmark's tracer wraps ardtk's entry points by name.
+"""The benchmark's tracer wraps ardtk's entry points by name, and its
+workloads call them.
 
 ``perfbench/tracing.py`` reads each wrapped name from its owner's
 ``__dict__`` when a ``Tracer`` is built, and binds the arguments of
-``search_min_rate`` by name when a span closes.  A change under
-``src/`` that drops or renames one of those would only show up in a
-traced benchmark run; these tests make it fail here instead.
+``search_min_rate`` by name when a span closes.  ``perfbench/workloads.py``
+imports ardtk names (``ball_cardinality``, ``make_noisy_cross``,
+``SourceModel.bernoulli``, ...) and runs each workload's op.  A change
+under ``src/`` that drops or renames one of those would only show up in
+a benchmark run; these tests make it fail here instead.
 """
 import importlib
 from fractions import Fraction
@@ -23,6 +26,26 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize(
+    "name", ["denoise-cross32", "compare-n12", "codec-roundtrip", "cover-game"]
+)
+def test_workload_op_runs_and_checks(workloads, name):
+    # one op on the first input of seed 0, from a cold oracle cache as the
+    # benchmark runs it, and that op's own check
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.prepare(0)
+    codec.clear_cache()
+    out = workload.op(inputs[0])
+    assert workload.check(inputs[0], out) == []
+    assert isinstance(workload.digest(out), bytes)
 
 
 def test_tracer_finds_every_wrapped_name(tracing):

@@ -437,6 +437,12 @@ class TestVerifyCoverInputs:
         with pytest.raises(ValueError, match="length"):
             verify_cover(ball, [BitWord.zeros(6), BitWord.ones(length)], Fraction(1, 6))
 
+    def test_rejects_cover_radius_past_half(self):
+        # every other Hamming entry point refuses a radius above 1/2
+        ball = Ball(spec(6), Fraction(1, 2), center=BitWord.zeros(6))
+        with pytest.raises(ValueError, match="radius"):
+            verify_cover(ball, [BitWord.zeros(6)], Fraction(3, 4))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed)

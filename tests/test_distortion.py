@@ -126,6 +126,68 @@ def test_list_cardinality():
     assert ball_cardinality(spec, Fraction(4)) == 16
     with pytest.raises(ValueError):
         ball_cardinality(spec, Fraction(3, 2))
+    # 2^10 words would be more than the cube holds, and Ball refuses t > n
+    with pytest.raises(ValueError):
+        ball_cardinality(spec, Fraction(10))
+
+
+@pytest.mark.parametrize("family", [dst.HAMMING, dst.EUCLID])
+def test_float_radius_is_read_exactly(family):
+    # the float 0.3 lies just under 3/10, so a word ball floors it as the
+    # exact binary fraction it holds, everywhere the radius is read
+    spec = DistortionSpec(family, 10)
+    ball = Ball(spec, 0.3, center=BitWord(10, 500))
+    assert ball.steps == math.floor(Fraction(0.3) * (10 if family == dst.HAMMING else 1024))
+    inside = [w for w in all_words(10) if ball.contains(w)]
+    assert ball.cardinality() == ball_cardinality(spec, 0.3) == len(inside)
+    assert ball.members() == inside
+
+
+@st.composite
+def _family_radius(draw):
+    """A spec at n in 1..12, a center, and a radius on a grid fine enough
+    to fall between the family's steps, reaching past both ends of its
+    range."""
+    family = draw(st.sampled_from([dst.HAMMING, dst.EUCLID, dst.LIST]))
+    n = draw(st.integers(1, 12))
+    den = draw(st.sampled_from([1, 2, 3, n, 2 * n + 1, 1 << n, 3 << n]))
+    top = {dst.HAMMING: den, dst.EUCLID: 2 * den, dst.LIST: (n + 2) * den}[family]
+    delta = Fraction(draw(st.integers(-den, top)), den)
+    center = BitWord(n, draw(st.integers(0, (1 << n) - 1)))
+    return DistortionSpec(family, n), delta, center
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_radius())
+def test_one_radius_rule_per_family(case):
+    spec, delta, center = case
+    n = spec.n
+    legal = {
+        dst.HAMMING: 0 <= delta <= Fraction(1, 2),
+        dst.EUCLID: 0 <= delta <= 1,
+        dst.LIST: 0 <= delta <= n and delta.denominator == 1,
+    }[spec.family]
+    if not legal:
+        # Ball and ball_cardinality refuse exactly the same radii
+        with pytest.raises(ValueError, match="radius"):
+            ball_cardinality(spec, delta)
+        with pytest.raises(ValueError, match="radius"):
+            Ball(spec, delta, center=center)
+        return
+    size = ball_cardinality(spec, delta)
+    ball = Ball(spec, delta, center=center)
+    assert ball.steps == {
+        dst.HAMMING: math.floor(delta * n),
+        dst.EUCLID: math.floor(delta * 2**n),
+        dst.LIST: delta,
+    }[spec.family]
+    members = ball.members()
+    assert ball.cardinality() == len(members) == len(set(members))
+    if spec.family != dst.EUCLID:
+        assert size == len(members)
+    if n <= 8:
+        inside = [w for w in all_words(n) if ball.contains(w)]
+        assert inside == members
 
 
 def test_cardinality_center_independent_hamming():

@@ -1,4 +1,5 @@
 """Curve-search tests, with exhaustive oracles at n <= 12."""
+import hashlib
 import math
 import random
 import time
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardtk import codec, rdsearch
+from ardtk import codec, distortion, rdsearch
 from ardtk.bits import BitWord
 from ardtk.codec import codelength
 from ardtk.distortion import (
@@ -17,8 +18,6 @@ from ardtk.distortion import (
     LIST,
     Ball,
     DistortionSpec,
-    _ball_value_range,
-    _radius_steps,
     admissible_radii,
     distance,
 )
@@ -170,9 +169,36 @@ class TestSearchMinRate:
 
     @pytest.mark.parametrize("family", [HAMMING, EUCLID, LIST])
     def test_rejects_negative_radius(self, family):
-        with pytest.raises(ValueError):
-            search_min_rate(BitWord(8, 5), DistortionSpec(family, 8),
-                            Fraction(-1), budget=5, seed=0)
+        # and radii past the family's range: a word family's is checked
+        # by the Ball the search builds, a list radius must be an integer
+        # in 0..n
+        above = {HAMMING: [Fraction(3, 4)], EUCLID: [Fraction(3, 2)],
+                 LIST: [Fraction(9), Fraction(5, 2)]}[family]
+        for delta in [Fraction(-1)] + above:
+            with pytest.raises(ValueError, match="radius"):
+                search_min_rate(BitWord(8, 5), DistortionSpec(family, 8),
+                                delta, budget=5, seed=0)
+
+    @pytest.mark.parametrize("family, n, delta, budget", [
+        (HAMMING, 8, Fraction(1, 8), 16),     # exhaustive: 9 words
+        (HAMMING, 16, Fraction(1, 4), 64),    # heuristic: 2,517 words
+        (EUCLID, 8, Fraction(1, 64), 16),     # exhaustive: 9 words
+        (EUCLID, 16, Fraction(1, 4), 64),     # heuristic
+    ])
+    def test_word_search_checks_its_radius_once(self, monkeypatch, family, n,
+                                                delta, budget):
+        calls = []
+        steps = distortion._steps
+
+        def counted(spec, delta):
+            calls.append(delta)
+            return steps(spec, delta)
+
+        monkeypatch.setattr(distortion, "_steps", counted)
+        monkeypatch.setattr(rdsearch, "_steps", counted)
+        x = BitWord(n, 0b1011001110001011 & ((1 << n) - 1))
+        search_min_rate(x, DistortionSpec(family, n), delta, budget, seed=0)
+        assert calls == [delta]
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
@@ -454,13 +480,13 @@ def _word_search_by_words(x, spec, delta, budget, seed, extra_seeds, trace, orac
 
     rng = random.Random(seed)
     if spec.family == HAMMING:
-        max_flips = _radius_steps(spec, delta)
+        max_flips = ball.steps
         pool = _hamming_pool_by_bits(x, max_flips, rng)
 
         def neighbor(y):
             return _project_hamming_by_flips(x, y.flip(rng.randrange(n)), max_flips)
     else:
-        lo, hi = _ball_value_range(spec, x, delta)
+        lo, hi = ball.value_range()
         pool = _euclid_pool_words(x, lo, hi, rng)
 
         def neighbor(y):
@@ -561,6 +587,51 @@ def test_word_search_matches_the_bitword_climber_on_long_climbs():
         )
         _assert_matches_bitword_climber(x, spec, delta, budget,
                                         rng.randrange(1 << 31), extra, base)
+
+
+# sha256 of each curve's fields at a fixed seed: the rate curve, the
+# canonical estimate and its rate-distortion view; no other test pins a
+# Euclid or a list curve
+PINNED_CURVE_DIGESTS = {
+    HAMMING: (
+        "e51ec3af1d78be4220aa54309eca0563883aeae955c692655cf8cb4772f3c13b",
+        "c3919ae983f95a838ba58836f34184e87f3784269b1560fd3efedeb1d710c270",
+        "6454eed711440f407bb8800ac229108a14dd97d802bd4cc40d2c16db6adc8f7e",
+    ),
+    EUCLID: (
+        "80a1e37a2fe6c4b33c8ebfdb3b89bd75839b2fe6951b37e18dadea1a8794517f",
+        "88bbc9548a33e15d4c24d7ccb7fc259deca6182e47bfab7fb572cb7ea5ba55ae",
+        "b11b82f0cb8b92bf281253c9dc451e34a426e0d3c9dded2a8624a5592d472545",
+    ),
+    LIST: (
+        "1e018094e6c21762bb235133898258903ac892ec0b086fbb9a839b14790d54f9",
+        "d085a8e64ee94924b83e2adf2e4070dd4934ce2b27cfbf5c4a47dbf70648fb54",
+        "137a5c620aae91d7f4d41341648073f2cda4eeb7685e9299fb29781b6edbac9d",
+    ),
+}
+
+
+def _curve_digest(est):
+    h = hashlib.sha256(repr((est.axis, est.budget_used, est.seed, est.slack_bits)).encode())
+    for p in est.points:
+        c = p.candidate
+        cand = None if c is None else (c.digest(), c.score, c.distortion)
+        h.update(repr((p.axis_value, p.bits, p.distortion, p.entropy_scale_bits, cand)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_CURVE_DIGESTS))
+def test_fixed_seed_curves_are_pinned(family):
+    # the rate curve, the canonical estimate and its rate-distortion view
+    # at n = 16, budget 32, seed 5, over every admissible radius
+    x = BitWord.from_str("0001111100110101")
+    spec = DistortionSpec(family, 16)
+    codec.clear_cache()
+    rate = distortion_rate_curve(x, spec, None, 32, 5)
+    ghat = canonical_estimate(x, spec, list(range(17)), 32, 5)
+    dist = transform_rate_distortion(ghat, spec, admissible_radii(spec))
+    got = tuple(_curve_digest(e) for e in (rate, ghat, dist))
+    assert got == PINNED_CURVE_DIGESTS[family]
 
 
 class TestCanonicalEstimate:
