@@ -42,6 +42,7 @@ from .codec import (
     BWT_BLOCK_BITS,
     CODER_PRECISION,
     CONDITIONAL_CLAMP_BITS,
+    _header_bits,
     codelength,
     compress,
     decompress,
@@ -127,25 +128,28 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
 
 
-def parse_int_grid(text: str) -> "list[int]":
-    """Comma list of ints; a:b and a:b:step ranges are inclusive of b."""
+def parse_int_grid(text: str, top: int) -> "list[int]":
+    """Comma list of ints in 0..top; a:b and a:b:step ranges are
+    inclusive of b.  Bounds are checked before a range is expanded."""
     out: "list[int]" = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if ":" in tok:
-            parts = [int(v) for v in tok.split(":")]
-            if len(parts) == 2:
-                parts.append(1)
-            if len(parts) != 3:
-                raise ValueError(f"bad range {tok!r}")
-            start, stop, step = parts
-            if step < 1:
-                raise ValueError("range step must be positive")
-            out.extend(range(start, stop + 1, step))
-        else:
-            out.append(int(tok))
+        parts = [int(v) for v in tok.split(":")]
+        if len(parts) == 1:
+            parts *= 2
+        if len(parts) == 2:
+            parts.append(1)
+        if len(parts) != 3:
+            raise ValueError(f"bad range {tok!r}")
+        start, stop, step = parts
+        for v in (start, stop):
+            if not 0 <= v <= top:
+                raise ValueError(f"grid value {v} outside 0..{top}")
+        if step < 1:
+            raise ValueError("range step must be positive")
+        out.extend(range(start, stop + 1, step))
     if not out:
         raise ValueError("empty grid")
     return out
@@ -372,11 +376,13 @@ def run_curve(args, out_dir: Path, seed: int):
     word = read_word(args.input, raw=args.raw)
     spec = DistortionSpec(args.family, word.n)
     if args.axis == "rate":
-        grid = parse_int_grid(args.grid) if args.grid else None
+        # no codeword is longer than the raw one, header and n bits
+        top = _header_bits(word.n) + word.n
+        grid = parse_int_grid(args.grid, top) if args.grid else None
         curve = distortion_rate_curve(word, spec, grid, args.budget, seed)
     elif args.axis == "canonical":
         grid = (
-            parse_int_grid(args.grid) if args.grid else list(range(word.n + 1))
+            parse_int_grid(args.grid, word.n) if args.grid else list(range(word.n + 1))
         )
         curve = canonical_estimate(word, spec, grid, args.budget, seed)
     else:

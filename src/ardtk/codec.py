@@ -51,15 +51,11 @@ refuses is no candidate, and one that completes under below sends the
 word down the exact path.  When none does, the word is refused:
 codelength returns below, and no bitac coder runs.
 
-The oracle remembers, by (n, value), each word's exact length or else
-the largest below it refused the word at, in one store of at most 2^18
-words and 2^28 bits of words that drops the least recently used first.
-A remembered length answers every question.  A refusal at b proves the
-length is at least b, and each refusal rule above (raw, the bitac
-floor, LZ's and BWT's least lengths and bounds) refuses at every bound
-under one it refused at, so a question at or under b is answered below
-at once, with no method run; a larger below asks again.  clear_cache
-forgets the store.
+The oracle remembers, by (n, value), each word's exact length, in one
+store of at most 2^18 words and 2^28 bits of words that drops the least
+recently used first.  A remembered length answers every question; a
+refused question is answered and not stored.  clear_cache forgets the
+store.
 
 The BWT model is a plain list of 257 counts, every one starting at 1:
 each coded symbol adds 32 to its count, and once the total passes 2^16
@@ -1093,10 +1089,8 @@ def decompress(cw: Codeword) -> BitWord:
 
 
 # the oracle's memory, least recently used first: (n, value) maps to the
-# exact codelength, or to ~b for the largest below b >= 0 at which
-# _may_undercut refused the word (see the module docstring).  It holds at
-# most _ORACLE_SIZE keys and _ORACLE_BITS key bits (the sum of their n):
-# 2^18 keys of 1024 bits fill both at once
+# exact codelength.  It holds at most _ORACLE_SIZE keys and _ORACLE_BITS
+# key bits (the sum of their n): 2^18 keys of 1024 bits fill both at once
 _ORACLE_SIZE = 1 << 18
 _ORACLE_BITS = 1 << 28
 _oracle: "OrderedDict[tuple[int, int], int]" = OrderedDict()
@@ -1111,29 +1105,20 @@ def codelength(word: BitWord, below: "int | None" = None) -> int:
     """
     key = (word.n, word.value)
     known = _oracle.get(key)
-    if known is not None and known >= 0:
+    if known is not None:
         _oracle.move_to_end(key)
         return known
-    if below is not None:
-        if known is not None and below <= ~known:
-            _oracle.move_to_end(key)
-            return below
-        if not _may_undercut(word, below):
-            if below >= 0:  # so that ~below < 0 marks a refusal
-                _remember(key, ~below)
-            return below
+    if below is not None and not _may_undercut(word, below):
+        return below
     length = compress(word).bit_length
     _remember(key, length)
     return length
 
 
-def _remember(key: "tuple[int, int]", entry: int):
+def _remember(key: "tuple[int, int]", length: int):
+    """Store a key the oracle does not hold yet."""
     global _oracle_bits
-    if key in _oracle:
-        _oracle[key] = entry
-        _oracle.move_to_end(key)
-        return
-    _oracle[key] = entry
+    _oracle[key] = length
     _oracle_bits += key[0]
     # a word holds at most MAX_WORD_BITS < _ORACLE_BITS bits, so the
     # new key itself is never evicted
@@ -1202,8 +1187,8 @@ def conditional_codelength(x: BitWord, y: BitWord) -> int:
 
 
 def clear_cache():
-    """Forget every exact length and refusal the oracle remembers, and the
-    bitac checkpoints."""
+    """Forget every exact length the oracle remembers, and the bitac
+    checkpoints."""
     global _oracle_bits
     _oracle.clear()
     _oracle_bits = 0

@@ -49,6 +49,7 @@ from typing import Collection, Iterable, Optional, Sequence, Sized
 import numpy as np
 
 from .bits import BitWord
+from .distortion import MEMBER_ENUM_MAX_COUNT
 
 LN2 = math.log(2)
 
@@ -453,12 +454,24 @@ def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
 
 # ---------------------------------------------------------------------------
 # adversary zoo (the game itself puts no constraints on Alice; these are
-# the streams used by the CLI and the fuzz campaigns)
+# the streams used by the CLI and the fuzz campaigns).  play_game reads a
+# whole stream before Bob's first move, so each generated adversary
+# refuses, before its first set, a stream whose sets would hold more than
+# MEMBER_ENUM_MAX_COUNT words in all.
+
+def _check_stream_words(words: int):
+    if words > MEMBER_ENUM_MAX_COUNT:
+        raise ValueError(
+            f"adversary stream would hold up to {words} words, "
+            f"over {MEMBER_ENUM_MAX_COUNT}"
+        )
+
 
 def adversary_random(params: GameParams, seed: int):
     """Full-length stream of uniformly random subsets of {0,1}^n."""
-    rng = random.Random(seed)
     size = 1 << params.n
+    _check_stream_words(params.max_moves * size)
+    rng = random.Random(seed)
     words = [BitWord(params.n, v) for v in range(size)]
     for _ in range(params.max_moves):
         # bit v of the mask selects word v
@@ -468,6 +481,7 @@ def adversary_random(params: GameParams, seed: int):
 
 def adversary_repeat(params: GameParams, seed: int):
     """One random singleton repeated for the whole game."""
+    _check_stream_words(params.max_moves)
     rng = random.Random(seed)
     w = BitWord.random(rng, params.n)
     for _ in range(params.max_moves):
@@ -478,13 +492,11 @@ def adversary_balls(params: GameParams, seed: int = 0):
     """Radius-1 Hamming balls around every center in lexicographic order,
     truncated to the move allowance."""
     _ = seed  # enumeration order is fixed
-    count = 0
-    for v in range(1 << params.n):
-        if count >= params.max_moves:
-            return
+    moves = min(1 << params.n, params.max_moves)
+    _check_stream_words(moves * (params.n + 1))
+    for v in range(moves):
         center = BitWord(params.n, v)
         yield frozenset([center] + [center.flip(i) for i in range(params.n)])
-        count += 1
 
 
 ADVERSARIES = {

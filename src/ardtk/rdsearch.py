@@ -21,7 +21,7 @@ traces and budgets are those of exact scoring.  List cylinders are
 scored exactly.
 
 The word climber works on int values (x_1 the most significant bit, as
-in BitWord): the seen scores, the best, the pool, the neighbours and
+in BitWord): the seen values, the best, the pool, the neighbours and
 the Hamming projection are all ints.  A BitWord is built only to ask
 the oracle about a fresh value, and once for the returned Candidate,
 whose distortion is computed once.  For Hamming it keeps a table of
@@ -49,7 +49,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .bits import BitWord
 from .codec import codelength
 from .distortion import (
-    EUCLID,
     HAMMING,
     LIST,
     Ball,
@@ -202,7 +201,7 @@ def _word_search(
     around its center x, climbing on int values (see the module docstring)."""
     spec, x = ball.spec, ball.center
     n, xv = spec.n, x.value
-    seen: "dict[int, int]" = {}
+    seen: "set[int]" = set()
     flips: "dict[int, int]" = {}  # flip index -> projected flip of the best
     best = score = None
     evals = 0
@@ -214,10 +213,9 @@ def _word_search(
             return
         # the oracle answers exactly under the score v must stay under
         # to beat the best (ties go to the smaller value), and at or
-        # above it otherwise; the limit never rises, so a kept score
-        # stays sound
+        # above it otherwise, so only an exact score becomes the best
         s = codelength(BitWord(n, v), None if best is None else score + (v < best))
-        seen[v] = s
+        seen.add(v)
         evals += 1
         if best is None or (s, v) < (score, best):
             best, score = v, s
@@ -489,7 +487,8 @@ def transform_rate_distortion(
     deltas: "Optional[Sequence[Fraction]]" = None,
 ) -> CurveEstimate:
     """Rate-distortion view of a canonical estimate: at distortion delta
-    read off ghat at level ceil(log2 of the delta-ball cardinality).
+    read off ghat at level ceil(log2 of the delta-ball cardinality), for
+    each delta in deltas (default: every admissible radius).
 
     For the hamming family each point also reports the entropy-scale
     reading at level round(n * H(delta)) when that level is on the grid.
@@ -498,16 +497,9 @@ def transform_rate_distortion(
         raise ValueError("expected a log-cardinality curve")
     n = spec.n
     table = {p.axis_value: p for p in ghat.points}
-    if deltas is None:
-        if spec.family != EUCLID:
-            deltas = admissible_radii(spec)
-        elif n <= 8:
-            deltas = [Fraction(i, 1 << n) for i in range((1 << n) // 2 + 1)]
-        else:
-            raise ValueError("pass explicit deltas for wide euclid words")
     points = []
     best = math.inf
-    for d in sorted(deltas):
+    for d in sorted(admissible_radii(spec) if deltas is None else deltas):
         b = ball_cardinality(spec, d)
         l = (b - 1).bit_length()
         if l not in table:

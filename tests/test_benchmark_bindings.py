@@ -86,3 +86,24 @@ def test_every_oracle_question_is_a_codelength_span_of_the_search(tracing):
     assert evals > 1
     assert len(questions) == evals
     assert all(s[tracing.PARENT] == search for s in questions)
+
+
+def test_traced_denoise_op_pins_the_oracle_counts(tracing, workloads):
+    # one traced denoise-cross32 op on the first seed-0 input, from a cold
+    # cache: a change to which questions reach compress moves these counts
+    workload = workloads.WORKLOADS["denoise-cross32"]
+    inputs = workload.prepare(0)
+    codec.clear_cache()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        workload.op(inputs[0])
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert {key: metrics.get(key) for key in (
+        "codec.codelength.calls", "codec.codelength.misses",
+        "rdsearch.evals", "rdsearch.budget_used_reported",
+    )} == {
+        "codec.codelength.calls": 2305,
+        "codec.codelength.misses": 49,
+        "rdsearch.evals": 44,
+        "rdsearch.budget_used_reported": 2296,
+    }

@@ -133,17 +133,23 @@ class TestFileFormats:
 
 class TestParsing:
     def test_int_grid(self):
-        assert parse_int_grid("3, 5,9") == [3, 5, 9]
-        assert parse_int_grid("0:8:4,10") == [0, 4, 8, 10]
-        assert parse_int_grid("2:4") == [2, 3, 4]
+        assert parse_int_grid("3, 5,9", 9) == [3, 5, 9]
+        assert parse_int_grid("0:8:4,10", 10) == [0, 4, 8, 10]
+        assert parse_int_grid("2:4", 16) == [2, 3, 4]
 
     def test_int_grid_errors(self):
         with pytest.raises(ValueError):
-            parse_int_grid("1:10:0")
+            parse_int_grid("1:10:0", 16)
         with pytest.raises(ValueError):
-            parse_int_grid(" , ")
+            parse_int_grid(" , ", 16)
         with pytest.raises(ValueError):
-            parse_int_grid("1:2:3:4")
+            parse_int_grid("1:2:3:4", 16)
+
+    def test_int_grid_bounds_come_before_expansion(self):
+        for text in ("17", "-1", "0:17", "-1:4", "0:1000000000000", "0:16:1,3:1000000000000"):
+            with pytest.raises(ValueError, match="outside 0..16"):
+                parse_int_grid(text, 16)
+        assert parse_int_grid("16:0,16", 16) == [16]
 
     def test_fraction_grid(self):
         assert parse_fraction_grid("0,1/8,0.25") == [
@@ -253,6 +259,28 @@ class TestCurveCommand:
                      "--out-dir", str(tmp_path / "again")]) == 0
         assert "replay ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("axis", ["rate", "canonical"])
+    def test_huge_grid_range_fails_at_once(self, tmp_path, capsys, axis):
+        path = tmp_path / "w.txt"
+        write_word(path, BitWord.random(random.Random(5), 16))
+        t0 = time.perf_counter()
+        code = main(["curve", "--input", str(path), "--axis", axis,
+                     "--grid", "0:1000000000000", "--out-dir", str(tmp_path / "run")])
+        assert code == 1 and time.perf_counter() - t0 < 1.0
+        assert "error:" in capsys.readouterr().err
+
+    def test_euclid_distortion_axis_default_grid_past_8_bits(self, tmp_path):
+        # every admissible radius: 0 and 2^-(n+1) .. 1/2, n + 2 rows
+        path = tmp_path / "w.txt"
+        write_word(path, BitWord.random(random.Random(6), 10))
+        out = tmp_path / "run"
+        assert main(["curve", "--input", str(path), "--family", "euclid",
+                     "--axis", "distortion", "--budget", "16", "--seed", "0",
+                     "--out-dir", str(out)]) == 0
+        _, rows = read_csv(out / "curve.csv")
+        assert len(rows) == 12
+        assert [r[0] for r in rows] == ["0"] + [f"1/{1 << j}" for j in range(11, 0, -1)]
+
     def test_infeasible_rate_rows_have_blank_cells(self, tmp_path):
         word = BitWord.random(random.Random(6), 64)
         path = tmp_path / "w.bits"
@@ -329,6 +357,13 @@ class TestGameCommand:
                      "--out-dir", str(tmp_path / "run")])
         assert code == 1 and time.perf_counter() - t0 < 1.0
         assert "n <= 16" in capsys.readouterr().err
+
+    def test_huge_generated_stream_fails_before_playing(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        code = main(["game", "--n", "3", "--k", "40", "--m", "1",
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1 and time.perf_counter() - t0 < 1.0
+        assert "error:" in capsys.readouterr().err
 
     def test_file_mode_requires_path(self, tmp_path):
         assert main(["game", "--k", "3", "--m", "1", "--n", "4",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ardtk.bits import BitWord
-from ardtk import codec
+from ardtk import codec, rdsearch
 from ardtk.denoise import default_denoise_levels, make_noisy_cross
 from ardtk.distortion import HAMMING, DistortionSpec
 from ardtk.rdsearch import distortion_rate_curve
@@ -780,7 +780,7 @@ def test_codelength_below_contract(kind, n):
 @pytest.mark.parametrize("kind", sorted(_WORD_KINDS))
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_codelength_below_contract_on_a_warm_cache(kind, n):
-    # refusals and exact lengths the oracle remembers answer later bounds
+    # exact lengths the oracle remembers answer later bounds
     w = _WORD_KINDS[kind](random.Random(n + 1), n)
     exact = compress(w).bit_length
     rng = random.Random(n)
@@ -821,57 +821,70 @@ def _count_encodes(monkeypatch) -> list:
     return calls
 
 
-def test_codelength_remembers_refusals(monkeypatch):
-    w = BitWord.random(random.Random(41), 1024)
-    exact = compress(w).bit_length
-    calls = _count_encodes(monkeypatch)
-    codec.clear_cache()
-    assert codelength(w, exact) >= exact
-    assert [mode for _, mode, _, _ in calls] == [codec.MODE_LZ, codec.MODE_BWT]
-    calls.clear()
-    for below in (exact, exact - 1, exact // 2, 0):
-        assert codelength(w, below) == below
-    assert calls == []
-    # a larger bound is a new question
-    assert codelength(w, exact + 1) == exact
-    assert calls
-    calls.clear()
-    assert codelength(w, exact - 1) == exact
-    assert calls == []
-
-
-def test_clear_cache_forgets_refusals(monkeypatch):
+def test_clear_cache_forgets_exact_lengths(monkeypatch):
     w = BitWord.random(random.Random(43), 1024)
     exact = compress(w).bit_length
     calls = _count_encodes(monkeypatch)
     codec.clear_cache()
-    codelength(w, exact)
+    assert codelength(w) == exact
     first = len(calls)
+    # a remembered length answers exact and bounded questions alike
+    assert codelength(w) == codelength(w, exact) == codelength(w, 0) == exact
+    assert len(calls) == first
     codec.clear_cache()
-    assert codelength(w, exact) >= exact
+    assert codelength(w) == exact
     assert first and len(calls) == 2 * first
 
 
-def test_no_block_pass_at_a_refused_bound(monkeypatch):
-    # the oracle counts calls, not seconds: over a denoising curve, no
-    # word's BWT block pass runs at a bound at or under one that BWT
-    # already refused it at
+def test_a_refused_question_leaves_the_store_as_it_was():
+    rng = random.Random(67)
+    words = [_WORD_KINDS[kind](rng, n) for n in (64, 300, 1024, 4096)
+             for kind in sorted(_WORD_KINDS)]
+    codec.clear_cache()
+    for w in words[::2]:
+        codelength(w)
+    refused = 0
+    for w in words[1::2]:
+        exact = compress(w).bit_length
+        for below in (0, exact // 2, exact - 1, exact):
+            if codec._may_undercut(w, below):
+                continue
+            before = list(codec._oracle.items()), codec._oracle_bits
+            assert codelength(w, below) == below
+            assert (list(codec._oracle.items()), codec._oracle_bits) == before
+            refused += 1
+    assert refused >= 2 * len(words[1::2])
+
+
+def test_denoising_curve_answers_match_a_cold_cache(monkeypatch):
+    # over a denoising curve, the oracle answers a question about a word
+    # it does not hold as a cold cache does, and one about a word it
+    # holds with that word's exact length: nothing else is remembered
     n = 1024
     _, noisy = make_noisy_cross(32, Fraction(1, 10), 0)
-    calls = _count_encodes(monkeypatch)
+    asked = Counter()
+    oracle = rdsearch.codelength
+
+    def recording(word, below=None):
+        held = (word.n, word.value) in codec._oracle
+        got = oracle(word, below)
+        asked[word, below, held, got] += 1
+        return got
+
+    monkeypatch.setattr(rdsearch, "codelength", recording)
     codec.clear_cache()
     distortion_rate_curve(noisy, DistortionSpec(HAMMING, n), None, 40, 0,
                           levels=default_denoise_levels(n))
-    refused = {}
-    passes = 0
-    for word, mode, bound, ok in calls:
-        if mode != codec.MODE_BWT:
-            continue
-        passes += 1
-        assert bound > refused.get(word.value, -1), (word.value, bound)
-        if not ok:
-            refused[word.value] = bound
-    assert passes and refused
+    refused_again = 0
+    for (word, below, held, got), times in asked.items():
+        codec.clear_cache()
+        if held:
+            assert got == compress(word).bit_length, (word.value, below)
+        else:
+            assert codelength(word, below) == got, (word.value, below)
+            refused_again += times > 1 and got == below
+    # the search repeats some refused questions, and each is worked out anew
+    assert refused_again
 
 
 # -- least lengths -------------------------------------------------------------
@@ -1004,19 +1017,22 @@ def test_oracle_store_stays_under_its_bit_bound(monkeypatch):
     asked = set()
     for _ in range(150):
         w = rng.choice(words)
-        if rng.random() < 0.5:
-            assert codelength(w) == exact[w]
+        below = None if rng.random() < 0.5 else max(0, exact[w] + rng.randint(-40, 40))
+        got = codelength(w, below)
+        if below is None or exact[w] < below:
+            assert got == exact[w]
+            key = (w.n, w.value)
+            asked.add(key)
+            # a question answered exactly is the most recent entry
+            assert next(reversed(codec._oracle)) == key
         else:
-            below = max(0, exact[w] + rng.randint(-40, 40))
-            got = codelength(w, below)
-            assert got == exact[w] if exact[w] < below else got >= below
-        key = (w.n, w.value)
-        asked.add(key)
-        # the question just asked is the most recent entry
-        assert next(reversed(codec._oracle)) == key
+            assert got >= below
         assert codec._oracle_bits == sum(n for n, _ in codec._oracle) <= bound
     assert sum(n for n, _ in asked) > bound >= codec._oracle_bits
     assert len(codec._oracle) < len(asked)
+    # the store holds exact lengths only
+    assert all(length == compress(BitWord(n, v)).bit_length
+               for (n, v), length in codec._oracle.items())
     codec.clear_cache()
     assert codec._oracle_bits == 0 and not codec._oracle
 

@@ -437,6 +437,35 @@ class TestEngineForms:
         with pytest.raises(ValueError, match="n <= 16"):
             bob_deterministic_step(untouchable(), p)
 
+    def test_generated_adversaries_refuse_huge_streams_before_drawing(self, monkeypatch):
+        class Undrawable:
+            def __init__(self, *args):
+                raise AssertionError("a set was drawn")
+
+            random = __init__
+
+        monkeypatch.setattr(game, "BitWord", Undrawable)
+        huge = [(adversary_random, GameParams(n=3, k=40, m=1)),
+                (adversary_repeat, GameParams(n=3, k=40, m=1)),
+                (adversary_balls, GameParams(n=20, k=20, m=1))]
+        for adversary, p in huge:
+            with pytest.raises(ValueError, match="adversary stream"):
+                next(adversary(p, 0))
+            if p.n <= GAME_MAX_N:
+                with pytest.raises(ValueError, match="adversary stream"):
+                    play_game(adversary(p, 0), p, "det")
+
+    def test_stream_word_bound(self):
+        # (2^k - 1) 2^n words: k = 12 at n = 10 is under 2^22, k = 13 over
+        next(adversary_random(GameParams(n=10, k=12, m=1), 0))
+        with pytest.raises(ValueError, match="adversary stream"):
+            next(adversary_random(GameParams(n=10, k=13, m=1), 0))
+        # 8 balls of 4 words, however large k
+        p = GameParams(n=3, k=40, m=1)
+        assert len(play_game(adversary_balls(p), p, "det").moves) == 8
+        # the balls game at n = 16, k = 14
+        next(adversary_balls(GameParams(n=16, k=14, m=4)))
+
 
 def test_sparse_stream_allocates_no_cube_per_set(monkeypatch):
     """On the balls stream at n = 16 no numpy array of 2^n bits or more
