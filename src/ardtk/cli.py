@@ -804,15 +804,24 @@ def run_shapes(args, out_dir: Path, seed: int):
             raise ValueError(f"{args.input}: expected a shape,l,value table")
         for row in reader:
             idx, l, value = (int(v) for v in row)
-            by_shape.setdefault(idx, {})[l] = value
+            if l < 0:
+                raise ValueError(f"{args.input}: shape {idx} has level {l} below 0")
+            if args.n is not None and l > args.n:
+                raise ValueError(f"{args.input}: shape {idx} has level {l} above --n {args.n}")
+            levels = by_shape.setdefault(idx, {})
+            if l in levels:
+                raise ValueError(f"{args.input}: shape {idx} repeats level {l}")
+            levels[l] = value
     bad = 0
     for idx in sorted(by_shape):
         levels = by_shape[idx]
-        values = [levels.get(l) for l in range(max(levels) + 1)]
-        if any(v is None for v in values):
-            ok, where = False, min(l for l in range(len(values)) if values[l] is None)
+        # the levels are distinct and at least 0, so unless they are
+        # exactly 0..len - 1 one of 0..len - 1 is missing
+        gap = next(l for l in range(len(levels) + 1) if l not in levels)
+        if gap < len(levels):
+            ok, where = False, gap
         else:
-            ok, where = shape_validate(values, n=args.n)
+            ok, where = shape_validate([levels[l] for l in range(gap)], n=args.n)
         if ok:
             print(f"shape {idx} ok")
         else:

@@ -201,12 +201,6 @@ class Codeword:
         self.data = bytes(data)
         self.bit_length = bit_length
 
-    @property
-    def original_length(self) -> int:
-        r = _BitReader(self.data, self.bit_length)
-        r.read_bits(2)
-        return r.read_leb()
-
     def __len__(self) -> int:
         return self.bit_length
 
@@ -221,7 +215,8 @@ class Codeword:
         return hash((self.bit_length, self.data))
 
     def __repr__(self) -> str:
-        return f"Codeword(bits={self.bit_length}, original={self.original_length})"
+        # the bit length only: a malformed codeword must print too
+        return f"Codeword(bits={self.bit_length})"
 
 
 # ---------------------------------------------------------------------------

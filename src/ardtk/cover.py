@@ -52,7 +52,6 @@ from .bits import BitWord
 from .distortion import (
     HAMMING,
     MEMBER_ENUM_MAX_COUNT,
-    Ball,
     DistortionSpec,
     SizeGuardError,
     _shell,
@@ -478,30 +477,3 @@ def cover_space(
         verified=verified,
     )
 
-
-def verify_cover(target: Ball, centers, d: Fraction) -> "tuple[bool, Optional[BitWord]]":
-    """Exhaustively check that every member of a Hamming ball is within d
-    of a center.
-
-    Returns (ok, witness); the witness is the least uncovered member.
-    Raises ValueError for a ball of another family, for n > VERIFY_MAX_N
-    and for a center whose length is not n.
-    """
-    spec = target.spec
-    if spec.family != HAMMING:
-        raise ValueError("verification is defined for hamming balls")
-    dn = _steps(spec, d)
-    n = spec.n
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"verification is exhaustive; need n <= {VERIFY_MAX_N}")
-    centers = list(centers)
-    for c in centers:
-        if c.n != n:
-            raise ValueError(f"center of length {c.n} against a ball of length {n}")
-    if target.cardinality() > MEMBER_ENUM_MAX_COUNT:
-        raise SizeGuardError("ball too large to enumerate")
-    ball = _Target(n, target.center.value, 0, target.steps)
-    bad = _first_uncovered(ball, [c.value for c in centers], dn, _Target(n, 0, 0, dn).vals)
-    if bad is None:
-        return True, None
-    return False, BitWord(n, bad)

@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .rdsearch import CurveEstimate, distortion_rate_curve
 # fraction) before the residual is accepted as noise-like
 RESIDUAL_FLOOR_FACTOR = 0.8
 
-MAJORITY_CHECK_MAX_N = 12       # exhaustive counting check cutoff
 MIN_CROSS_SIDE = 8
 COLLINEAR_TOL = 1e-9
 
@@ -86,68 +85,6 @@ def sufficiency_gap(x: BitWord, ball: Ball) -> float:
         codelength(ball.descriptor())
         + ball.log_cardinality()
         - codelength(x)
-    )
-
-
-@dataclass(frozen=True)
-class MajorityCheckReport:
-    beta: float
-    members: int
-    violations: int              # members with conditional bits < log2|A| - beta
-    bound: float                 # members * 2^-beta
-    ok: bool                     # violations < bound
-    property_size: Optional[int] = None
-    property_majority: Optional[bool] = None
-    outside_min_deficiency: Optional[float] = None
-
-
-def majority_property_check(
-    ball: Ball,
-    beta: float,
-    property_generator: "Optional[Callable[[BitWord], bool]]" = None,
-) -> MajorityCheckReport:
-    """Count ball members whose conditional codelength drops more than
-    beta bits below log2 |ball|.
-
-    Fewer than |ball| * 2^-beta members can do that when the
-    conditional lengths come from an injective code, because there are
-    fewer than 2^l codewords shorter than l bits.  The subtraction-based
-    estimate used here is checked against the same bound; the n = 10
-    exhaustive sweep ratifies it with no safety factor.
-
-    property_generator, when given, names a subset of the ball; the
-    report then also says whether that subset is a 1 - 2^-beta majority
-    and how atypical the members outside it are at minimum.
-    """
-    n = ball.spec.n
-    if n > MAJORITY_CHECK_MAX_N:
-        raise ValueError(f"exhaustive counting check needs n <= {MAJORITY_CHECK_MAX_N}")
-    desc = ball.descriptor()
-    members = ball.members()
-    log_size = ball.log_cardinality()
-    lengths = {m: conditional_codelength(m, desc) for m in members}
-    threshold = log_size - beta
-    violations = sum(1 for v in lengths.values() if v < threshold)
-    bound = len(members) * 2.0 ** (-beta)
-    prop_size = None
-    prop_majority = None
-    outside_min = None
-    if property_generator is not None:
-        inside = {m for m in members if property_generator(m)}
-        prop_size = len(inside)
-        prop_majority = prop_size >= (1 - 2.0 ** (-beta)) * len(members)
-        outside = [m for m in members if m not in inside]
-        if outside:
-            outside_min = min(log_size - lengths[m] for m in outside)
-    return MajorityCheckReport(
-        beta=float(beta),
-        members=len(members),
-        violations=violations,
-        bound=bound,
-        ok=violations < bound,
-        property_size=prop_size,
-        property_majority=prop_majority,
-        outside_min_deficiency=outside_min,
     )
 
 
@@ -216,9 +153,9 @@ def knee_detect(curve: CurveEstimate, anchor_rate: Optional[float] = None) -> Kn
 # ---------------------------------------------------------------------------
 # bitmap helpers
 
-def majority_filter(word: BitWord, width: int, rounds: int = 1) -> BitWord:
-    """3x3 majority vote on a row-major bitmap; cells outside the image
-    do not vote and voting ties keep the pixel."""
+def majority_filter(word: BitWord, width: int) -> BitWord:
+    """One round of 3x3 majority vote on a row-major bitmap; cells
+    outside the image do not vote and voting ties keep the pixel."""
     n = word.n
     if width < 1 or n % width:
         raise ValueError("width must divide the word length")
@@ -227,9 +164,8 @@ def majority_filter(word: BitWord, width: int, rounds: int = 1) -> BitWord:
     cur = cur.reshape(height, width)
     # the voters of each cell: the in-image cells of its 3x3 box
     total = _box_sums(np.ones_like(cur))
-    for _ in range(rounds):
-        ones = _box_sums(cur)
-        cur = np.where(2 * ones > total, 1, np.where(2 * ones < total, 0, cur))
+    ones = _box_sums(cur)
+    cur = np.where(2 * ones > total, 1, np.where(2 * ones < total, 0, cur))
     return BitWord.from_bytes(np.packbits(cur.astype(np.uint8)).tobytes(), n)
 
 
@@ -270,11 +206,11 @@ def make_noisy_cross(side: int, flip_fraction, seed: int):
     return clean, BitWord.from_bits(noisy_bits)
 
 
-def default_denoise_levels(n: int, count: int = 21) -> "list[Fraction]":
-    """Quadratically spaced distortion levels, dense near zero where the
-    knee lives, sparse toward 1/2."""
+def default_denoise_levels(n: int) -> "list[Fraction]":
+    """21 quadratically spaced distortion levels, dense near zero where
+    the knee lives, sparse toward 1/2 (repeats merged at small n)."""
     top = n // 2
-    steps = sorted({round(top * (j / (count - 1)) ** 2) for j in range(count)})
+    steps = sorted({round(top * (j / 20) ** 2) for j in range(21)})
     return [Fraction(i, n) for i in steps]
 
 

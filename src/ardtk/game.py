@@ -330,28 +330,8 @@ def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...
     return tuple(marks)
 
 
-def bob_deterministic_step(history, params: GameParams) -> "tuple[int, ...]":
-    """Marks for the latest move; history lists Alice's sets oldest first.
-
-    Accepts a GameTranscript or any sequence of word collections.  Pure
-    function of the history: replaying it reproduces the transcript.
-    """
-    _check_size(params)
-    if isinstance(history, GameTranscript):
-        history = [m.alice_set for m in history.moves]
-    word_sets = [_as_words(s, params.n) for s in history]
-    if not word_sets:
-        raise ValueError("history must include the current move's set")
-    if len(word_sets) > params.max_moves:
-        raise GameOverflowError(f"move {len(word_sets)} exceeds limit {params.max_moves}")
-    form = _form(word_sets, params.n)
-    return _greedy_marks([form.make(ws, params.n) for ws in word_sets], params, form)
-
-
-def bob_probabilistic_step(params: GameParams, rng) -> bool:
+def bob_probabilistic_step(params: GameParams, rng: random.Random) -> bool:
     """Coin flip: mark the newest set with probability 2^-m (n+1) ln 2."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     return rng.random() < probabilistic_mark_p(params)
 
 

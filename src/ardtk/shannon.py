@@ -93,8 +93,9 @@ class RDPoint:
     gap: float
 
 
-def hamming_distortion_matrix(size: int = 2) -> "list[list[float]]":
-    return [[0.0 if i == j else 1.0 for j in range(size)] for i in range(size)]
+def hamming_distortion_matrix() -> "list[list[float]]":
+    """Bit-flip distortion on the binary alphabet: 0 to keep, 1 to flip."""
+    return [[0.0, 1.0], [1.0, 0.0]]
 
 
 def _ba_fixed_slope(p, d, slope, tol, trace=None):

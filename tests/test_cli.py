@@ -543,8 +543,84 @@ class TestShapesCommand:
         assert main(["shapes", "generate",
                      "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("rows, n, message", [
+        (["0,0,1", "0,1,0", "0,-3,7"], None, "level -3 below 0"),
+        (["0,0,1", "0,1,0", "0,1,0"], None, "repeats level 1"),
+        (["0,0,1", "0,1,0", "0,1000000000000,0"], "12", "above --n 12"),
+    ], ids=["negative", "repeated", "huge"])
+    def test_validate_refuses_malformed_table(self, tmp_path, capsys, rows, n, message):
+        path = tmp_path / "shapes.csv"
+        path.write_text("\n".join(["shape,l,value"] + rows) + "\n")
+        argv = ["shapes", "validate", "--input", str(path),
+                "--out-dir", str(tmp_path / "val")]
+        start = time.perf_counter()
+        code = main(argv + (["--n", n] if n else []))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and message in err
+        assert "ok" not in out
+
+    def test_validate_huge_level_without_n_is_a_gap(self, tmp_path, capsys):
+        # no list as long as the level: the first missing level is reported
+        path = tmp_path / "shapes.csv"
+        path.write_text("shape,l,value\n0,0,1\n0,1,0\n0,1000000000000,0\n")
+        start = time.perf_counter()
+        code = main(["shapes", "validate", "--input", str(path),
+                     "--out-dir", str(tmp_path / "val")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "shape 0 bad at l=2" in capsys.readouterr().out
+
+
+REPLAY_RUNS = {
+    "codec": ["codec", "roundtrip", "--input", "{word}"],
+    "curve-rate": ["curve", "--input", "{word}", "--budget", "32"],
+    "curve-canonical": ["curve", "--input", "{word}", "--axis", "canonical",
+                        "--budget", "32"],
+    "curve-distortion": ["curve", "--input", "{word}", "--axis", "distortion",
+                         "--budget", "64"],
+    "curve-list": ["curve", "--input", "{word}", "--family", "list", "--budget", "48"],
+    "curve-euclid": ["curve", "--input", "{word}", "--family", "euclid",
+                     "--budget", "64"],
+    "denoise": ["denoise", "--input", "{noisy}", "--clean", "{clean}",
+                "--budget", "32"],
+    "cover-ball": ["cover", "ball", "--n", "10", "--delta", "1/2", "--d", "1/5"],
+    "cover-space": ["cover", "space", "--n", "8", "--d", "1/4"],
+    "game-random-det": ["game", "--n", "6", "--k", "6", "--m", "2"],
+    "game-balls-prob": ["game", "--n", "4", "--k", "5", "--m", "1",
+                        "--adversary", "balls", "--strategy", "prob"],
+    "game-file": ["game", "--n", "4", "--k", "3", "--m", "1",
+                  "--adversary", "file", "--adversary-file", "{sets}"],
+    "shannon": ["shannon", "--p", "1/3"],
+    "compare": ["compare", "--n", "8", "--samples", "3", "--budget", "64"],
+    "shapes": ["shapes", "generate", "--n", "12", "--count", "3"],
+}
+
 
 class TestManifestReplay:
+    @pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+    def test_replay_is_byte_identical(self, tmp_path, capsys, name):
+        files = {
+            "word": tmp_path / "word.bits",
+            "noisy": tmp_path / "noisy.pbm",
+            "clean": tmp_path / "clean.pbm",
+            "sets": tmp_path / "sets.txt",
+        }
+        write_word(files["word"], BitWord.random(random.Random(40), 40))
+        clean, noisy = make_noisy_cross(16, Fraction(1, 10), 0)
+        write_pbm(files["clean"], clean, 16)
+        write_pbm(files["noisy"], noisy, 16)
+        files["sets"].write_text("0000 0001\n0001 0011\n\n0011 1111 0001\n")
+        argv = [a.format(**files) for a in REPLAY_RUNS[name]]
+        out = tmp_path / "run"
+        assert main(argv + ["--seed", "3", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["replay", str(out / "manifest.json"),
+                     "--out-dir", str(tmp_path / "again")])
+        assert code == 0
+        assert "replay ok" in capsys.readouterr().out
+
     def test_replay_reproduces_curve(self, tmp_path, word96, capsys):
         _, path = word96
         out = tmp_path / "run"

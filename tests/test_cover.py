@@ -16,10 +16,8 @@ from ardtk.cover import (
     cover_ball,
     cover_space,
     shell_offset,
-    verify_cover,
 )
 from ardtk.distortion import (
-    EUCLID,
     HAMMING,
     LIST,
     Ball,
@@ -100,12 +98,9 @@ class TestCoverBall:
         target = Ball(s, Fraction(4, 9), center=BitWord.zeros(9)).members()
         for i in range(r.size):
             others = r.centers[:i] + r.centers[i + 1 :]
-            ok, _ = verify_cover(
-                Ball(s, Fraction(4, 9), center=BitWord.zeros(9)),
-                others,
-                Fraction(1, 9),
-            )
-            assert not ok, "every kept center must cover something private"
+            assert not all(
+                any(c.hamming(m) <= 1 for c in others) for m in target
+            ), "every kept center must cover something private"
         assert all(any(c.hamming(m) <= 1 for c in r.centers) for m in target)
 
     def test_prune_keeps_pinned_centers(self):
@@ -227,26 +222,32 @@ class TestCoverSpace:
         assert len({w.value for w in r.centers}) == r.size
 
 
+def first_uncovered(ball, centers, d):
+    """The least member of a Hamming ball within d of no center, or None,
+    found by the routine that verifies every constructed cover."""
+    n, dn = ball.spec.n, int(d * ball.spec.n)
+    bad = cover._first_uncovered(
+        cover._Target(n, ball.center.value, 0, ball.steps),
+        [c.value for c in centers], dn, cover._Target(n, 0, 0, dn).vals,
+    )
+    return None if bad is None else BitWord(n, bad)
+
+
 class TestVerifyCover:
+    """The check every constructed cover passes, on hand-made covers."""
+
     def test_reports_lex_first_witness(self):
         s = spec(6)
         ball = Ball(s, Fraction(1, 2), center=BitWord.zeros(6))
-        ok, witness = verify_cover(ball, [BitWord.zeros(6)], Fraction(1, 6))
-        assert not ok
         # everything of weight <= 1 is covered; the first miss is 000011
-        assert witness == BitWord.from_str("000011")
+        assert first_uncovered(ball, [BitWord.zeros(6)], Fraction(1, 6)) == (
+            BitWord.from_str("000011")
+        )
 
     def test_accepts_complete_cover(self):
         s = spec(6)
         ball = Ball(s, Fraction(1, 6), center=BitWord.zeros(6))
-        ok, witness = verify_cover(ball, [BitWord.zeros(6)], Fraction(1, 6))
-        assert ok and witness is None
-
-    def test_large_n_guard(self):
-        s = spec(25)
-        ball = Ball(s, Fraction(1, 25), center=BitWord.zeros(25))
-        with pytest.raises(ValueError):
-            verify_cover(ball, [BitWord.zeros(25)], Fraction(1, 25))
+        assert first_uncovered(ball, [BitWord.zeros(6)], Fraction(1, 6)) is None
 
 
 # -- scan-based references: each center tested against every target word ----
@@ -426,22 +427,7 @@ class TestCentreSide:
 
 
 class TestVerifyCoverInputs:
-    def test_rejects_euclid_ball(self):
-        ball = Ball(DistortionSpec(EUCLID, 6), Fraction(1, 2), center=BitWord.zeros(6))
-        with pytest.raises(ValueError, match="hamming"):
-            verify_cover(ball, [BitWord.zeros(6)], Fraction(1, 6))
-
-    @pytest.mark.parametrize("length", [8, 40])
-    def test_rejects_centre_of_other_length(self, length):
-        ball = Ball(spec(6), Fraction(1, 2), center=BitWord.zeros(6))
-        with pytest.raises(ValueError, match="length"):
-            verify_cover(ball, [BitWord.zeros(6), BitWord.ones(length)], Fraction(1, 6))
-
-    def test_rejects_cover_radius_past_half(self):
-        # every other Hamming entry point refuses a radius above 1/2
-        ball = Ball(spec(6), Fraction(1, 2), center=BitWord.zeros(6))
-        with pytest.raises(ValueError, match="radius"):
-            verify_cover(ball, [BitWord.zeros(6)], Fraction(3, 4))
+    """The same check on random balls and centers, against brute force."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force(self, seed):
@@ -453,4 +439,4 @@ class TestVerifyCoverInputs:
             d = Fraction(rng.randint(0, n // 2), n)
             cs = [BitWord(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5))]
             missed = [m for m in ball.members() if all(c.hamming(m) > d * n for c in cs)]
-            assert verify_cover(ball, cs, d) == (not missed, missed[0] if missed else None)
+            assert first_uncovered(ball, cs, d) == (missed[0] if missed else None)

@@ -21,7 +21,6 @@ from ardtk.denoise import (
     denoise,
     knee_detect,
     majority_filter,
-    majority_property_check,
     make_noisy_cross,
     sufficiency_gap,
 )
@@ -136,17 +135,6 @@ class TestMajorityFilter:
         img = BitWord.from_bits([1, 1, 0, 0])
         assert majority_filter(img, 2) == img
 
-    @pytest.mark.parametrize("width, height", [(32, 32), (7, 5), (1, 9), (12, 1)])
-    def test_rounds_are_successive_single_rounds(self, width, height):
-        # denoise builds its 1-, 2- and 3-round seeds one round at a time
-        rng = random.Random(width * height)
-        for _ in range(5):
-            img = BitWord.random(rng, width * height)
-            once = majority_filter(img, width)
-            twice = majority_filter(once, width)
-            assert majority_filter(img, width, 2) == twice
-            assert majority_filter(img, width, 3) == majority_filter(twice, width)
-
     @staticmethod
     def _by_cells(word, width, rounds=1):
         """Reference: the vote cell by cell over the in-image neighbours."""
@@ -173,16 +161,20 @@ class TestMajorityFilter:
     def test_matches_cell_loop_on_crosses(self):
         for seed in range(20):
             _, noisy = make_noisy_cross(32, Fraction(1, 10), seed)
+            filtered = noisy
             for rounds in (1, 2, 3):
-                assert majority_filter(noisy, 32, rounds) == self._by_cells(noisy, 32, rounds)
+                filtered = majority_filter(filtered, 32)
+                assert filtered == self._by_cells(noisy, 32, rounds)
 
     def test_matches_cell_loop_on_random_bitmaps(self):
         rng = random.Random(37)
         for _ in range(200):
             width, height = rng.randint(1, 9), rng.randint(0, 9)
             img = BitWord.random(rng, width * height)
-            for rounds in (0, 1, 2):
-                assert majority_filter(img, width, rounds) == self._by_cells(img, width, rounds)
+            filtered = img
+            for rounds in (1, 2):
+                filtered = majority_filter(filtered, width)
+                assert filtered == self._by_cells(img, width, rounds)
 
     def test_width_validation(self):
         with pytest.raises(ValueError, match="width"):
@@ -305,48 +297,6 @@ class TestDeficiency:
             gap = sufficiency_gap(m, ball)
             est = deficiency_estimate(m, ball)
             assert gap + 64 >= est.value
-
-
-class TestMajorityCheck:
-    def test_counting_bound_frozen_ball(self):
-        ball = Ball(H10, Fraction(3, 10), center=BitWord(10, 37))
-        rep = majority_property_check(ball, 3)
-        assert rep.members == 176
-        assert rep.violations == 0
-        assert rep.bound == 22.0
-        assert rep.ok
-
-    def test_beta_zero_vacuous(self):
-        ball = Ball(H10, Fraction(2, 10), center=BitWord(10, 999))
-        rep = majority_property_check(ball, 0)
-        assert rep.bound == rep.members and rep.ok
-
-    def test_beta_at_log_size(self):
-        ball = Ball(H10, Fraction(3, 10), center=BitWord(10, 0))
-        rep = majority_property_check(ball, ball.log_cardinality())
-        assert rep.violations == 0 and rep.ok
-
-    def test_counting_bound_random_balls(self):
-        rng = random.Random(2)
-        for _ in range(25):
-            center = BitWord.random(rng, 10)
-            radius = Fraction(rng.randrange(0, 4), 10)
-            ball = Ball(H10, radius, center=center)
-            for beta in range(0, 13, 3):
-                assert majority_property_check(ball, beta).ok
-
-    def test_property_generator_reporting(self):
-        ball = Ball(H10, Fraction(3, 10), center=BitWord(10, 37))
-        rep = majority_property_check(ball, 2, property_generator=lambda w: w.weight() >= 2)
-        assert rep.property_size == 172
-        assert rep.property_majority
-        assert rep.outside_min_deficiency == pytest.approx(-10.5405683, abs=1e-5)
-
-    def test_size_guard(self):
-        big = Ball(DistortionSpec("hamming", 13), Fraction(0),
-                   center=BitWord.zeros(13))
-        with pytest.raises(ValueError, match="12"):
-            majority_property_check(big, 1)
 
 
 class TestDenoise:

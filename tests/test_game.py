@@ -20,7 +20,6 @@ from ardtk.game import (
     adversary_balls,
     adversary_random,
     adversary_repeat,
-    bob_deterministic_step,
     bob_probabilistic_step,
     largest_pow2_dividing,
     mark_bound,
@@ -235,21 +234,16 @@ class TestDeterministicStrategy:
         p = GameParams(n=4, k=2, m=0)
         history = [words(4, 0, 1), words(4, 2, 3)]
         # move 2, block of two disjoint pairs: both cover 2 of 4 targets
-        marks = bob_deterministic_step(history, p)
+        marks = play_game(history, p, "det").moves[-1].marks
         assert marks == (1, 2)
 
     def test_step_is_pure_replay_of_engine(self):
         p = GameParams(n=5, k=5, m=1)
         tr = play_game(adversary_random(p, 17), p, "det")
-        history = []
-        for mv in tr.moves:
-            history.append(mv.alice_set)
-            assert bob_deterministic_step(history, p) == mv.marks
-
-    def test_step_accepts_transcript(self):
-        p = GameParams(n=4, k=3, m=1)
-        tr = play_game(adversary_random(p, 2), p, "det")
-        assert bob_deterministic_step(tr, p) == tr.moves[-1].marks
+        # Bob's marks at move t depend on Alice's first t sets only
+        for t, mv in enumerate(tr.moves, 1):
+            prefix = [m.alice_set for m in tr.moves[:t]]
+            assert play_game(prefix, p, "det").moves[-1].marks == mv.marks
 
     def test_reproducible_without_seed(self):
         p = GameParams(n=4, k=6, m=2)
@@ -355,7 +349,8 @@ class TestEngineForms:
             results = []
             for chosen in (game._Masks, game._Sets):
                 monkeypatch.setattr(game, "_form", lambda alice_sets, n: chosen)
-                step = bob_deterministic_step([mv.alice_set for mv in tr.moves[:t]], p)
+                prefix = [mv.alice_set for mv in tr.moves[:t]]
+                step = play_game(prefix, p, "det").moves[-1].marks
                 results.append((verify_transcript(cut, p), step))
             assert results[0] == results[1]
             assert results[0][1] == tr.moves[t - 1].marks
@@ -434,8 +429,6 @@ class TestEngineForms:
 
         with pytest.raises(ValueError, match="n <= 16"):
             play_game(untouchable(), p, "det")
-        with pytest.raises(ValueError, match="n <= 16"):
-            bob_deterministic_step(untouchable(), p)
 
     def test_generated_adversaries_refuse_huge_streams_before_drawing(self, monkeypatch):
         class Undrawable:

@@ -266,7 +266,8 @@ class TestBoundedOracle:
         from ardtk.denoise import majority_filter, make_noisy_cross
 
         _, noisy = make_noisy_cross(32, Fraction(1, 10), 0)
-        extra = [majority_filter(noisy, 32, rounds) for rounds in (1, 2)]
+        once = majority_filter(noisy, 32)
+        extra = [once, majority_filter(once, 32)]
         _assert_same_as_exact_oracle(noisy, DistortionSpec(HAMMING, 1024),
                                      Fraction(level, 1024), 160, 0, extra)
 
