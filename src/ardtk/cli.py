@@ -803,7 +803,15 @@ def run_shapes(args, out_dir: Path, seed: int):
         if header != ["shape", "l", "value"]:
             raise ValueError(f"{args.input}: expected a shape,l,value table")
         for row in reader:
-            idx, l, value = (int(v) for v in row)
+            if not row:
+                continue  # a blank line
+            try:
+                idx, l, value = map(int, row)
+            except ValueError:
+                raise ValueError(
+                    f"{args.input}:{reader.line_num}: expected three integers "
+                    f"shape,l,value, got {','.join(row)!r}"
+                ) from None
             if l < 0:
                 raise ValueError(f"{args.input}: shape {idx} has level {l} below 0")
             if args.n is not None and l > args.n:

@@ -18,7 +18,10 @@ oracle is asked whether it beats the best so far (codelength's below),
 and a loser's exact length is computed only when no bound rules it
 out.  Each such question still counts as one evaluation, so results,
 traces and budgets are those of exact scoring.  List cylinders are
-scored exactly.
+scored exactly.  Both curves sweep their levels through _levels: a word
+level is one search_min_rate call, and a curve's list levels share one
+table of its best cylinders, so a list curve scores each cylinder once,
+in whatever order its levels come.
 
 The word climber works on int values (x_1 the most significant bit, as
 in BitWord): the seen values, the best, the pool, the neighbours and
@@ -40,6 +43,7 @@ against that family up to a slack of c * log2(n) bits.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -130,14 +134,15 @@ def _flip_mask(n: int, positions) -> int:
     return int(digits, 2) if n else 0
 
 
+@functools.lru_cache(maxsize=1)
 def _hamming_base(x: BitWord) -> tuple:
     """The parts of x's Hamming pool that no level changes: the positions
     of x's ones and of its zeros, and the values of x's dyadic majority
-    smoothings."""
+    smoothings.  The last word's parts are remembered."""
     n = x.n
     bits = x.to01()
-    ones = [i for i, b in enumerate(bits) if b == "1"]
-    zeros = [i for i, b in enumerate(bits) if b == "0"]
+    ones = tuple(i for i, b in enumerate(bits) if b == "1")
+    zeros = tuple(i for i, b in enumerate(bits) if b == "0")
     # a block of width bits (the last one shorter) turns to ones when
     # more than half of its bits are ones
     smoothed = []
@@ -152,16 +157,13 @@ def _hamming_base(x: BitWord) -> tuple:
                 v |= block << shift
         smoothed.append(v)
         width *= 2
-    return ones, zeros, smoothed
+    return ones, zeros, tuple(smoothed)
 
 
-def _hamming_pool(
-    x: BitWord, max_flips: int, rng: random.Random, base: Optional[tuple] = None
-) -> "list[int]":
-    """The values of the starting pool at max_flips; base is
-    _hamming_base(x), built here when not given."""
+def _hamming_pool(x: BitWord, max_flips: int, rng: random.Random) -> "list[int]":
+    """The values of the starting pool at max_flips."""
     n, xv = x.n, x.value
-    ones, zeros, smoothed = _hamming_base(x) if base is None else base
+    ones, zeros, smoothed = _hamming_base(x)
     pool = [xv, 0, (1 << n) - 1]
     for positions in (ones, zeros):
         take = min(len(positions), max_flips)
@@ -195,7 +197,6 @@ def _word_search(
     seed: int,
     extra_seeds: "Iterable[BitWord]",
     trace: Optional[list],
-    hamming_base: Optional[tuple],
 ):
     """(best Candidate, evaluations spent) in a Hamming or Euclid ball
     around its center x, climbing on int values (see the module docstring)."""
@@ -237,7 +238,7 @@ def _word_search(
     if hamming:
         max_flips = ball.steps
         top = 1 << (n - 1)  # flip index i is the bit top >> i
-        pool = _hamming_pool(x, max_flips, rng, hamming_base)
+        pool = _hamming_pool(x, max_flips, rng)
         pool += [_project_hamming(xv, w.value, max_flips) for w in extra_seeds]
 
         def neighbor(v: int) -> int:
@@ -278,8 +279,8 @@ def _list_search(
     spec: DistortionSpec,
     steps: int,
     budget: int,
-    trace: Optional[list],
-    start: "tuple[int, Optional[Candidate]]" = (0, None),
+    scored: "list[Candidate]",
+    trace: Optional[list] = None,
 ):
     """The suffix cylinders around x of radius t = 0 .. min(steps,
     budget - 1): the 2^t words sharing x's first n - t bits.
@@ -287,22 +288,34 @@ def _list_search(
     A cylinder is scored by the codelength of its descriptor, those
     n - t prefix bits followed by LEB128(t), so no member is built and
     the score falls by about a bit per level on an incompressible x.
-    Ties go to the smaller t.  start is (t0, best): the cylinders below
-    t0 are scored already and best is the best of them, so the search
-    scores only t >= t0.  The radius cap budget - 1 is absolute: it does
-    not grow with t0, so a curve at budget b is flat past radius b - 1.
+    Ties go to the smaller t.  scored[t] is the best cylinder of radius
+    <= t; the search extends it to the cap and returns (scored[cap],
+    evaluations spent), so a table shared across levels scores each
+    cylinder once.  The radius cap budget - 1 is absolute, so a curve at
+    budget b is flat past radius b - 1.
     """
-    t0, best = start
+    cap = min(steps, budget - 1)
     evals = 0
-    for t in range(t0, min(steps, budget - 1) + 1):
+    for t in range(len(scored), cap + 1):
         ball = Ball(spec, Fraction(t), center=x)
-        score = codelength(ball.descriptor())
+        cand = Candidate(ball, codelength(ball.descriptor()), Fraction(t))
         evals += 1
-        if best is None or score < best.score:
-            best = Candidate(ball, score, Fraction(t))
-            if trace is not None:
-                trace.append((evals, best.score))
-    return best, evals
+        if scored and scored[-1].score <= cand.score:
+            cand = scored[-1]
+        elif trace is not None:
+            trace.append((evals, cand.score))
+        scored.append(cand)
+    return scored[cap], evals
+
+
+def _checked_seeds(spec: DistortionSpec, budget: int, extra_seeds) -> tuple:
+    """extra_seeds as a tuple; refuses a budget below 1 and other lengths."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    extra_seeds = tuple(extra_seeds)
+    if any(w.n != spec.n for w in extra_seeds):
+        raise ValueError("extra seeds must have the word length n")
+    return extra_seeds
 
 
 def search_min_rate(
@@ -313,7 +326,6 @@ def search_min_rate(
     seed: int,
     extra_seeds: "Iterable[BitWord]" = (),
     trace: Optional[list] = None,
-    hamming_base: Optional[tuple] = None,
 ) -> Candidate:
     """Best-found destination within distortion delta of x.
 
@@ -325,22 +337,15 @@ def search_min_rate(
 
     trace, when given, receives (evaluations so far, best score) at each
     improvement and once more at the end, so its last entry holds the
-    evaluations the search spent.  hamming_base, when given, is
-    _hamming_base(x), built once by a caller that searches x at many
-    levels.
+    evaluations the search spent.
     """
     delta = Fraction(delta)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    extra_seeds = tuple(extra_seeds)
-    if any(w.n != spec.n for w in extra_seeds):
-        raise ValueError("extra seeds must have the word length n")
+    extra_seeds = _checked_seeds(spec, budget, extra_seeds)
     if spec.family == LIST:
-        best, evals = _list_search(x, spec, _steps(spec, delta), budget, trace)
+        best, evals = _list_search(x, spec, _steps(spec, delta), budget, [], trace)
     else:
         best, evals = _word_search(
-            Ball(spec, delta, center=x), budget, seed, extra_seeds, trace,
-            hamming_base,
+            Ball(spec, delta, center=x), budget, seed, extra_seeds, trace
         )
     if trace is not None:
         trace.append((evals, best.score))
@@ -349,6 +354,25 @@ def search_min_rate(
 
 def _child_seed(seed: int, salt: int) -> int:
     return (seed * 1_000_003 + salt) & 0x7FFFFFFF
+
+
+def _levels(
+    x: BitWord, spec: DistortionSpec, radii, budget: int, seeds, extra_seeds=()
+):
+    """(best Candidate, evaluations spent) for each radius in turn, its
+    search seeded by the next of seeds: the one level sweep of every
+    curve.  A word level is one search_min_rate call, looked up at call
+    time; list levels share one table, so each cylinder is scored once.
+    The arguments are checked before the first level."""
+    extra_seeds = _checked_seeds(spec, budget, extra_seeds)
+    scored: "list[Candidate]" = []
+    for delta, seed in zip(radii, seeds):
+        if spec.family == LIST:
+            yield _list_search(x, spec, _steps(spec, delta), budget, scored)
+        else:
+            trace: list = []
+            cand = search_min_rate(x, spec, delta, budget, seed, extra_seeds, trace)
+            yield cand, trace[-1][0]
 
 
 def distortion_rate_curve(
@@ -372,20 +396,12 @@ def distortion_rate_curve(
     if rate_grid is not None and list(rate_grid) != sorted(rate_grid):
         raise ValueError("rate_grid must be sorted")
     if levels is None:
-        search_levels = admissible_radii(spec)
-    else:
-        search_levels = [Fraction(l) for l in levels]
-    extra_seeds = tuple(extra_seeds)
-    base = _hamming_base(x) if spec.family == HAMMING else None
+        levels = admissible_radii(spec)
+    seeds = [_child_seed(seed, i) for i in range(len(levels))]
     pool: "dict" = {}
     used = 0
-    for i, level in enumerate(search_levels):
-        trace: list = []
-        cand = search_min_rate(
-            x, spec, level, budget, _child_seed(seed, i),
-            extra_seeds=extra_seeds, trace=trace, hamming_base=base,
-        )
-        used += trace[-1][0]
+    for cand, evals in _levels(x, spec, levels, budget, seeds, extra_seeds):
+        used += evals
         key = cand.digest()
         if key not in pool or cand.score < pool[key].score:
             pool[key] = cand
@@ -428,38 +444,20 @@ def canonical_estimate(
     containing x, scored by its center's codelength, for each l in
     l_grid.  budget is per grid level.
 
-    The list family's cylinders at one level include those of every
-    lower level, so its curve scores each cylinder once and carries the
-    best across levels: a full grid costs min(n, budget - 1) + 1
-    evaluations.  The radius stays within budget - 1 at every level, not
-    budget - 1 past the last level scored, so past l = budget - 1 the
-    list curve is flat.
+    A list level l is the cylinder radius l, and the sweep scores each
+    cylinder once: a full grid costs min(n, budget - 1) + 1 evaluations,
+    and past l = budget - 1 the list curve is flat.
     """
     n = spec.n
-    if any(not 0 <= l <= n for l in l_grid):
-        raise ValueError("l_grid entries must lie in 0..n")
+    radii = [radius_for_log_cardinality(spec, l) for l in l_grid]  # l in 0..n
     if list(l_grid) != sorted(l_grid):
         raise ValueError("l_grid must be sorted")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    seeds = [_child_seed(seed, l) for l in l_grid]
     points = []
     used = 0
     best_bits = math.inf
     best_cand = None
-    scored = (0, None)  # list family: (cylinders scored, best of them)
-    base = _hamming_base(x) if spec.family == HAMMING else None
-    for l in l_grid:
-        if spec.family == LIST:
-            # a list level l is the cylinder radius l itself
-            cand, evals = _list_search(x, spec, l, budget, None, scored)
-            scored = (scored[0] + evals, cand)
-        else:
-            trace: list = []
-            cand = search_min_rate(
-                x, spec, radius_for_log_cardinality(spec, l), budget,
-                _child_seed(seed, l), trace=trace, hamming_base=base,
-            )
-            evals = trace[-1][0]
+    for l, (cand, evals) in zip(l_grid, _levels(x, spec, radii, budget, seeds)):
         used += evals
         if cand.score < best_bits:
             best_bits, best_cand = cand.score, cand

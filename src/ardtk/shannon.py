@@ -73,9 +73,6 @@ class SourceModel:
         p_one = Fraction(p_one)
         return cls(pmf=(1 - p_one, p_one), n=n)
 
-    def letter_entropy(self) -> float:
-        return -sum(float(p) * math.log2(float(p)) for p in self.pmf if p > 0)
-
     def sample_word(self, rng: random.Random) -> BitWord:
         if self.alphabet_size != 2:
             raise ValueError("word sampling is defined for binary sources")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ardtk import codec, rdsearch
+from ardtk import codec, denoise, rdsearch
 from ardtk.bits import BitWord
 from ardtk.distortion import HAMMING, DistortionSpec
 
@@ -86,6 +86,24 @@ def test_every_oracle_question_is_a_codelength_span_of_the_search(tracing):
     assert evals > 1
     assert len(questions) == evals
     assert all(s[tracing.PARENT] == search for s in questions)
+
+
+def test_every_level_of_a_traced_curve_is_a_search_span(tracing):
+    # the curve's level sweep looks search_min_rate up at call time; one
+    # bound at import time would leave the levels out of the trace
+    tracer = tracing.Tracer()
+    spec = DistortionSpec(HAMMING, 16)
+    x = BitWord(16, 0b1011001110001011)
+    levels = [Fraction(k, 16) for k in (0, 1, 3, 5, 8)]
+    with tracer.installed():
+        curve = denoise.distortion_rate_curve(x, spec, None, 32, 0, levels=levels)
+    spans = tracer.spans
+    (parent,) = [i for i, s in enumerate(spans)
+                 if s[tracing.NAME] == "rdsearch.distortion_rate_curve"]
+    assert spans[parent][tracing.INFO] == curve.budget_used
+    searches = [s for s in spans if s[tracing.NAME] == "rdsearch.search_min_rate"]
+    assert len(searches) == len(levels)
+    assert all(s[tracing.PARENT] == parent for s in searches)
 
 
 def test_traced_denoise_op_pins_the_oracle_counts(tracing, workloads):

@@ -561,6 +561,26 @@ class TestShapesCommand:
         assert err.startswith("error:") and message in err
         assert "ok" not in out
 
+    def test_validate_skips_blank_lines(self, tmp_path, capsys):
+        # an editor's trailing blank line, and one between rows
+        path = tmp_path / "shapes.csv"
+        path.write_text("shape,l,value\n0,0,1\n\n0,1,0\n\n")
+        code = main(["shapes", "validate", "--input", str(path),
+                     "--out-dir", str(tmp_path / "val")])
+        assert code == 0
+        assert "shapes 1 all ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("row", ["0,1", "0,x,0", "0,1,0,0", ",,"])
+    def test_validate_refuses_row_without_three_integers(self, tmp_path, capsys, row):
+        path = tmp_path / "shapes.csv"
+        path.write_text(f"shape,l,value\n0,0,1\n\n{row}\n0,1,0\n")
+        code = main(["shapes", "validate", "--input", str(path),
+                     "--out-dir", str(tmp_path / "val")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {path}:4: expected three integers")
+        assert "ok" not in out
+
     def test_validate_huge_level_without_n_is_a_gap(self, tmp_path, capsys):
         # no list as long as the level: the first missing level is reported
         path = tmp_path / "shapes.csv"

@@ -319,6 +319,31 @@ class TestDistortionRateCurve:
         b = distortion_rate_curve(x, H12, [10, 20], budget=64, seed=5)
         assert a.points == b.points and a.budget_used == b.budget_used
 
+    @pytest.mark.parametrize("n,levels,budget", [
+        (40, range(41), 100), (40, range(41), 7), (40, [17, 3, 40, 3, 0], 100),
+        (64, [60, 9, 5, 9], 12), (1, [1, 0], 1), (16, [16, 16], 3),
+    ])
+    def test_list_curve_scores_each_cylinder_once(self, monkeypatch, n, levels, budget):
+        # the levels share one table of cylinders, in whatever order they
+        # come, and each level gets the candidate of a fresh search
+        spec = DistortionSpec(LIST, n)
+        x = BitWord.random(random.Random(n + budget), n)
+        levels = [Fraction(l) for l in levels]
+        fresh = [search_min_rate(x, spec, l, budget, seed=0) for l in levels]
+        swept = rdsearch._levels(x, spec, levels, budget, [0] * len(levels))
+        assert [cand for cand, _ in swept] == fresh
+        calls = []
+        monkeypatch.setattr(rdsearch, "codelength",
+                            lambda w, below=None: calls.append(w) or codelength(w))
+        est = distortion_rate_curve(x, spec, None, budget, seed=0, levels=levels)
+        corners = []
+        for c in sorted(fresh, key=lambda c: (c.score, c.digest())):
+            if not corners or c.distortion < corners[-1].distortion:
+                corners.append(c)
+        assert [p.candidate for p in est.points] == corners
+        # one evaluation per distinct cylinder, radius 0 .. the cap
+        assert est.budget_used == len(calls) == min(max(levels), budget - 1) + 1
+
 
 def _project_hamming_by_flips(x, y, max_flips):
     """Reference: keep the lowest differing bits one at a time."""
@@ -382,13 +407,37 @@ def test_hamming_pool_matches_bitwise_build_at_1024():
     rng = random.Random(3)
     for density in (0.05, 0.5, 0.9):
         x = BitWord(1024, sum(1 << i for i in range(1024) if rng.random() < density))
-        # one base serves every level, as in a curve
-        base = rdsearch._hamming_base(x)
+        # one remembered base serves every level, as in a curve
+        rdsearch._hamming_base(x)
         for max_flips in (0, 1, 102, 512, 1024):
             a, b = random.Random(max_flips), random.Random(max_flips)
-            assert (rdsearch._hamming_pool(x, max_flips, a, base)
+            assert (rdsearch._hamming_pool(x, max_flips, a)
                     == [y.value for y in _hamming_pool_by_bits(x, max_flips, b)])
             assert a.getstate() == b.getstate()
+
+
+def test_remembered_hamming_base_matches_a_cold_build():
+    # two of the words share a value at two lengths, so a memo keyed on
+    # the value alone would hand one of them the other's base
+    words = [BitWord.random(random.Random(4), 64), BitWord(40, 0b1011),
+             BitWord(41, 0b1011)]
+    flips = (0, 2, 9)
+    want = {}
+    for x in words:
+        for max_flips in flips:
+            rdsearch._hamming_base.cache_clear()
+            rng = random.Random(max_flips)
+            want[x, max_flips] = rdsearch._hamming_pool(x, max_flips, rng), rng.getstate()
+    rdsearch._hamming_base.cache_clear()
+    a, b, c = words
+    order = (a, b, a, b, c, b, c, a)
+    for x in order:
+        for max_flips in flips:
+            rng = random.Random(max_flips)
+            got = rdsearch._hamming_pool(x, max_flips, rng), rng.getstate()
+            assert got == want[x, max_flips]
+    # each word's first level builds its base, and the later levels reuse it
+    assert rdsearch._hamming_base.cache_info().hits == len(order) * (len(flips) - 1)
 
 
 def _flip_mask_by_shifts(n, positions):
@@ -520,19 +569,23 @@ def _recording_oracle(questions):
     return oracle
 
 
-def _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, base):
+def _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, warm):
     """search_min_rate gives the BitWord climber's Candidate, trace (so
-    its evaluations) and sequence of oracle questions."""
+    its evaluations) and sequence of oracle questions, from a remembered
+    Hamming base when warm and a cold one otherwise."""
     want_questions, want_trace = [], []
     codec.clear_cache()
     want = _word_search_by_words(x, spec, delta, budget, seed, extra, want_trace,
                                  _recording_oracle(want_questions))
     got_questions, got_trace = [], []
     codec.clear_cache()
+    rdsearch._hamming_base.cache_clear()
+    if warm:
+        rdsearch._hamming_base(x)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rdsearch, "codelength", _recording_oracle(got_questions))
         got = search_min_rate(x, spec, delta, budget, seed, extra_seeds=extra,
-                              trace=got_trace, hamming_base=base)
+                              trace=got_trace)
     assert (got.destination, got.score, got.distortion) == (
         want.destination, want.score, want.distortion)
     assert type(got.distortion) is type(want.distortion)
@@ -540,7 +593,7 @@ def _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, base):
     assert got_questions == want_questions
 
 
-def _climber_case(rng, n, family, density, draw_delta, budget, extras, with_base):
+def _climber_case(rng, n, family, density, draw_delta, budget, extras, warm):
     spec = DistortionSpec(family, n)
     x = BitWord.from_bits(int(rng.random() < density) for _ in range(n))
     radii = admissible_radii(spec)
@@ -552,8 +605,7 @@ def _climber_case(rng, n, family, density, draw_delta, budget, extras, with_base
         mask = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
         extra.append(BitWord(n, x.value ^ mask) if rng.random() < 0.5
                      else BitWord.random(rng, n))
-    base = rdsearch._hamming_base(x) if family == HAMMING and with_base else None
-    return x, spec, draw_delta(radii), budget, extra, base
+    return x, spec, draw_delta(radii), budget, extra, warm
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,7 +613,7 @@ def _climber_case(rng, n, family, density, draw_delta, budget, extras, with_base
 def test_word_search_matches_the_bitword_climber(data):
     n = data.draw(st.one_of(st.integers(1, 64), st.just(1024)), label="n")
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    x, spec, delta, budget, extra, base = _climber_case(
+    x, spec, delta, budget, extra, warm = _climber_case(
         rng, n,
         data.draw(st.sampled_from([HAMMING, EUCLID]), label="family"),
         data.draw(st.sampled_from([1 / 16, 1 / 2, 15 / 16]), label="density"),
@@ -571,7 +623,7 @@ def test_word_search_matches_the_bitword_climber(data):
         data.draw(st.booleans(), label="base"),
     )
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
-    _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, base)
+    _assert_matches_bitword_climber(x, spec, delta, budget, seed, extra, warm)
 
 
 def test_word_search_matches_the_bitword_climber_on_long_climbs():
@@ -580,14 +632,14 @@ def test_word_search_matches_the_bitword_climber_on_long_climbs():
     # must follow them
     rng = random.Random(20)
     for _ in range(400):
-        x, spec, delta, budget, extra, base = _climber_case(
+        x, spec, delta, budget, extra, warm = _climber_case(
             rng, rng.choice([8, 12, 16, 24, 40, 64, 1024]),
             rng.choice([HAMMING, HAMMING, EUCLID]),
             rng.choice([1 / 16, 1 / 4, 1 / 2]),
             rng.choice, rng.randint(1, 300), rng.randint(0, 2), rng.random() < 0.5,
         )
         _assert_matches_bitword_climber(x, spec, delta, budget,
-                                        rng.randrange(1 << 31), extra, base)
+                                        rng.randrange(1 << 31), extra, warm)
 
 
 # sha256 of each curve's fields at a fixed seed: the rate curve, the
@@ -605,7 +657,7 @@ PINNED_CURVE_DIGESTS = {
         "b11b82f0cb8b92bf281253c9dc451e34a426e0d3c9dded2a8624a5592d472545",
     ),
     LIST: (
-        "1e018094e6c21762bb235133898258903ac892ec0b086fbb9a839b14790d54f9",
+        "7f893463ed5848f5139d55d7e0557afbd5945afe18e13af303ca090f2c86e283",
         "d085a8e64ee94924b83e2adf2e4070dd4934ce2b27cfbf5c4a47dbf70648fb54",
         "137a5c620aae91d7f4d41341648073f2cda4eeb7685e9299fb29781b6edbac9d",
     ),

@@ -51,11 +51,6 @@ class TestSourceModel:
         with pytest.raises(ValueError, match="block length"):
             SourceModel.bernoulli(Fraction(1, 2), n=0)
 
-    def test_letter_entropy(self):
-        assert FAIR.letter_entropy() == pytest.approx(1.0)
-        skew = SourceModel.bernoulli(Fraction(1, 4), n=1)
-        assert skew.letter_entropy() == pytest.approx(binary_entropy(0.25))
-
     def test_sample_word_deterministic(self):
         src = SourceModel.bernoulli(Fraction(1, 2), n=32)
         a = src.sample_word(random.Random(9))
