@@ -6,10 +6,11 @@ word.  The construction works shell by shell: for each shell at distance
 Delta the small-ball centers are drawn uniformly at a fixed offset f
 from the big ball's center, where f solves d + f(1 - 2d) = Delta on the
 1/n grid.  A draw is kept only if it covers a still-uncovered shell
-element, and a final reverse pass drops centers made redundant by later
-ones.  The random part is capped at n^(c+1) * b(delta)/b(d) draws per
-shell and reseeded up to a fixed retry limit, after which construction
-fails loudly.
+element, a final reverse pass drops centers made redundant by later
+ones, and a last pass checks that every word of the big ball is
+covered (CoverError names the least word missed).  The random part is
+capped at n^(c+1) * b(delta)/b(d) draws per shell and reseeded up to a
+fixed retry limit, after which construction fails loudly.
 
 cover_space covers the whole cube with radius-d balls by gluing a cover
 of the ball around 0^n to its bitwise complement.
@@ -62,7 +63,6 @@ from .distortion import (
 ALPHA_EXPONENT = 5          # the n^5 cap used in the size bound
 DEFAULT_DRAW_EXPONENT = 1   # the c in the n^(c+1) per-shell draw budget
 MAX_RETRIES = 32
-VERIFY_MAX_N = 24
 # candidate (center, word) pairs per chunk: over 30 cover-game ops, each
 # op's output kept until the next returns, 2^14 left a peak RSS 1.6 MB
 # above 2^13 (2^16 and 2^17 more still); 2^12 was no lower than 2^13
@@ -114,7 +114,7 @@ class CoverResult:
     draw_exponent: int
     size_bound: int
     volume_lower: int
-    verified: Optional[bool] = None
+    verified: bool = True          # construction raises CoverError otherwise
 
     @property
     def size(self) -> int:
@@ -397,10 +397,7 @@ def cover_ball(
             centers.extend(got)
             shells.append(ShellRecord(delta_shell, f, len(got), budget, draws, retries))
 
-    verified = None
-    if n <= VERIFY_MAX_N:
-        centers = _prune_and_verify(_Target(n, 0, 0, deltan), centers, dn, n, offsets)
-        verified = True
+    centers = _prune_and_verify(_Target(n, 0, 0, deltan), centers, dn, n, offsets)
     return CoverResult(
         spec=spec,
         delta=delta,
@@ -411,7 +408,6 @@ def cover_ball(
         draw_exponent=draw_exponent,
         size_bound=size_bound,
         volume_lower=volume_lower,
-        verified=verified,
     )
 
 
@@ -460,10 +456,7 @@ def cover_space(
                 vals.append(v)
     dn = _steps(spec, d)
     b_d = _size(spec, dn)
-    verified = None
-    if n <= VERIFY_MAX_N:
-        vals = _prune_and_verify(_Target(n, 0, 0, n), vals, dn, n, _Target(n, 0, 0, dn).vals)
-        verified = True
+    vals = _prune_and_verify(_Target(n, 0, 0, n), vals, dn, n, _Target(n, 0, 0, dn).vals)
     return CoverResult(
         spec=spec,
         delta=Fraction(1, 2),
@@ -474,6 +467,5 @@ def cover_space(
         draw_exponent=draw_exponent,
         size_bound=n**ALPHA_EXPONENT * (1 << n) // b_d + 1,
         volume_lower=ceil((1 << n) / b_d),
-        verified=verified,
     )
 

@@ -60,7 +60,6 @@ from .distortion import (
     _steps,
     admissible_radii,
     ball_cardinality,
-    binary_entropy,
     distance,
     radius_for_log_cardinality,
 )
@@ -93,7 +92,6 @@ class CurvePoint:
     bits: Union[int, float]
     distortion: Union[Fraction, float]
     candidate: Optional[Candidate] = None
-    entropy_scale_bits: Optional[int] = None
 
 
 @dataclass
@@ -102,7 +100,6 @@ class CurveEstimate:
     points: "list[CurvePoint]"
     budget_used: int
     seed: int
-    slack_bits: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +445,6 @@ def canonical_estimate(
     cylinder once: a full grid costs min(n, budget - 1) + 1 evaluations,
     and past l = budget - 1 the list curve is flat.
     """
-    n = spec.n
     radii = [radius_for_log_cardinality(spec, l) for l in l_grid]  # l in 0..n
     if list(l_grid) != sorted(l_grid):
         raise ValueError("l_grid must be sorted")
@@ -469,13 +465,8 @@ def canonical_estimate(
                 candidate=best_cand,
             )
         )
-    slack = DEFAULT_SLACK_C * math.log2(n) if n >= 2 else float(DEFAULT_SLACK_C)
     return CurveEstimate(
-        axis="log_cardinality",
-        points=points,
-        budget_used=used,
-        seed=seed,
-        slack_bits=slack,
+        axis="log_cardinality", points=points, budget_used=used, seed=seed
     )
 
 
@@ -486,14 +477,11 @@ def transform_rate_distortion(
 ) -> CurveEstimate:
     """Rate-distortion view of a canonical estimate: at distortion delta
     read off ghat at level ceil(log2 of the delta-ball cardinality), for
-    each delta in deltas (default: every admissible radius).
-
-    For the hamming family each point also reports the entropy-scale
-    reading at level round(n * H(delta)) when that level is on the grid.
+    each delta in deltas (default: every admissible radius).  A point's
+    bits are the least reading at or below its delta.
     """
     if ghat.axis != "log_cardinality":
         raise ValueError("expected a log-cardinality curve")
-    n = spec.n
     table = {p.axis_value: p for p in ghat.points}
     points = []
     best = math.inf
@@ -504,26 +492,11 @@ def transform_rate_distortion(
             raise MissingGridPointError(l)
         entry = table[l]
         best = min(best, entry.bits)
-        extra = None
-        if spec.family == HAMMING:
-            lh = round(n * binary_entropy(float(d)))
-            if lh in table:
-                extra = table[lh].bits
         points.append(
-            CurvePoint(
-                axis_value=d,
-                bits=best,
-                distortion=d,
-                candidate=entry.candidate,
-                entropy_scale_bits=extra,
-            )
+            CurvePoint(axis_value=d, bits=best, distortion=d, candidate=entry.candidate)
         )
     return CurveEstimate(
-        axis="distortion",
-        points=points,
-        budget_used=ghat.budget_used,
-        seed=ghat.seed,
-        slack_bits=ghat.slack_bits,
+        axis="distortion", points=points, budget_used=ghat.budget_used, seed=ghat.seed
     )
 
 
@@ -533,10 +506,6 @@ def transform_rate_distortion(
 @dataclass(frozen=True)
 class ShapeFn:
     values: "tuple[int, ...]"      # g(0), g(1), ..., g(n)
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
 
     def __call__(self, l: int) -> int:
         return self.values[l]
@@ -570,25 +539,12 @@ def shape_validate(g, n: Optional[int] = None):
     return True, None
 
 
-def nearest_staircase(values: "Sequence[float]") -> ShapeFn:
-    """Round an estimated curve into the shape family, bottom up:
-    g(n) = 0 and g(l-1) = g(l) + 1 exactly when g(l) falls short of the
-    estimate at l-1."""
-    n = len(values) - 1
-    g = [0] * (n + 1)
-    for l in range(n, 0, -1):
-        g[l - 1] = g[l] + (1 if g[l] < values[l - 1] else 0)
-    return ShapeFn(tuple(g))
-
-
 @dataclass
 class ShapeBoundsReport:
     ok: bool
     slack_bits: float
     violations: "list[tuple[int, int, float]]"   # (l, m, excess)
     tail_ok: bool
-    staircase: ShapeFn
-    max_staircase_gap: float
 
 
 def shape_bounds_check(
@@ -596,7 +552,8 @@ def shape_bounds_check(
 ) -> ShapeBoundsReport:
     """Slow-decay audit of an estimated curve: over all grid pairs l <= m
     require -s <= ghat(l) - ghat(m) <= (m - l) + s with s = c log2 n,
-    plus ghat(n) <= s, plus closeness to a true staircase shape."""
+    plus ghat(n) <= s.  Every member of the staircase family passes at
+    any c >= 0."""
     s = slack_c * math.log2(n) if n >= 2 else float(slack_c)
     pts = {p.axis_value: p.bits for p in ghat.points}
     levels = sorted(pts)
@@ -609,20 +566,9 @@ def shape_bounds_check(
             elif diff > (m - l) + s:
                 violations.append((l, m, float(diff - (m - l) - s)))
     tail_ok = (n not in pts) or pts[n] <= s
-    dense = [pts.get(l) for l in range(n + 1)]
-    if all(v is not None for v in dense):
-        stair = nearest_staircase(dense)
-        gap = max(abs(stair(l) - dense[l]) for l in range(n + 1))
-    else:
-        stair = nearest_staircase([pts[l] for l in levels])
-        gap = max(
-            abs(stair(i) - pts[l]) for i, l in enumerate(levels)
-        )
     return ShapeBoundsReport(
         ok=not violations and tail_ok,
         slack_bits=s,
         violations=violations,
         tail_ok=tail_ok,
-        staircase=stair,
-        max_staircase_gap=float(gap),
     )

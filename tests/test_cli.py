@@ -4,6 +4,7 @@ Each subcommand runs through cli.main() against a temp directory; the
 assertions pin exit codes, printed summaries, artifact formats, and the
 manifest/replay contract.
 """
+import argparse
 import csv
 import json
 import random
@@ -17,6 +18,8 @@ import pytest
 
 from ardtk.bits import BitWord
 from ardtk.cli import (
+    _positive_int,
+    build_parser,
     fmt_real,
     main,
     parse_fraction,
@@ -775,3 +778,19 @@ class TestSeedsAndUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ardtk 0.1.0"
+
+
+def test_every_option_parses_to_a_json_value():
+    # write_manifest stores the parsed options as they are, so each one
+    # must come out a str, int, float, bool or None
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in [("", parser), *subs.choices.items()]:
+        for action in sub._actions:
+            if action is subs:
+                continue
+            where = (name, action.dest)
+            assert action.type in (None, int, float, _positive_int), where
+            assert action.nargs in (None, 0), where
+            default = action.default
+            assert default is None or type(default) in (str, int, float, bool), where

@@ -184,7 +184,21 @@ class TestCoverBall:
         with pytest.raises(CoverError, match="misses BitWord\\('000011'\\)"):
             cover_space(spec(6), Fraction(1, 6), seed=0)
 
-
+    @pytest.mark.parametrize("n", [25, 28, 32])
+    @pytest.mark.parametrize("dn", [0, 1])
+    def test_large_n_pruned_and_verified(self, n, dn):
+        # past n = 24 a cover is pruned and verified like any other
+        r = cover_ball(spec(n), Fraction(4, n), Fraction(dn, n), seed=0)
+        assert r.verified is True
+        ball = Ball(spec(n), Fraction(4, n), center=BitWord.zeros(n))
+        assert first_uncovered(ball, r.centers, Fraction(dn, n)) is None
+        # every kept center covers a ball word that no other center covers
+        offsets = np.array([v for w in range(dn + 1) for v in _shell(n, w)], dtype=np.uint32)
+        reach = np.array([c.value for c in r.centers], dtype=np.uint32)[:, None] ^ offsets
+        inside = np.bitwise_count(reach) <= 4
+        words, counts = np.unique(reach[inside], return_counts=True)
+        private = inside & np.isin(reach, words[counts == 1])
+        assert private.any(axis=1).all()
 
     @pytest.mark.parametrize("c", [-1, -3])
     def test_negative_draw_exponent_refused_before_any_draw(self, monkeypatch, c):

@@ -26,10 +26,8 @@ from ardtk.rdsearch import (
     CurveEstimate,
     CurvePoint,
     MissingGridPointError,
-    ShapeFn,
     canonical_estimate,
     distortion_rate_curve,
-    nearest_staircase,
     search_min_rate,
     shape_bounds_check,
     shape_generate,
@@ -647,29 +645,29 @@ def test_word_search_matches_the_bitword_climber_on_long_climbs():
 # Euclid or a list curve
 PINNED_CURVE_DIGESTS = {
     HAMMING: (
-        "e51ec3af1d78be4220aa54309eca0563883aeae955c692655cf8cb4772f3c13b",
-        "c3919ae983f95a838ba58836f34184e87f3784269b1560fd3efedeb1d710c270",
-        "6454eed711440f407bb8800ac229108a14dd97d802bd4cc40d2c16db6adc8f7e",
+        "0b3e598a2250ea1b65e2b1739560efc20890313cabfdf2a3fda28d2e97c835ed",
+        "1c3b68a9a05406c91930304715a1d2db246c65a09f6a612edc0821079258e09a",
+        "38e08315b8423c049e93ac43d4a66ae7c466232e8e45e44bbb5b3545660544ab",
     ),
     EUCLID: (
-        "80a1e37a2fe6c4b33c8ebfdb3b89bd75839b2fe6951b37e18dadea1a8794517f",
-        "88bbc9548a33e15d4c24d7ccb7fc259deca6182e47bfab7fb572cb7ea5ba55ae",
-        "b11b82f0cb8b92bf281253c9dc451e34a426e0d3c9dded2a8624a5592d472545",
+        "019468992deed174df440fb3c9b07a975cdb4e1893a061dce273027426d4cbac",
+        "62e6fbd20023830fa0684ef691b51086b379987a18966411d58cf27484545a41",
+        "5ed6863786e415d3c9e157d67a0597d7d8268ecdee5899df9e34d8c55e0dc5c4",
     ),
     LIST: (
-        "7f893463ed5848f5139d55d7e0557afbd5945afe18e13af303ca090f2c86e283",
-        "d085a8e64ee94924b83e2adf2e4070dd4934ce2b27cfbf5c4a47dbf70648fb54",
-        "137a5c620aae91d7f4d41341648073f2cda4eeb7685e9299fb29781b6edbac9d",
+        "cc3ee1c45b41263abaec1feb16079de814cddcef1ebc7592881a3e0508901d77",
+        "d8f825ef704f67e437184a3781d1298cbe9db7b497f62a10924f73c9dec19941",
+        "83e866ae24d5abccc5f27bead08f995a522e16343fba58c8512f62f04504e836",
     ),
 }
 
 
 def _curve_digest(est):
-    h = hashlib.sha256(repr((est.axis, est.budget_used, est.seed, est.slack_bits)).encode())
+    h = hashlib.sha256(repr((est.axis, est.budget_used, est.seed)).encode())
     for p in est.points:
         c = p.candidate
         cand = None if c is None else (c.digest(), c.score, c.distortion)
-        h.update(repr((p.axis_value, p.bits, p.distortion, p.entropy_scale_bits, cand)).encode())
+        h.update(repr((p.axis_value, p.bits, p.distortion, cand)).encode())
     return h.hexdigest()
 
 
@@ -756,11 +754,6 @@ class TestCanonicalEstimate:
             assert (p.axis_value, p.bits, p.distortion, p.candidate) == (
                 l, best.score, best.distortion, best)
 
-    def test_slack_reported(self):
-        est = canonical_estimate(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
-                                 [0, 4, 8], budget=4, seed=0)
-        assert est.slack_bits == pytest.approx(8 * math.log2(8))
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             canonical_estimate(BitWord.zeros(8), DistortionSpec(HAMMING, 8),
@@ -845,12 +838,6 @@ class TestTransform:
             transform_rate_distortion(self._synthetic(8, axis="rate"),
                                       DistortionSpec(HAMMING, 8))
 
-    def test_entropy_scale_attached_for_hamming(self):
-        ghat = self._synthetic(12)
-        est = transform_rate_distortion(ghat, DistortionSpec(HAMMING, 12))
-        half = next(p for p in est.points if p.axis_value == Fraction(1, 2))
-        assert half.entropy_scale_bits == 100 - 12  # n H(1/2) = n
-
 
 class TestShapes:
     def test_all_steps_down(self):
@@ -886,30 +873,6 @@ class TestShapes:
     def test_validate_rejects_wrong_length(self):
         ok, _ = shape_validate((1, 0), 3)
         assert not ok
-
-    def test_three_piece_staircase_rounds_into_family(self):
-        # slope -1, then flat, then slope -1 again, scaled to n = 60
-        n = 60
-        h6 = -(1 / 6) * math.log2(1 / 6) - (5 / 6) * math.log2(5 / 6)
-        h3 = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
-        level = n * (1 + h6 - h3)
-
-        def real(l):
-            if l <= n * h6:
-                return level - l
-            if l <= n * h3:
-                return n * (1 - h3)
-            return n - l
-
-        values = [real(l) for l in range(n + 1)]
-        g = nearest_staircase(values)
-        ok, bad = shape_validate(g, n)
-        assert ok, f"violation at {bad}"
-        assert max(abs(g(l) - values[l]) for l in range(n + 1)) <= 1.0
-
-    def test_nearest_staircase_fixes_perfect_input(self):
-        values = [8 - l for l in range(9)]
-        assert nearest_staircase(values).values == tuple(values)
 
 
 class TestShapeBounds:
@@ -951,4 +914,3 @@ class TestShapeBounds:
         ghat = canonical_estimate(x, H12, list(range(13)), budget=256, seed=24)
         rep = shape_bounds_check(ghat, 12, slack_c=8)
         assert rep.ok
-        assert rep.max_staircase_gap <= rep.slack_bits
