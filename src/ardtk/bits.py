@@ -73,15 +73,6 @@ class BitWord:
 
     # -- views ---------------------------------------------------------
 
-    def bit(self, i: int) -> int:
-        """Bit x_{i+1}, i.e. index 0 is the leftmost bit."""
-        if not 0 <= i < self.n:
-            raise IndexError("bit index out of range")
-        return (self.value >> (self.n - 1 - i)) & 1
-
-    def bits(self) -> tuple:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
     def to01(self) -> str:
         return format(self.value, f"0{self.n}b") if self.n else ""
 

@@ -47,7 +47,7 @@ from .codec import (
     compress,
     decompress,
 )
-from .cover import DEFAULT_DRAW_EXPONENT, CoverError, cover_ball, cover_space
+from .cover import CoverError, cover_ball, cover_space
 from .denoise import (
     RESIDUAL_FLOOR_FACTOR,
     best_rate_against,
@@ -227,12 +227,12 @@ def read_pbm(path) -> "tuple[BitWord, int, int]":
         raster = data[pos : pos + rowbytes * height]
         if len(raster) < rowbytes * height:
             raise ValueError(f"{path}: truncated P4 raster")
-        rows = []
+        value = 0
         for r in range(height):
             chunk = raster[r * rowbytes : (r + 1) * rowbytes]
-            rowval = int.from_bytes(chunk, "big") >> (8 * rowbytes - width)
-            rows.extend((rowval >> (width - 1 - i)) & 1 for i in range(width))
-        word = BitWord.from_bits(rows)
+            # each row is padded to whole bytes; the padding bits drop
+            value = value << width | int.from_bytes(chunk, "big") >> (8 * rowbytes - width)
+        word = BitWord(need, value)
     return word, width, height
 
 
@@ -526,11 +526,11 @@ def run_cover(args, out_dir: Path, seed: int):
         if args.delta is None:
             raise ValueError("cover ball needs --delta")
         delta = parse_fraction(args.delta)
-        result = cover_ball(spec, delta, d, seed, args.draw_exponent)
+        result = cover_ball(spec, delta, d, seed)
     else:
         if args.delta is not None:
             raise ValueError("cover space takes no --delta")
-        result = cover_space(spec, d, seed, args.draw_exponent)
+        result = cover_space(spec, d, seed)
 
     csv_path = out_dir / "cover.csv"
     write_csv(
@@ -574,7 +574,6 @@ def run_cover(args, out_dir: Path, seed: int):
             "delta": str(result.delta),
             "d": str(result.d),
             "seed": result.seed,
-            "draw_exponent": result.draw_exponent,
             "centers": len(result.centers),
             "size_bound": result.size_bound,
             "volume_lower": result.volume_lower,
@@ -701,6 +700,7 @@ def run_compare(args, out_dir: Path, seed: int):
     report = expected_rate_comparison(
         src, spec, grid, args.samples, args.budget, seed
     )
+    lower, upper = report.lower_envelope(), report.upper_envelope()
     json_path = out_dir / "report.json"
     write_json(
         json_path,
@@ -720,8 +720,8 @@ def run_compare(args, out_dir: Path, seed: int):
             "delta2": report.delta2,
             "code_map_support": report.code_map_support,
             "exact_mean_curve": report.exact_mean_curve,
-            "lower_envelope": report.lower_envelope(),
-            "upper_envelope": report.upper_envelope(),
+            "lower_envelope": lower,
+            "upper_envelope": upper,
         },
     )
     csv_path = out_dir / "compare.csv"
@@ -734,8 +734,8 @@ def run_compare(args, out_dir: Path, seed: int):
                 fmt_real(report.mean_curve[i]),
                 str(report.max_curve[i]),
                 fmt_real(report.shannon_nR[i]),
-                fmt_real(report.lower_envelope()[i]),
-                fmt_real(report.upper_envelope()[i]),
+                fmt_real(lower[i]),
+                fmt_real(upper[i]),
                 "" if report.delta2 is None else fmt_real(report.delta2[i]),
                 (
                     ""
@@ -906,7 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True, help="word length")
     p.add_argument("--d", required=True, help="covering ball radius (fraction)")
     p.add_argument("--delta", help="target ball radius (ball mode only)")
-    p.add_argument("--draw-exponent", type=int, default=DEFAULT_DRAW_EXPONENT)
     p.set_defaults(func=run_cover)
 
     p = sub.add_parser(

@@ -9,8 +9,9 @@ from the big ball's center, where f solves d + f(1 - 2d) = Delta on the
 element, a final reverse pass drops centers made redundant by later
 ones, and a last pass checks that every word of the big ball is
 covered (CoverError names the least word missed).  The random part is
-capped at n^(c+1) * b(delta)/b(d) draws per shell and reseeded up to a
-fixed retry limit, after which construction fails loudly.
+capped at n^(c+1) * b(delta)/b(d) draws per shell, with c =
+DRAW_EXPONENT = 1, and reseeded up to a fixed retry limit, after which
+construction fails loudly.
 
 cover_space covers the whole cube with radius-d balls by gluing a cover
 of the ball around 0^n to its bitwise complement.
@@ -61,7 +62,7 @@ from .distortion import (
 )
 
 ALPHA_EXPONENT = 5          # the n^5 cap used in the size bound
-DEFAULT_DRAW_EXPONENT = 1   # the c in the n^(c+1) per-shell draw budget
+DRAW_EXPONENT = 1           # the c in the n^(c+1) per-shell draw budget
 MAX_RETRIES = 32
 # candidate (center, word) pairs per chunk: over 30 cover-game ops, each
 # op's output kept until the next returns, 2^14 left a peak RSS 1.6 MB
@@ -111,7 +112,6 @@ class CoverResult:
     centers: "list[BitWord]"
     shells: "list[ShellRecord]"
     seed: int
-    draw_exponent: int
     size_bound: int
     volume_lower: int
     verified: bool = True          # construction raises CoverError otherwise
@@ -354,17 +354,10 @@ def _prune(
 
 
 def cover_ball(
-    spec: DistortionSpec,
-    delta: Fraction,
-    d: Fraction,
-    seed: int,
-    draw_exponent: int = DEFAULT_DRAW_EXPONENT,
+    spec: DistortionSpec, delta: Fraction, d: Fraction, seed: int
 ) -> CoverResult:
     delta, d = Fraction(delta), Fraction(d)
     deltan, dn = _check_pair(spec, delta, d, seed)
-    # a negative c makes the per-shell budget n^(c+1) a fraction or a float
-    if not isinstance(draw_exponent, int) or draw_exponent < 0:
-        raise ValueError("draw exponent must be a non-negative integer")
     n = spec.n
     b_delta, b_d = _size(spec, deltan), _size(spec, dn)
     size_bound = n**ALPHA_EXPONENT * b_delta // b_d + 1
@@ -386,7 +379,7 @@ def cover_ball(
             )
     else:
         centers = [0]
-        budget = n ** (draw_exponent + 1) * b_delta // b_d + 1
+        budget = n ** (DRAW_EXPONENT + 1) * b_delta // b_d + 1
         for w in range(dn + 1, deltan + 1):
             delta_shell = Fraction(w, n)
             f = shell_offset(d, delta_shell, n)
@@ -405,7 +398,6 @@ def cover_ball(
         centers=[BitWord(n, v) for v in centers],
         shells=shells,
         seed=seed,
-        draw_exponent=draw_exponent,
         size_bound=size_bound,
         volume_lower=volume_lower,
     )
@@ -435,17 +427,12 @@ def _first_uncovered(
     return int(missing.min()) if missing.size else None
 
 
-def cover_space(
-    spec: DistortionSpec,
-    d: Fraction,
-    seed: int,
-    draw_exponent: int = DEFAULT_DRAW_EXPONENT,
-) -> CoverResult:
+def cover_space(spec: DistortionSpec, d: Fraction, seed: int) -> CoverResult:
     """Cover {0,1}^n by radius-d balls: a ball cover around 0^n plus its
     bitwise complement (which covers the ball around 1^n)."""
     d = Fraction(d)
     n = spec.n
-    half = cover_ball(spec, Fraction(1, 2), d, seed, draw_exponent)
+    half = cover_ball(spec, Fraction(1, 2), d, seed)
     mask = (1 << n) - 1
     vals: "list[int]" = []
     seen = set()
@@ -464,7 +451,6 @@ def cover_space(
         centers=[BitWord(n, v) for v in vals],
         shells=half.shells,
         seed=seed,
-        draw_exponent=draw_exponent,
         size_bound=n**ALPHA_EXPONENT * (1 << n) // b_d + 1,
         volume_lower=ceil((1 << n) / b_d),
     )

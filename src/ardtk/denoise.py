@@ -47,7 +47,6 @@ class DegenerateCurveError(ValueError):
 
 @dataclass(frozen=True)
 class DeficiencyEstimate:
-    ball: Ball
     log_cardinality: float
     conditional_bits: int
     value: float                 # log_cardinality - conditional_bits
@@ -65,7 +64,6 @@ def deficiency_estimate(x: BitWord, ball: Ball) -> DeficiencyEstimate:
     bits = conditional_codelength(x, ball.descriptor())
     log_size = ball.log_cardinality()
     return DeficiencyEstimate(
-        ball=ball,
         log_cardinality=log_size,
         conditional_bits=bits,
         value=log_size - bits,
@@ -231,11 +229,9 @@ class DenoiseDiagnostics:
 
 @dataclass(frozen=True)
 class DenoiseResult:
-    input: BitWord
     denoised: BitWord
     knee: Knee
     curve: CurveEstimate
-    residual: BitWord            # input xor denoised, length n
     diagnostics: DenoiseDiagnostics
 
 
@@ -301,14 +297,7 @@ def denoise(
         model_deficiency=deficiency_estimate(x, model_ball),
         model_sufficiency_gap=sufficiency_gap(x, model_ball),
     )
-    return DenoiseResult(
-        input=x,
-        denoised=xhat,
-        knee=knee,
-        curve=curve,
-        residual=residual,
-        diagnostics=diagnostics,
-    )
+    return DenoiseResult(denoised=xhat, knee=knee, curve=curve, diagnostics=diagnostics)
 
 
 def curve_against_reference(

@@ -97,9 +97,7 @@ class MoveRecord:
 
 @dataclass
 class GameTranscript:
-    params: GameParams
     strategy: str
-    seed: Optional[int]
     moves: "list[MoveRecord]" = field(default_factory=list)
 
     @property
@@ -369,7 +367,7 @@ def play_game(
         kept.append(values)
     form = _form(alice_sets, params.n)
     rng = random.Random(seed) if strategy == "prob" else None
-    tr = GameTranscript(params=params, strategy=strategy, seed=seed)
+    tr = GameTranscript(strategy=strategy)
     sets: "list" = []
     add = form.counter(params.frequency_threshold, params.n)
     frequent, covered = form.empty(), form.empty()
@@ -468,10 +466,10 @@ def adversary_repeat(params: GameParams, seed: int):
         yield frozenset([w])
 
 
-def adversary_balls(params: GameParams, seed: int = 0):
+def adversary_balls(params: GameParams, seed: int):
     """Radius-1 Hamming balls around every center in lexicographic order,
-    truncated to the move allowance."""
-    _ = seed  # enumeration order is fixed
+    truncated to the move allowance; the seed is unused, since the order
+    is fixed."""
     moves = min(1 << params.n, params.max_moves)
     _check_stream_words(moves * (params.n + 1))
     for v in range(moves):

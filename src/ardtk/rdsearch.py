@@ -399,9 +399,8 @@ def distortion_rate_curve(
     used = 0
     for cand, evals in _levels(x, spec, levels, budget, seeds, extra_seeds):
         used += evals
-        key = cand.digest()
-        if key not in pool or cand.score < pool[key].score:
-            pool[key] = cand
+        # a destination scores its exact codelength at every level
+        pool.setdefault(cand.digest(), cand)
     found = sorted(pool.values(), key=lambda c: (c.score, c.digest()))
     points = []
     best_d = math.inf
@@ -531,18 +530,16 @@ def shape_validate(g, n: Optional[int] = None):
         return False, len(values) - 1
     if not values or values[-1] != 0:
         return False, len(values) - 1
+    # values[-1] is 0 and each step left adds 0 or 1, so none is negative
     for l in range(len(values) - 1, 0, -1):
         if values[l - 1] not in (values[l], values[l] + 1):
             return False, l
-    if any(v < 0 for v in values):
-        return False, min(i for i, v in enumerate(values) if v < 0)
     return True, None
 
 
 @dataclass
 class ShapeBoundsReport:
     ok: bool
-    slack_bits: float
     violations: "list[tuple[int, int, float]]"   # (l, m, excess)
     tail_ok: bool
 
@@ -568,7 +565,6 @@ def shape_bounds_check(
     tail_ok = (n not in pts) or pts[n] <= s
     return ShapeBoundsReport(
         ok=not violations and tail_ok,
-        slack_bits=s,
         violations=violations,
         tail_ok=tail_ok,
     )

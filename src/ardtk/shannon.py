@@ -10,7 +10,7 @@ expected_rate_comparison puts the individual-word searcher and the
 Shannon curve side by side: it samples words from the source, estimates
 each word's minimal rate at every distortion on the grid, and reports
 the ensemble mean against n * R(delta).  The two differ by slack terms
-that are uncomputable in general; at n <= CODE_MAP_MAX_N (20) the
+that are uncomputable in general; at n <= LENGTH_TABLE_MAX_N (20) the
 code-map term H(L) - H(S) is materialized exactly from the proxy
 minimizer, by dilation of a key built on codec.length_table, and so is
 the exact ensemble mean curve, sum_x p(x) min rate(x).
@@ -41,7 +41,6 @@ from .rdsearch import search_min_rate
 DEFAULT_DELTA1_SLACK = 24.0    # bits; documented stand-in for the
                                # uncomputable lower-side slack
 BA_MAX_ITERATIONS = 20_000
-CODE_MAP_MAX_N = LENGTH_TABLE_MAX_N
 
 
 class BAConvergenceError(RuntimeError):
@@ -50,40 +49,34 @@ class BAConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SourceModel:
-    pmf: "tuple[Fraction, ...]"
+    """Words of n i.i.d. bits, each 1 with probability p_one."""
+
+    p_one: Fraction
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("block length must be >= 1")
-        if len(self.pmf) < 2:
-            raise ValueError("alphabet must have at least two letters")
-        total = sum(self.pmf, Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in self.pmf):
-            raise ValueError("probabilities must be nonnegative")
+        if not 0 <= self.p_one <= 1:
+            raise ValueError("p_one must lie in [0, 1]")
 
     @property
-    def alphabet_size(self) -> int:
-        return len(self.pmf)
+    def pmf(self) -> "tuple[Fraction, Fraction]":
+        """The letter probabilities, P(0) then P(1)."""
+        return (1 - self.p_one, self.p_one)
 
     @classmethod
     def bernoulli(cls, p_one: Fraction, n: int) -> "SourceModel":
-        p_one = Fraction(p_one)
-        return cls(pmf=(1 - p_one, p_one), n=n)
+        return cls(p_one=Fraction(p_one), n=n)
 
     def sample_word(self, rng: random.Random) -> BitWord:
-        if self.alphabet_size != 2:
-            raise ValueError("word sampling is defined for binary sources")
-        p1 = float(self.pmf[1])
+        p1 = float(self.p_one)
         bits = [1 if rng.random() < p1 else 0 for _ in range(self.n)]
         return BitWord.from_bits(bits)
 
 
 @dataclass(frozen=True)
 class RDPoint:
-    delta: float
     rate: float                      # bits per source letter
     channel: "tuple[tuple[float, ...], ...]"
     iterations: int
@@ -95,7 +88,7 @@ def hamming_distortion_matrix() -> "list[list[float]]":
     return [[0.0, 1.0], [1.0, 0.0]]
 
 
-def _ba_fixed_slope(p, d, slope, tol, trace=None):
+def _ba_fixed_slope(p, d, slope, tol):
     """Alternating minimization at fixed slope; returns (rate, distortion,
     channel, iterations, gap).  slope is d(rate)/d(distortion) in bits,
     nonpositive."""
@@ -110,8 +103,6 @@ def _ba_fixed_slope(p, d, slope, tol, trace=None):
         c = (p / beta) @ a
         logc = np.log2(np.maximum(c, 1e-300))
         gap = float(np.max(logc))
-        if trace is not None:
-            trace.append(float(p @ np.log2(beta)))
         q = q * c
         if gap <= tol:
             break
@@ -131,7 +122,6 @@ def blahut_arimoto(
     d: "Sequence[Sequence[float]]",
     delta,
     tol: float = 1e-6,
-    trace: Optional[list] = None,
 ) -> RDPoint:
     """R(delta) for the single-letter source, within tol.
 
@@ -157,7 +147,7 @@ def blahut_arimoto(
             tuple(1.0 if j == z else 0.0 for j in range(dmat.shape[1]))
             for _ in range(len(p))
         )
-        return RDPoint(delta=delta, rate=0.0, channel=channel, iterations=0, gap=0.0)
+        return RDPoint(rate=0.0, channel=channel, iterations=0, gap=0.0)
 
     lo, hi = -64.0, 0.0
     inner_tol = tol / 8
@@ -165,7 +155,7 @@ def blahut_arimoto(
     iterations = 0
     for _ in range(60):
         slope = (lo + hi) / 2
-        rate, dist, channel, its, gap = _ba_fixed_slope(p, dmat, slope, inner_tol, trace)
+        rate, dist, channel, its, gap = _ba_fixed_slope(p, dmat, slope, inner_tol)
         iterations += its
         best = (rate, dist, channel, slope, gap)
         if abs(dist - delta) <= tol / 8:
@@ -177,7 +167,6 @@ def blahut_arimoto(
     rate, dist, channel, slope, gap = best
     corrected = max(0.0, rate + slope * (delta - dist))
     return RDPoint(
-        delta=delta,
         rate=corrected,
         channel=tuple(tuple(float(v) for v in row) for row in channel),
         iterations=iterations,
@@ -275,7 +264,7 @@ def expected_rate_comparison(
     Per-sample curves are forced monotone (feasible sets nest in delta).
     No pass/fail verdict is rendered here; the report carries both sides.
 
-    At n <= CODE_MAP_MAX_N the codelength of every word comes from one
+    At n <= LENGTH_TABLE_MAX_N the codelength of every word comes from one
     length_table, and the key L[y] << n | y is dilated up the sorted grid,
     level by level.  At each level key[x] >> n is x's exact minimum, the
     score search_min_rate's exhaustive branch returns, so a sampled
@@ -284,7 +273,7 @@ def expected_rate_comparison(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if spec.family != HAMMING or src.alphabet_size != 2:
+    if spec.family != HAMMING:
         raise ValueError("comparison is wired for binary words under bit flips")
     if spec.n != src.n:
         raise ValueError("source block length must match the distortion spec")
@@ -293,10 +282,10 @@ def expected_rate_comparison(
     grid_steps = [_steps(spec, delta) for delta in grid]
     rng = random.Random(seed)
     words = [src.sample_word(rng) for _ in range(samples)]
-    from_table = [n <= CODE_MAP_MAX_N and _size(spec, r) <= budget for r in grid_steps]
+    from_table = [n <= LENGTH_TABLE_MAX_N and _size(spec, r) <= budget for r in grid_steps]
     delta2 = support = exact_mean = None
-    if n <= CODE_MAP_MAX_N:
-        p1 = float(src.pmf[1])
+    if n <= LENGTH_TABLE_MAX_N:
+        p1 = float(src.p_one)
         pops = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(float)
         weights = (p1**pops) * ((1 - p1) ** (n - pops))
         xs = np.array([x.value for x in words], dtype=np.int64)

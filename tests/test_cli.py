@@ -111,6 +111,22 @@ class TestFileFormats:
         write_pbm(p1, word, 16)
         assert read_pbm(p1)[0] == word
 
+    @pytest.mark.parametrize("width", [1, 5, 9, 33])
+    def test_pbm_p4_padding_bits_dropped(self, tmp_path, width):
+        # a P4 row is padded to whole bytes; here every padding bit is set
+        rng = random.Random(width)
+        height, rowbytes = 7, (width + 7) // 8
+        pad = 8 * rowbytes - width
+        rows = [format(rng.getrandbits(width), f"0{width}b") for _ in range(height)]
+        p4 = tmp_path / "img4.pbm"
+        p4.write_bytes(f"P4\n{width} {height}\n".encode() + b"".join(
+            (int(row, 2) << pad | (1 << pad) - 1).to_bytes(rowbytes, "big") for row in rows
+        ))
+        p1 = tmp_path / "img1.pbm"
+        p1.write_text(f"P1\n{width} {height}\n" + "\n".join(" ".join(row) for row in rows))
+        expected = (BitWord.from_str("".join(rows)), width, height)
+        assert read_pbm(p4) == read_pbm(p1) == expected
+
     def test_pbm_rejects_other_magic(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P2\n2 2\n3\n0 1 2 3\n")
@@ -472,12 +488,12 @@ class TestCoverCommand:
         assert main(["cover", "ball", "--n", "8", "--d", "1/8",
                      "--out-dir", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("mode", [["ball", "--delta", "1/2"], ["space"]])
-    def test_negative_draw_exponent_is_domain_error(self, tmp_path, capsys, mode):
-        assert main(["cover", *mode, "--n", "8", "--d", "1/8",
-                     "--draw-exponent", "-3", "--out-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "draw exponent" in err and "retries" not in err
+    def test_draw_exponent_is_not_an_option(self, tmp_path, capsys):
+        # the per-shell draw budget is n^2, cover.DRAW_EXPONENT = 1
+        assert main(["cover", "ball", "--delta", "1/2", "--n", "8", "--d", "1/8",
+                     "--draw-exponent", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "--draw-exponent" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestShannonCommand:

@@ -177,7 +177,7 @@ class TestCoverBall:
             cover_ball(spec(6), Fraction(1, 2), Fraction(1, 6), seed=0)
         half = cover.CoverResult(
             spec=spec(6), delta=Fraction(1, 2), d=Fraction(1, 6),
-            centers=[BitWord.zeros(6)], shells=[], seed=0, draw_exponent=1,
+            centers=[BitWord.zeros(6)], shells=[], seed=0,
             size_bound=0, volume_lower=0,
         )
         monkeypatch.setattr(cover, "cover_ball", lambda *args: half)
@@ -199,18 +199,6 @@ class TestCoverBall:
         words, counts = np.unique(reach[inside], return_counts=True)
         private = inside & np.isin(reach, words[counts == 1])
         assert private.any(axis=1).all()
-
-    @pytest.mark.parametrize("c", [-1, -3])
-    def test_negative_draw_exponent_refused_before_any_draw(self, monkeypatch, c):
-        # at c <= -2 the per-shell budget n^(c+1) would be a float
-        def no_draws(*args):
-            raise AssertionError("a center was drawn")
-
-        monkeypatch.setattr(cover, "_sample_weighted", no_draws)
-        with pytest.raises(ValueError, match="draw exponent"):
-            cover_ball(spec(8), Fraction(1, 2), Fraction(1, 8), 0, draw_exponent=c)
-        with pytest.raises(ValueError, match="draw exponent"):
-            cover_space(spec(8), Fraction(1, 8), 0, draw_exponent=c)
 
 
 class TestCoverSpace:

@@ -31,6 +31,11 @@ H10 = DistortionSpec("hamming", 10)
 H64 = DistortionSpec("hamming", 64)
 
 
+def bit(w, i):
+    """Bit i of w, index 0 the leftmost."""
+    return (w.value >> (w.n - 1 - i)) & 1
+
+
 def synthetic_curve(pairs):
     """CurveEstimate with the given (rate, distortion) corner points."""
     points = [
@@ -69,8 +74,8 @@ class TestNoisyCross:
         clean, _ = make_noisy_cross(32, 0, 0)
         # thickness 4, bars centered at rows/cols 14..17
         assert clean.weight() == 2 * 32 * 4 - 16
-        assert clean.bit(0 * 32 + 14) == 1 and clean.bit(0 * 32 + 13) == 0
-        assert all(clean.bit(14 * 32 + c) == 1 for c in range(32))
+        assert bit(clean, 0 * 32 + 14) == 1 and bit(clean, 0 * 32 + 13) == 0
+        assert all(bit(clean, 14 * 32 + c) == 1 for c in range(32))
         clean10, _ = make_noisy_cross(10, 0, 0)
         assert clean10.weight() == 2 * 10 * 2 - 4
 
@@ -118,7 +123,7 @@ class TestMajorityFilter:
         clean, _ = make_noisy_cross(16, 0, 0)
         damaged = clean.flip(8 * 16 + 8)        # interior pixel off
         filtered = majority_filter(damaged, 16)
-        assert filtered.bit(8 * 16 + 8) == 1
+        assert bit(filtered, 8 * 16 + 8) == 1
         assert filtered.hamming(clean) <= 4
 
     def test_cross_nearly_fixed(self):
@@ -127,7 +132,7 @@ class TestMajorityFilter:
         filtered = majority_filter(clean, 32)
         assert filtered.value & clean.value == clean.value
         diff = clean ^ filtered
-        added = [(i // 32, i % 32) for i in range(1024) if diff.bit(i)]
+        added = [(i // 32, i % 32) for i in range(1024) if bit(diff, i)]
         assert added == [(13, 13), (13, 18), (18, 13), (18, 18)]
 
     def test_tie_keeps_pixel(self):
@@ -140,7 +145,7 @@ class TestMajorityFilter:
         """Reference: the vote cell by cell over the in-image neighbours."""
         n = word.n
         height = n // width
-        cur = list(word.bits())
+        cur = [bit(word, i) for i in range(n)]
         for _ in range(rounds):
             nxt = cur[:]
             for r in range(height):
@@ -277,7 +282,6 @@ class TestDeficiency:
         m = ball.members()[17]
         est = deficiency_estimate(m, ball)
         assert est.value == pytest.approx(est.log_cardinality - est.conditional_bits)
-        assert est.ball is ball
 
     def test_singleton_gap_small(self):
         x = BitWord.random(random.Random(9), 64)
@@ -305,9 +309,7 @@ class TestDenoise:
         clean, noisy = make_noisy_cross(8, Fraction(1, 8), 0)
         res = denoise(noisy, spec, budget=48, seed=1, image_width=8)
         assert isinstance(res, DenoiseResult)
-        assert res.residual == (res.input ^ res.denoised)
-        assert res.residual.n == 64
-        assert res.diagnostics.residual_weight == res.input.hamming(res.denoised)
+        assert res.diagnostics.residual_weight == noisy.hamming(res.denoised)
         point = res.curve.points[res.knee.index]
         assert res.knee.rate == float(point.bits)
         assert res.denoised == point.candidate.destination

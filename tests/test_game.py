@@ -225,7 +225,7 @@ class TestDeterministicStrategy:
 
     def test_ball_stream_wins_every_move(self):
         p = GameParams(n=4, k=5, m=1)
-        tr = play_game(adversary_balls(p), p, "det")
+        tr = play_game(adversary_balls(p, 0), p, "det")
         assert len(tr.moves) == 16
         assert all(mv.win for mv in tr.moves)
         assert verify_transcript(tr, p).ok
@@ -340,7 +340,7 @@ class TestEngineForms:
             k = rng.randint(2, 6)
             p = GameParams(n=rng.randint(1, 6), k=k, m=rng.randint(0, 2))
             tr = play_game(adversary_random(p, rng.randrange(1 << 16)), p, "det")
-            cut = GameTranscript(p, "det", None, [
+            cut = GameTranscript("det", [
                 MoveRecord(mv.alice_set, tuple(q for q in mv.marks if rng.random() < 0.7),
                            mv.win)
                 for mv in tr.moves
@@ -455,9 +455,9 @@ class TestEngineForms:
             next(adversary_random(GameParams(n=10, k=13, m=1), 0))
         # 8 balls of 4 words, however large k
         p = GameParams(n=3, k=40, m=1)
-        assert len(play_game(adversary_balls(p), p, "det").moves) == 8
+        assert len(play_game(adversary_balls(p, 0), p, "det").moves) == 8
         # the balls game at n = 16, k = 14
-        next(adversary_balls(GameParams(n=16, k=14, m=4)))
+        next(adversary_balls(GameParams(n=16, k=14, m=4), 0))
 
 
 def test_sparse_stream_allocates_no_cube_per_set(monkeypatch):
@@ -482,7 +482,7 @@ def test_sparse_stream_allocates_no_cube_per_set(monkeypatch):
     make = game._Masks.make
     monkeypatch.setattr(game._Masks, "make",
                         staticmethod(lambda values, n: masks.append(n) or make(values, n)))
-    tr = play_game(adversary_balls(p), p, "det")
+    tr = play_game(adversary_balls(p, 0), p, "det")
     assert len(tr.moves) == p.max_moves and tr.won
     assert verify_transcript(tr, p).ok
     assert large == [] and masks == []
@@ -499,7 +499,7 @@ class TestVerifyTranscript:
 
     def test_detects_dropped_marks(self):
         p, tr = self._sample()
-        stripped = GameTranscript(params=p, strategy="det", seed=None)
+        stripped = GameTranscript(strategy="det")
         stripped.moves = [
             MoveRecord(mv.alice_set, (), mv.win) for mv in tr.moves
         ]
@@ -509,7 +509,7 @@ class TestVerifyTranscript:
 
     def test_detects_forward_reference(self):
         p, tr = self._sample()
-        bad = GameTranscript(params=p, strategy="det", seed=None)
+        bad = GameTranscript(strategy="det")
         bad.moves = list(tr.moves)
         first = bad.moves[0]
         bad.moves[0] = MoveRecord(first.alice_set, (3,), first.win)
@@ -518,7 +518,7 @@ class TestVerifyTranscript:
 
     def test_detects_flag_tampering(self):
         p, tr = self._sample()
-        bad = GameTranscript(params=p, strategy="det", seed=None)
+        bad = GameTranscript(strategy="det")
         bad.moves = list(tr.moves)
         last = bad.moves[-1]
         bad.moves[-1] = MoveRecord(last.alice_set, last.marks, False)
@@ -532,7 +532,7 @@ class TestVerifyTranscript:
             k = rng.randint(2, 5)
             p = GameParams(n=rng.randint(2, 5), k=k, m=rng.randint(0, 2))
             tr = play_game(adversary_random(p, seed), p, "det")
-            dropped = GameTranscript(params=p, strategy="det", seed=None)
+            dropped = GameTranscript(strategy="det")
             dropped.moves = [
                 MoveRecord(mv.alice_set, mv.marks if rng.random() < 0.5 else (), True)
                 for mv in tr.moves
@@ -551,7 +551,7 @@ class TestVerifyTranscript:
     def test_large_n_guard(self):
         with pytest.raises(ValueError):
             verify_transcript(
-                GameTranscript(GameParams(n=17, k=1, m=0), "det", None),
+                GameTranscript("det"),
                 GameParams(n=17, k=1, m=0),
             )
 
@@ -629,7 +629,7 @@ class TestVerifierReadsEachSetOnce:
                 alice_set = hand_made(mv.alice_set, n, rng) if rng.random() < 0.1 else mv.alice_set
                 marks = tuple(q for q in mv.marks if rng.random() < 0.6)
                 moves.append(MoveRecord(alice_set, marks, mv.win and rng.random() < 0.95))
-            made = GameTranscript(p, "det", None, moves)
+            made = GameTranscript("det", moves)
             got = verdict(verify_transcript, made, p)
             assert got == verdict(reference_verify, made, p), p
             verdicts[got[0] if isinstance(got, tuple) else got.reason or "ok"] += 1
@@ -641,7 +641,7 @@ class TestVerifierReadsEachSetOnce:
         base = (BitWord(4, 3), BitWord(4, 9))
         for odd in [(3, 9), (SubWord(4, 3), BitWord(4, 9)), base + base,
                     base + (BitWord(5, 3),), base + (16,), base + (-1,)]:
-            made = GameTranscript(p, "det", None, [MoveRecord(odd, (1,), True)])
+            made = GameTranscript("det", [MoveRecord(odd, (1,), True)])
             assert verdict(verify_transcript, made, p) == verdict(reference_verify, made, p)
 
 
@@ -736,7 +736,7 @@ class TestAdversaries:
 
     def test_balls_are_radius_one(self):
         p = GameParams(n=4, k=6, m=1)
-        sets = list(adversary_balls(p))
+        sets = list(adversary_balls(p, 0))
         assert len(sets) == 16
         for v, s in enumerate(sets):
             center = BitWord(4, v)

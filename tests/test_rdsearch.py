@@ -357,11 +357,11 @@ def _project_hamming_by_flips(x, y, max_flips):
 
 
 def _hamming_pool_by_bits(x, max_flips, rng):
-    """The seed pool built one bit call and one flip at a time."""
+    """The seed pool built one bit and one flip at a time."""
     n = x.n
     pool = [x, BitWord.zeros(n), BitWord.ones(n)]
-    ones = [i for i in range(n) if x.bit(i)]
-    zeros = [i for i in range(n) if not x.bit(i)]
+    ones = [i for i in range(n) if (x.value >> (n - 1 - i)) & 1]
+    zeros = [i for i in range(n) if not (x.value >> (n - 1 - i)) & 1]
     for positions in (ones, zeros):
         take = min(len(positions), max_flips)
         head = x
@@ -381,9 +381,10 @@ def _hamming_pool_by_bits(x, max_flips, rng):
     while width <= n:
         v = 0
         for start in range(0, n, width):
-            block = [x.bit(i) for i in range(start, min(start + width, n))]
+            end = min(start + width, n)
+            block = [(x.value >> (n - 1 - i)) & 1 for i in range(start, end)]
             if sum(block) * 2 > len(block):
-                for i in range(start, min(start + width, n)):
+                for i in range(start, end):
                     v |= 1 << (n - 1 - i)
         pool.append(BitWord(n, v))
         width *= 2
