@@ -587,9 +587,11 @@ def run_cover(args, out_dir: Path, seed: int):
     return [], [csv_path, centers_path, summary_path]
 
 
-def read_adversary_file(path, n: int) -> "list[frozenset[BitWord]]":
+def read_adversary_file(path, n: int) -> "list[tuple[BitWord, ...]]":
     """One set per line: comma or space separated n-bit '0'/'1' words; a
-    blank line is the empty set, a '#' line a comment."""
+    blank line is the empty set, a '#' line a comment.  Each set is the
+    tuple of its distinct words in ascending value order, so a word
+    repeated on a line counts once."""
     sets = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -601,7 +603,7 @@ def read_adversary_file(path, n: int) -> "list[frozenset[BitWord]]":
                 raise ValueError(
                     f"{path}:{ln}: word of length {w.n}, expected {n}"
                 )
-        sets.append(frozenset(words))
+        sets.append(tuple(sorted(set(words))))
     if not sets:
         raise ValueError(f"{path}: no sets found")
     return sets

@@ -30,18 +30,24 @@ and balls adversaries at n = 16, keep frozensets of word values and a
 dict of counts, whose cost follows the set sizes.  Both forms give the
 same marks.  The transcript lists each set as a sorted tuple of BitWords.
 
-Each set is read once at Python speed.  play_game checks its elements
-with _as_words; a set of at least 2^n/16 words is then ordered and packed
-into its mask at C speed from 2^n flags, and a smaller one is sorted by
-sorted() and keeps the tuple of its values.  Until the form is picked a
-set keeps only that mask or tuple, never more than its transcript
-tuple's size.  verify_transcript takes the values of a tuple of BitWords
-of length n in one pass and sends any other set through _as_words.
+Each set is read once at Python speed.  The generated adversaries and
+the CLI's adversary file yield each set as its transcript tuple, its
+BitWords in ascending value order; play_game keeps such a tuple as it
+is after one pass over its values, so no word is hashed and no set is
+sorted again.  It checks the elements of any other set with _as_words;
+a set of at least 2^n/16 words is then ordered and packed into its mask
+at C speed from 2^n flags, and a smaller one is sorted by sorted().
+Until the form is picked a set keeps only its mask, if it holds at least
+2^n/16 words, or else the tuple of its values, never more than its
+transcript tuple's size.  verify_transcript takes the values of a tuple
+of BitWords of length n in the same one pass and sends any other set
+through _as_words.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence, Sized
@@ -270,16 +276,41 @@ def _form(alice_sets: "Sequence[Sized]", n: int):
     return _Sets
 
 
+def _word_values(alice_set, n: int) -> "list[int] | None":
+    """The values of a set's elements, in its order, in one pass when each
+    is a BitWord of length n (a subclass is not); else None."""
+    values = [w.value for w in alice_set if type(w) is BitWord and w.n == n]
+    return values if len(values) == len(alice_set) else None
+
+
 def _read_set(alice_set, n: int) -> "tuple[tuple[BitWord, ...], int | tuple[int, ...]]":
     """One of Alice's sets as its transcript tuple, the words sorted by
     value, and what is kept of it until its form is built: its mask when
     the set has at least 2^n/16 words, else the sorted tuple of its values.
 
-    _as_words is the one Python pass over the elements.  A large set's
-    2^n flags give its ascending values (flatnonzero, no sort) and its
-    2^n-bit mask, at most 2 bytes a word where the tuple holds 8; the
-    flags are dropped at once.  A smaller set is sorted by sorted().
+    A tuple whose _word_values are strictly ascending is already its
+    transcript tuple: it is kept as it is, after that one pass, and
+    nothing is hashed or sorted.  A large one's order is checked by numpy
+    on the array that then sets its flags; a small one's in Python, which
+    is cheaper on a few words.
+
+    Any other set goes through _as_words, the one check of the elements:
+    a large set's 2^n flags give its ascending values (flatnonzero, no
+    sort) and its 2^n-bit mask, at most 2 bytes a word where the tuple
+    holds 8, and the flags are dropped at once; a smaller set is sorted
+    by sorted().
     """
+    values = _word_values(alice_set, n) if type(alice_set) is tuple else None
+    if values is not None:
+        if 16 * len(values) < 1 << n:
+            if all(map(operator.lt, values, values[1:])):
+                return alice_set, tuple(values)
+        else:
+            positions = np.array(values, np.intp)
+            if (positions[1:] > positions[:-1]).all():
+                flags = np.zeros(1 << n, bool)
+                flags[positions] = True
+                return alice_set, _pack(flags)
     words = _as_words(alice_set, n)
     if 16 * len(words) < 1 << n:
         values = tuple(sorted(words))
@@ -292,11 +323,9 @@ def _read_set(alice_set, n: int) -> "tuple[tuple[BitWord, ...], int | tuple[int,
 
 def _transcript_values(alice_set, n: int) -> "list[int]":
     """The values of a transcript's set: one pass when every element is a
-    BitWord of length n (a subclass is not), else through _as_words."""
-    values = [w.value for w in alice_set if type(w) is BitWord and w.n == n]
-    if len(values) != len(alice_set):
-        values = list(_as_words(alice_set, n))
-    return values
+    BitWord of length n, else through _as_words."""
+    values = _word_values(alice_set, n)
+    return list(_as_words(alice_set, n)) if values is None else values
 
 
 def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...]":
@@ -345,9 +374,11 @@ def play_game(
     stream is read before Bob's first move, to pick the form the sets are
     held in; his marks at move t still depend on her first t sets only.
     Each set is read once (_read_set): its transcript tuple lists the
-    first element with each value, sorted, and until its form is built
-    the set keeps its mask if it holds at least 2^n/16 words, else the
-    sorted tuple of its values, and never its intake dict.
+    first element with each value, sorted, and is the set itself when
+    the set is a tuple of BitWords of length n in ascending value order.
+    Until its form is built the set keeps its mask if it holds at least
+    2^n/16 words, else the sorted tuple of its values, and never an
+    intake dict.
     Raises GameOverflowError on the 2^k-th set, and ValueError before
     drawing any set when n > GAME_MAX_N.
     """
@@ -446,7 +477,8 @@ def _check_stream_words(words: int):
 
 
 def adversary_random(params: GameParams, seed: int):
-    """Full-length stream of uniformly random subsets of {0,1}^n."""
+    """Full-length stream of uniformly random subsets of {0,1}^n, each a
+    tuple of its words in ascending value order."""
     size = 1 << params.n
     _check_stream_words(params.max_moves * size)
     rng = random.Random(seed)
@@ -454,27 +486,29 @@ def adversary_random(params: GameParams, seed: int):
     for _ in range(params.max_moves):
         # bit v of the mask selects word v
         positions = _mask_positions(rng.getrandbits(size), params.n)
-        yield frozenset(map(words.__getitem__, positions.tolist()))
+        yield tuple(map(words.__getitem__, positions.tolist()))
 
 
 def adversary_repeat(params: GameParams, seed: int):
-    """One random singleton repeated for the whole game."""
+    """One random singleton, as a 1-tuple, repeated for the whole game."""
     _check_stream_words(params.max_moves)
     rng = random.Random(seed)
     w = BitWord.random(rng, params.n)
     for _ in range(params.max_moves):
-        yield frozenset([w])
+        yield (w,)
 
 
 def adversary_balls(params: GameParams, seed: int):
     """Radius-1 Hamming balls around every center in lexicographic order,
-    truncated to the move allowance; the seed is unused, since the order
-    is fixed."""
+    truncated to the move allowance, each a tuple of its words in
+    ascending value order; the seed is unused, since the order is fixed."""
     moves = min(1 << params.n, params.max_moves)
     _check_stream_words(moves * (params.n + 1))
     for v in range(moves):
         center = BitWord(params.n, v)
-        yield frozenset([center] + [center.flip(i) for i in range(params.n)])
+        ball = [center] + [center.flip(i) for i in range(params.n)]
+        ball.sort(key=operator.attrgetter("value"))
+        yield tuple(ball)
 
 
 ADVERSARIES = {
