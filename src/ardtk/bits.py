@@ -34,14 +34,18 @@ class BitWord:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitWord":
-        value = 0
-        n = 0
+        """The word x_1 ... x_n from any iterable of n integers 0 or 1.
+
+        Bools and numpy integers count as integers; any other value
+        raises ValueError, or TypeError for a non-integer equal to 0 or
+        1.  Linear in n: one ASCII digit per bit, then one base-2 int().
+        """
+        digits = bytearray()
         for b in bits:
             if b not in (0, 1):
                 raise ValueError("bits must be 0 or 1")
-            value = (value << 1) | b
-            n += 1
-        return cls(n, value)
+            digits.append(48 + b)
+        return cls(len(digits), int(digits, 2) if digits else 0)
 
     @classmethod
     def from_str(cls, s: str) -> "BitWord":
@@ -126,9 +130,13 @@ class BitWord:
     def __lt__(self, other: "BitWord") -> bool:
         # length-then-lexicographic; within one length this is plain
         # integer order because x_1 is the MSB
+        if not isinstance(other, BitWord):
+            return NotImplemented
         return (self.n, self.value) < (other.n, other.value)
 
     def __le__(self, other: "BitWord") -> bool:
+        if not isinstance(other, BitWord):
+            return NotImplemented
         return (self.n, self.value) <= (other.n, other.value)
 
     def __repr__(self) -> str:

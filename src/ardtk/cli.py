@@ -15,8 +15,10 @@ File conventions:
 
   words    read only: ASCII '0'/'1', whitespace ignored, '#' lines are
            comments; --raw switches to a packed form (8-byte big-endian
-           bit count, then MSB-first packed bytes)
-  images   PBM; plain P1 and packed P4 are read, P1 is written
+           bit count, then MSB-first packed bytes); at most
+           codec.MAX_WORD_BITS bits, checked before the word is built
+  images   PBM; plain P1 and packed P4 are read, P1 is written; at most
+           codec.MAX_WORD_BITS pixels, checked from the header
   tables   CSV with a header row; rational columns come as exact
            num/den pairs, other reals carry 12 significant digits
 
@@ -31,10 +33,13 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .bits import BitWord
@@ -42,6 +47,7 @@ from .codec import (
     BWT_BLOCK_BITS,
     CODER_PRECISION,
     CONDITIONAL_CLAMP_BITS,
+    MAX_WORD_BITS,
     _header_bits,
     codelength,
     compress,
@@ -159,17 +165,26 @@ def parse_fraction_grid(text: str) -> "list[Fraction]":
 # ---------------------------------------------------------------------------
 # file formats
 
+def _check_size(path, n: int) -> None:
+    # a word compress would refuse is refused before it is built
+    if n > MAX_WORD_BITS:
+        raise ValueError(f"{path}: word of {n} bits exceeds MAX_WORD_BITS = {MAX_WORD_BITS}")
+
+
 def read_word(path, raw: bool = False) -> BitWord:
     if raw:
-        data = Path(path).read_bytes()
-        if len(data) < 8:
-            raise ValueError(f"{path}: truncated packed word")
-        n = int.from_bytes(data[:8], "big")
-        return BitWord.from_bytes(data[8:], n)
+        with open(path, "rb") as fh:
+            head = fh.read(8)
+            if len(head) < 8:
+                raise ValueError(f"{path}: truncated packed word")
+            n = int.from_bytes(head, "big")
+            _check_size(path, n)
+            return BitWord.from_bytes(fh.read(), n)
     text = Path(path).read_text()
     body = "".join(
         ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
     )
+    _check_size(path, body.count("0") + body.count("1"))
     word = BitWord.from_str(body)
     if word.n == 0:
         raise ValueError(f"{path}: no bits found")
@@ -206,33 +221,28 @@ def read_pbm(path) -> "tuple[BitWord, int, int]":
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad PBM dimensions")
     need = width * height
+    _check_size(path, need)
     if magic == b"P1":
-        bits: "list[int]" = []
-        while pos < len(data) and len(bits) < need:
-            c = data[pos : pos + 1]
-            pos += 1
-            if c in (b"0", b"1"):
-                bits.append(c == b"1")
-            elif c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif not c.isspace():
-                raise ValueError(f"{path}: stray byte {c!r} in P1 raster")
-        if len(bits) < need:
+        # comments out, whitespace out: the first `need` bytes left are
+        # the raster, and whatever follows them is ignored
+        raster = re.sub(rb"#[^\n\r]*", b"", data[pos:])
+        digits = raster.translate(None, b" \t\n\r\v\f")[:need]
+        stray = digits.translate(None, b"01")
+        if stray:
+            raise ValueError(f"{path}: stray byte {stray[:1]!r} in P1 raster")
+        if len(digits) < need:
             raise ValueError(f"{path}: truncated P1 raster")
-        word = BitWord.from_bits(int(b) for b in bits)
+        word = BitWord(need, int(digits, 2))
     else:
         pos += 1  # exactly one whitespace byte separates header and raster
         rowbytes = (width + 7) // 8
         raster = data[pos : pos + rowbytes * height]
         if len(raster) < rowbytes * height:
             raise ValueError(f"{path}: truncated P4 raster")
-        value = 0
-        for r in range(height):
-            chunk = raster[r * rowbytes : (r + 1) * rowbytes]
-            # each row is padded to whole bytes; the padding bits drop
-            value = value << width | int.from_bytes(chunk, "big") >> (8 * rowbytes - width)
-        word = BitWord(need, value)
+        # each row is padded to whole bytes; count= drops the padding bits
+        rows = np.frombuffer(raster, dtype=np.uint8).reshape(height, rowbytes)
+        bits = np.unpackbits(rows, axis=1, count=width)
+        word = BitWord.from_bytes(np.packbits(bits).tobytes(), need)
     return word, width, height
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,51 @@ def test_bits_round_trip(bits):
     w = BitWord.from_bits(bits)
     assert [int(c) for c in w.to01()] == bits
     assert BitWord.from_str(w.to01()) == w
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 1000, 4095, 4096, 1 << 20])
+def test_from_bits_takes_any_iterable_of_ints(n):
+    digits = format(random.Random(n).getrandbits(n), f"0{n}b") if n else ""
+    want = BitWord.from_str(digits)
+    bits = [int(c) for c in digits]
+    assert BitWord.from_bits(bits) == want
+    assert BitWord.from_bits(tuple(bits)) == want
+    assert BitWord.from_bits(b for b in bits) == want
+    assert BitWord.from_bits([c == "1" for c in digits]) == want
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1", None])
+def test_from_bits_refuses_other_values(bad):
+    for bits in ([bad], [1, 0, bad, 1], (b for b in [0] * 100 + [bad])):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitWord.from_bits(bits)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0])
+def test_from_bits_refuses_floats(bad):
+    with pytest.raises(TypeError):
+        BitWord.from_bits([1, bad])
+
+
+def test_from_bits_is_linear():
+    # the shift-per-bit build took 45-95 ms at 2^15 bits and grows as
+    # n^2, about 100 s at 2^20; one digit per bit takes about 0.1 s
+    rng = random.Random(3)
+    t0 = time.perf_counter()
+    w = BitWord.from_bits(rng.getrandbits(1) for _ in range(1 << 20))
+    assert time.perf_counter() - t0 < 5
+    assert w.n == 1 << 20
+
+
+@pytest.mark.parametrize("other", [5, 1, "1", 1.0, None])
+def test_mixed_comparisons_raise_type_error(other):
+    w = BitWord(1, 0)
+    for compare in (lambda: w < other, lambda: w <= other,
+                    lambda: w > other, lambda: w >= other,
+                    lambda: other < w, lambda: sorted([w, other])):
+        with pytest.raises(TypeError):
+            compare()
+    assert w != other
 
 
 @given(st.integers(0, 500), st.integers())

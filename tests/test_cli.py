@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from ardtk.bits import BitWord
+from ardtk.codec import MAX_WORD_BITS
 from ardtk.cli import (
     _positive_int,
     build_parser,
@@ -126,6 +127,68 @@ class TestFileFormats:
         p1.write_text(f"P1\n{width} {height}\n" + "\n".join(" ".join(row) for row in rows))
         expected = (BitWord.from_str("".join(rows)), width, height)
         assert read_pbm(p4) == read_pbm(p1) == expected
+
+    def test_large_unaligned_pbm_matches_row_shift_reference(self, tmp_path):
+        width, height = 1021, 1000
+        rowbytes = (width + 7) // 8
+        pad = 8 * rowbytes - width
+        rng = random.Random(28)
+        # every padding bit set
+        raster = b"".join(
+            (rng.getrandbits(width) << pad | (1 << pad) - 1).to_bytes(rowbytes, "big")
+            for _ in range(height)
+        )
+        # the reference: one shift of the growing value per row
+        value = 0
+        for r in range(height):
+            chunk = raster[r * rowbytes : (r + 1) * rowbytes]
+            value = value << width | int.from_bytes(chunk, "big") >> pad
+        want = BitWord(width * height, value)
+        p4 = tmp_path / "img4.pbm"
+        p4.write_bytes(f"P4\n{width} {height}\n".encode() + raster)
+        assert read_pbm(p4) == (want, width, height)
+        digits = want.to01()
+        p1 = tmp_path / "img1.pbm"
+        p1.write_text(f"P1\n# a comment\n{width} {height}\n" + "\n".join(
+            " ".join(digits[r * width : (r + 1) * width]) for r in range(height)
+        ))
+        assert read_pbm(p1) == (want, width, height)
+        back = tmp_path / "back.pbm"
+        write_pbm(back, want, width)
+        assert read_pbm(back) == (want, width, height)
+
+    def test_pbm_p1_comment_in_raster_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "img.pbm"
+        path.write_bytes(b"P1\n3 2\n1 0 # 0 x\r1\n0\t1 1 trailing x")
+        assert read_pbm(path) == (BitWord.from_str("101011"), 3, 2)
+        path.write_bytes(b"P1\n3 2\n1 0 1\n0 x 1 1")
+        with pytest.raises(ValueError, match="stray byte b'x'"):
+            read_pbm(path)
+
+    @pytest.mark.parametrize("magic", [b"P1", b"P4"])
+    def test_pbm_over_max_word_bits_refused_from_header(self, tmp_path, magic):
+        path = tmp_path / "big.pbm"
+        for width, height in ((4097, 4096), (1 << 40, 1 << 40)):
+            assert width * height > MAX_WORD_BITS
+            path.write_bytes(magic + f"\n{width} {height}\n".encode())
+            with pytest.raises(ValueError, match="exceeds MAX_WORD_BITS"):
+                read_pbm(path)
+
+    def test_pbm_at_max_word_bits_is_read(self, tmp_path):
+        path = tmp_path / "max.pbm"
+        path.write_bytes(b"P4\n4096 4096\n" + b"\xff" * (MAX_WORD_BITS // 8))
+        assert read_pbm(path) == (BitWord.ones(MAX_WORD_BITS), 4096, 4096)
+
+    def test_word_over_max_word_bits_refused(self, tmp_path):
+        path = tmp_path / "big.raw"
+        for n in (MAX_WORD_BITS + 1, (1 << 64) - 1):
+            path.write_bytes(n.to_bytes(8, "big"))
+            with pytest.raises(ValueError, match="exceeds MAX_WORD_BITS"):
+                read_word(path, raw=True)
+        path = tmp_path / "big.bits"
+        path.write_text("# over the limit by one digit\n" + "1" * (MAX_WORD_BITS + 1))
+        with pytest.raises(ValueError, match="exceeds MAX_WORD_BITS"):
+            read_word(path)
 
     def test_pbm_rejects_other_magic(self, tmp_path):
         path = tmp_path / "img.pgm"
