@@ -68,10 +68,6 @@ class BitWord:
         return cls(n, 0)
 
     @classmethod
-    def ones(cls, n: int) -> "BitWord":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def random(cls, rng, n: int) -> "BitWord":
         return cls(n, rng.getrandbits(n) if n else 0)
 

@@ -192,40 +192,42 @@ def read_word(path, raw: bool = False) -> BitWord:
 
 
 def read_pbm(path) -> "tuple[BitWord, int, int]":
-    """PBM image as (word, width, height); bit 1 is a black pixel."""
-    data = Path(path).read_bytes()
-    pos = 0
+    """PBM image as (word, width, height); bit 1 is a black pixel.  The
+    header is read byte by byte and checked before the raster is read."""
+    with open(path, "rb") as fh:
 
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PBM header")
-        return data[start:pos]
+        def token() -> bytes:
+            # skip whitespace and comments, then read the token and the
+            # whitespace byte that ends it
+            c = fh.read(1)
+            while c == b"#" or c.isspace():
+                if c == b"#":
+                    while c not in (b"\n", b"\r", b""):
+                        c = fh.read(1)
+                c = fh.read(1)
+            out = bytearray()
+            while c and not c.isspace():
+                out += c
+                c = fh.read(1)
+            if not out:
+                raise ValueError(f"{path}: truncated PBM header")
+            return bytes(out)
 
-    magic = token()
-    if magic not in (b"P1", b"P4"):
-        raise ValueError(f"{path}: not a PBM file (want P1 or P4)")
-    width, height = int(token()), int(token())
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: bad PBM dimensions")
-    need = width * height
-    _check_size(path, need)
+        magic = token()
+        if magic not in (b"P1", b"P4"):
+            raise ValueError(f"{path}: not a PBM file (want P1 or P4)")
+        width, height = int(token()), int(token())
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: bad PBM dimensions")
+        need = width * height
+        _check_size(path, need)
+        rowbytes = (width + 7) // 8
+        # a P4 raster follows the one whitespace byte token() took
+        raster = fh.read() if magic == b"P1" else fh.read(rowbytes * height)
     if magic == b"P1":
         # comments out, whitespace out: the first `need` bytes left are
         # the raster, and whatever follows them is ignored
-        raster = re.sub(rb"#[^\n\r]*", b"", data[pos:])
+        raster = re.sub(rb"#[^\n\r]*", b"", raster)
         digits = raster.translate(None, b" \t\n\r\v\f")[:need]
         stray = digits.translate(None, b"01")
         if stray:
@@ -234,9 +236,6 @@ def read_pbm(path) -> "tuple[BitWord, int, int]":
             raise ValueError(f"{path}: truncated P1 raster")
         word = BitWord(need, int(digits, 2))
     else:
-        pos += 1  # exactly one whitespace byte separates header and raster
-        rowbytes = (width + 7) // 8
-        raster = data[pos : pos + rowbytes * height]
         if len(raster) < rowbytes * height:
             raise ValueError(f"{path}: truncated P4 raster")
         # each row is padded to whole bytes; count= drops the padding bits
@@ -607,7 +606,10 @@ def read_adversary_file(path, n: int) -> "list[tuple[BitWord, ...]]":
         line = line.strip()
         if line.startswith("#"):
             continue
-        words = [BitWord.from_str(tok) for tok in line.replace(",", " ").split()]
+        try:
+            words = [BitWord.from_str(tok) for tok in line.replace(",", " ").split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
         for w in words:
             if w.n != n:
                 raise ValueError(

@@ -30,18 +30,17 @@ and balls adversaries at n = 16, keep frozensets of word values and a
 dict of counts, whose cost follows the set sizes.  Both forms give the
 same marks.  The transcript lists each set as a sorted tuple of BitWords.
 
-Each set is read once at Python speed.  The generated adversaries and
-the CLI's adversary file yield each set as its transcript tuple, its
-BitWords in ascending value order; play_game keeps such a tuple as it
-is after one pass over its values, so no word is hashed and no set is
-sorted again.  It checks the elements of any other set with _as_words;
-a set of at least 2^n/16 words is then ordered and packed into its mask
-at C speed from 2^n flags, and a smaller one is sorted by sorted().
-Until the form is picked a set keeps only its mask, if it holds at least
-2^n/16 words, or else the tuple of its values, never more than its
-transcript tuple's size.  verify_transcript takes the values of a tuple
-of BitWords of length n in the same one pass and sends any other set
-through _as_words.
+Each set is read once at Python speed.  play_game takes a set only as
+its transcript tuple: a tuple of BitWords (not of a subclass) of length
+n in strictly ascending value order, as the generated adversaries and
+the CLI's adversary file yield it.  It keeps that tuple as it is after
+one pass over its values, so no word is hashed and no set is sorted,
+and refuses any other set with a ValueError naming the move.  Until the
+form is picked a set keeps only its mask, if it holds at least 2^n/16
+words, or else the tuple of its values, never more than its transcript
+tuple's size.  verify_transcript reads each set's values in the same
+one pass and rejects a move with an element that is not a BitWord of
+length n.
 """
 from __future__ import annotations
 
@@ -150,25 +149,6 @@ def probabilistic_mark_cap(params: GameParams) -> float:
 def _check_size(params: GameParams):
     if params.n > GAME_MAX_N:
         raise ValueError(f"the marking game needs n <= {GAME_MAX_N}, got {params.n}")
-
-
-def _as_words(alice_set, n: int) -> "dict[int, BitWord]":
-    """The words of one of Alice's sets, keyed by value and checked against n.
-
-    The first element with each value is kept; an int element becomes a
-    new BitWord.
-    """
-    words: "dict[int, BitWord]" = {}
-    for w in reversed(list(alice_set)):     # the first element is stored last
-        if not isinstance(w, BitWord):
-            v = int(w)
-            if not 0 <= v < 1 << n:
-                raise ValueError("set element out of range")
-            w = BitWord(n, v)
-        elif w.n != n:
-            raise ValueError(f"set element has length {w.n}, expected {n}")
-        words[w.value] = w
-    return words
 
 
 def _pack(flags: np.ndarray) -> int:
@@ -283,49 +263,25 @@ def _word_values(alice_set, n: int) -> "list[int] | None":
     return values if len(values) == len(alice_set) else None
 
 
-def _read_set(alice_set, n: int) -> "tuple[tuple[BitWord, ...], int | tuple[int, ...]]":
-    """One of Alice's sets as its transcript tuple, the words sorted by
-    value, and what is kept of it until its form is built: its mask when
-    the set has at least 2^n/16 words, else the sorted tuple of its values.
+def _read_set(alice_set, n: int) -> "int | tuple[int, ...] | None":
+    """What is kept of one of Alice's sets until its form is built: its
+    mask when the set has at least 2^n/16 words, else the tuple of its
+    values; None unless the set is a tuple of BitWords of length n in
+    strictly ascending value order.
 
-    A tuple whose _word_values are strictly ascending is already its
-    transcript tuple: it is kept as it is, after that one pass, and
-    nothing is hashed or sorted.  A large one's order is checked by numpy
-    on the array that then sets its flags; a small one's in Python, which
-    is cheaper on a few words.
-
-    Any other set goes through _as_words, the one check of the elements:
-    a large set's 2^n flags give its ascending values (flatnonzero, no
-    sort) and its 2^n-bit mask, at most 2 bytes a word where the tuple
-    holds 8, and the flags are dropped at once; a smaller set is sorted
-    by sorted().
+    The values are read in one pass (_word_values).  A large set's order
+    is checked by numpy on the same array that sets its flags; a small
+    one's in Python, which is cheaper on a few words.
     """
     values = _word_values(alice_set, n) if type(alice_set) is tuple else None
-    if values is not None:
-        if 16 * len(values) < 1 << n:
-            if all(map(operator.lt, values, values[1:])):
-                return alice_set, tuple(values)
-        else:
-            positions = np.array(values, np.intp)
-            if (positions[1:] > positions[:-1]).all():
-                flags = np.zeros(1 << n, bool)
-                flags[positions] = True
-                return alice_set, _pack(flags)
-    words = _as_words(alice_set, n)
-    if 16 * len(words) < 1 << n:
-        values = tuple(sorted(words))
-        return tuple(map(words.__getitem__, values)), values
+    if values is None:
+        return None
+    if 16 * len(values) < 1 << n:
+        return tuple(values) if all(map(operator.lt, values, values[1:])) else None
+    positions = np.array(values, np.intp)
     flags = np.zeros(1 << n, bool)
-    flags[np.fromiter(words, np.intp, len(words))] = True
-    ordered = tuple(map(words.__getitem__, np.flatnonzero(flags).tolist()))
-    return ordered, _pack(flags)
-
-
-def _transcript_values(alice_set, n: int) -> "list[int]":
-    """The values of a transcript's set: one pass when every element is a
-    BitWord of length n, else through _as_words."""
-    values = _word_values(alice_set, n)
-    return list(_as_words(alice_set, n)) if values is None else values
+    flags[positions] = True
+    return _pack(flags) if (positions[1:] > positions[:-1]).all() else None
 
 
 def _greedy_marks(sets: "Sequence", params: GameParams, form) -> "tuple[int, ...]":
@@ -370,30 +326,32 @@ def play_game(
 ) -> GameTranscript:
     """Run one full game and return the per-move transcript.
 
-    alice yields collections of BitWords (or raw values).  The whole
-    stream is read before Bob's first move, to pick the form the sets are
-    held in; his marks at move t still depend on her first t sets only.
-    Each set is read once (_read_set): its transcript tuple lists the
-    first element with each value, sorted, and is the set itself when
-    the set is a tuple of BitWords of length n in ascending value order.
-    Until its form is built the set keeps its mask if it holds at least
-    2^n/16 words, else the sorted tuple of its values, and never an
-    intake dict.
-    Raises GameOverflowError on the 2^k-th set, and ValueError before
-    drawing any set when n > GAME_MAX_N.
+    alice yields each set as its transcript tuple: a tuple of BitWords of
+    length n in strictly ascending value order, which the transcript
+    keeps as it is.  The whole stream is read (_read_set) before Bob's
+    first move, to pick the form the sets are held in; his marks at move
+    t still depend on her first t sets only.
+    Raises GameOverflowError on the 2^k-th set, ValueError naming the
+    move on a set in any other form, and ValueError before drawing any
+    set when n > GAME_MAX_N.
     """
     _check_size(params)
     if strategy not in ("det", "prob"):
         raise ValueError("strategy must be 'det' or 'prob'")
     alice_sets: "list[tuple[BitWord, ...]]" = []
     kept: "list[int | tuple[int, ...]]" = []
-    for raw in alice:
+    for alice_set in alice:
         if len(alice_sets) == params.max_moves:
             raise GameOverflowError(
                 f"adversary produced move {params.max_moves + 1}; "
                 f"limit is {params.max_moves}"
             )
-        alice_set, values = _read_set(raw, params.n)
+        values = _read_set(alice_set, params.n)
+        if values is None:
+            raise ValueError(
+                f"move {len(alice_sets) + 1}: a set must be a tuple of BitWords "
+                f"of length {params.n} in strictly ascending value order"
+            )
         alice_sets.append(alice_set)
         kept.append(values)
     form = _form(alice_sets, params.n)
@@ -430,7 +388,8 @@ class VerifyResult:
 def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
     """Replay a transcript from scratch and check the win condition after
     every move, mark causality, recorded win flags, and the total-marks
-    bound (deterministic strategy only)."""
+    bound (deterministic strategy only).  A set may list its words in any
+    order, with repeats, but each must be a BitWord of length n."""
     _check_size(params)
     if len(tr.moves) > params.max_moves:
         return VerifyResult(False, params.max_moves + 1, None, "too many moves")
@@ -439,7 +398,12 @@ def verify_transcript(tr: GameTranscript, params: GameParams) -> VerifyResult:
     frequent, covered = form.empty(), form.empty()
     sets: "list" = []
     for t, move in enumerate(tr.moves, start=1):
-        sets.append(form.make(_transcript_values(move.alice_set, params.n), params.n))
+        values = _word_values(move.alice_set, params.n)
+        if values is None:
+            return VerifyResult(
+                False, t, None, f"set element is not a BitWord of length {params.n}"
+            )
+        sets.append(form.make(values, params.n))
         frequent |= add(sets[-1])
         for p in move.marks:
             if not 1 <= p <= t:

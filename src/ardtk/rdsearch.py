@@ -99,7 +99,6 @@ class CurveEstimate:
     axis: str                      # "rate" | "log_cardinality" | "distortion"
     points: "list[CurvePoint]"
     budget_used: int
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,7 @@ def distortion_rate_curve(
             points.append(
                 CurvePoint(axis_value=r, bits=r, distortion=best_d, candidate=best_c)
             )
-    return CurveEstimate(axis="rate", points=points, budget_used=used, seed=seed)
+    return CurveEstimate(axis="rate", points=points, budget_used=used)
 
 
 def canonical_estimate(
@@ -464,9 +463,7 @@ def canonical_estimate(
                 candidate=best_cand,
             )
         )
-    return CurveEstimate(
-        axis="log_cardinality", points=points, budget_used=used, seed=seed
-    )
+    return CurveEstimate(axis="log_cardinality", points=points, budget_used=used)
 
 
 def transform_rate_distortion(
@@ -494,9 +491,7 @@ def transform_rate_distortion(
         points.append(
             CurvePoint(axis_value=d, bits=best, distortion=d, candidate=entry.candidate)
         )
-    return CurveEstimate(
-        axis="distortion", points=points, budget_used=ghat.budget_used, seed=ghat.seed
-    )
+    return CurveEstimate(axis="distortion", points=points, budget_used=ghat.budget_used)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from ardtk import cli
 from ardtk.bits import BitWord
 from ardtk.codec import MAX_WORD_BITS
 from ardtk.cli import (
@@ -174,10 +175,41 @@ class TestFileFormats:
             with pytest.raises(ValueError, match="exceeds MAX_WORD_BITS"):
                 read_pbm(path)
 
+    @pytest.mark.parametrize("magic", [b"P1", b"P4"])
+    def test_pbm_over_max_word_bits_refused_before_raster_is_read(
+        self, tmp_path, monkeypatch, magic
+    ):
+        header = magic + b"\n# 25,000,000 pixels\n5000 5000\n"
+        path = tmp_path / "big.pbm"
+        path.write_bytes(header + b"\xff" * (1 << 20))
+        delivered = []
+
+        class Spy:
+            """The file read_pbm opens, counting the bytes it hands out."""
+
+            def __init__(self, *args):
+                self.fh = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, size=-1):
+                data = self.fh.read(size)
+                delivered.append(len(data))
+                return data
+
+        monkeypatch.setattr(cli, "open", Spy, raising=False)
+        with pytest.raises(ValueError, match="exceeds MAX_WORD_BITS"):
+            read_pbm(path)
+        assert sum(delivered) == len(header)
+
     def test_pbm_at_max_word_bits_is_read(self, tmp_path):
         path = tmp_path / "max.pbm"
         path.write_bytes(b"P4\n4096 4096\n" + b"\xff" * (MAX_WORD_BITS // 8))
-        assert read_pbm(path) == (BitWord.ones(MAX_WORD_BITS), 4096, 4096)
+        assert read_pbm(path) == (BitWord(MAX_WORD_BITS, (1 << MAX_WORD_BITS) - 1), 4096, 4096)
 
     def test_word_over_max_word_bits_refused(self, tmp_path):
         path = tmp_path / "big.raw"
@@ -208,9 +240,9 @@ class TestFileFormats:
 
     def test_p1_long_rows_wrap(self, tmp_path):
         path = tmp_path / "wide.pbm"
-        write_pbm(path, BitWord.ones(100 * 2), 100)
+        write_pbm(path, BitWord(200, (1 << 200) - 1), 100)
         assert max(len(ln) for ln in path.read_text().splitlines()) <= 70
-        assert read_pbm(path)[0] == BitWord.ones(200)
+        assert read_pbm(path)[0] == BitWord(200, (1 << 200) - 1)
 
 
 class TestParsing:
@@ -432,6 +464,16 @@ class TestGameCommand:
                      "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert "length 3" in capsys.readouterr().err
+
+    def test_adversary_file_bad_token_names_line(self, tmp_path, capsys):
+        adv = tmp_path / "adv.txt"
+        adv.write_text("0101\n\n01x1 0011\n")
+        code = main(["game", "--k", "3", "--m", "1", "--n", "4",
+                     "--adversary", "file", "--adversary-file", str(adv),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {adv}:3: bit string may contain only 0 and 1\n")
 
     def test_oversized_n_fails_before_playing(self, tmp_path, capsys):
         t0 = time.perf_counter()

@@ -46,7 +46,7 @@ def test_round_trip_structured():
         BitWord.zeros(0),
         BitWord.from_str("1"),
         BitWord.zeros(1024),
-        BitWord.ones(1024),
+        BitWord(1024, (1 << 1024) - 1),
         BitWord.from_str("01" * 2048),
         BitWord.from_str("0011" * 1024),
         BitWord.random(rng, 4096),
@@ -751,7 +751,7 @@ def _bitac_floor_words():
             yield BitWord(n, v)
     rng = random.Random(14)
     for n in (13, 63, 64, 65, 255, 1000, 1023, 1024):
-        yield from (BitWord.zeros(n), BitWord.ones(n), BitWord.from_str(("01" * n)[:n]))
+        yield from (BitWord.zeros(n), BitWord(n, (1 << n) - 1), BitWord.from_str(("01" * n)[:n]))
         for kind in sorted(_WORD_KINDS):
             for _ in range(6):
                 yield _WORD_KINDS[kind](rng, n)
@@ -926,7 +926,7 @@ def _least_words():
     for n in (64, 256, 264, 1000, 1024, 4096, block, block + 8, 2 * block + 4000):
         nbytes = -(-n // 8)
         yield BitWord.zeros(n)
-        yield BitWord.ones(n)
+        yield BitWord(n, (1 << n) - 1)
         yield BitWord.from_bytes(bytes([rng.randrange(256)]) * nbytes, n)
         for distinct in (2, 3, 5):
             values = rng.sample(range(256), distinct)

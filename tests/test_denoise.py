@@ -45,7 +45,7 @@ def synthetic_curve(pairs):
         )
         for r, d in pairs
     ]
-    return CurveEstimate(axis="rate", points=points, budget_used=0, seed=0)
+    return CurveEstimate(axis="rate", points=points, budget_used=0)
 
 
 def uniform_ball_member(rng, center, rmax_count):
@@ -110,7 +110,7 @@ class TestNoisyCross:
 
 class TestMajorityFilter:
     def test_constant_images_fixed(self):
-        ones = BitWord.ones(16)
+        ones = BitWord(16, (1 << 16) - 1)
         assert majority_filter(ones, 4) == ones
         zeros = BitWord.zeros(16)
         assert majority_filter(zeros, 4) == zeros
@@ -237,7 +237,7 @@ class TestKneeDetect:
             CurvePoint(axis_value=90, bits=90, distortion=0.0,
                        candidate=Candidate(BitWord.zeros(4), 90, 0.0)),
         ]
-        curve = CurveEstimate(axis="rate", points=points, budget_used=0, seed=0)
+        curve = CurveEstimate(axis="rate", points=points, budget_used=0)
         knee = knee_detect(curve)
         assert knee.rate == 20 and knee.index == 2
 
@@ -257,9 +257,9 @@ class TestDeficiency:
     def test_membership_required(self):
         ball = Ball(H10, Fraction(1, 10), center=BitWord.zeros(10))
         with pytest.raises(ValueError, match="member"):
-            deficiency_estimate(BitWord.ones(10), ball)
+            deficiency_estimate(BitWord(10, (1 << 10) - 1), ball)
         with pytest.raises(ValueError, match="member"):
-            sufficiency_gap(BitWord.ones(10), ball)
+            sufficiency_gap(BitWord(10, (1 << 10) - 1), ball)
 
     def test_center_of_big_ball_is_atypical(self):
         ball = Ball(H64, Fraction(16, 64), center=BitWord.zeros(64))
@@ -397,14 +397,14 @@ class TestDenoise:
 class TestReferenceCurves:
     def test_distances_and_best_rate(self):
         ref = BitWord.zeros(4)
-        pairs = [(5, BitWord.ones(4)), (20, BitWord.zeros(4)),
+        pairs = [(5, BitWord(4, (1 << 4) - 1)), (20, BitWord.zeros(4)),
                  (30, BitWord(4, 0b1000))]
         points = [
             CurvePoint(axis_value=r, bits=r, distortion=Fraction(0),
                        candidate=Candidate(w, r, Fraction(0)))
             for r, w in pairs
         ]
-        curve = CurveEstimate(axis="rate", points=points, budget_used=0, seed=0)
+        curve = CurveEstimate(axis="rate", points=points, budget_used=0)
         table = curve_against_reference(curve, ref)
         assert table == [(5.0, Fraction(1)), (20.0, Fraction(0)),
                          (30.0, Fraction(1, 4))]
@@ -417,10 +417,10 @@ class TestReferenceCurves:
                        candidate=Candidate(BitWord.zeros(4), r, Fraction(0)))
             for r in (12, 7)
         ]
-        curve = CurveEstimate(axis="rate", points=points, budget_used=0, seed=0)
+        curve = CurveEstimate(axis="rate", points=points, budget_used=0)
         assert best_rate_against(curve, ref) == 7.0
 
     def test_empty_curve_rejected(self):
-        curve = CurveEstimate(axis="rate", points=[], budget_used=0, seed=0)
+        curve = CurveEstimate(axis="rate", points=[], budget_used=0)
         with pytest.raises(ValueError, match="candidates"):
             best_rate_against(curve, BitWord.zeros(4))

@@ -279,7 +279,7 @@ def test_two_hamming_balls_cover_cube():
     n = 9
     spec = DistortionSpec(dst.HAMMING, n)
     a = set(ball_members(spec, BitWord.zeros(n), Fraction(1, 2)))
-    b = set(ball_members(spec, BitWord.ones(n), Fraction(1, 2)))
+    b = set(ball_members(spec, BitWord(n, (1 << n) - 1), Fraction(1, 2)))
     assert a | b == set(all_words(n))
 
 
@@ -318,7 +318,7 @@ def test_cylinder_ball_matches_brute_force(n):
 
 
 def test_cylinder_members_guard():
-    ball = Ball(DistortionSpec(dst.LIST, 30), Fraction(23), center=BitWord.ones(30))
+    ball = Ball(DistortionSpec(dst.LIST, 30), Fraction(23), center=BitWord(30, (1 << 30) - 1))
     with pytest.raises(SizeGuardError):
         ball.members()
     assert ball.cardinality() == 1 << 23

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ardtk import game
 from ardtk.bits import BitWord
+from ardtk.cli import read_adversary_file
 from ardtk.game import (
     ADVERSARIES,
     GAME_MAX_N,
@@ -32,7 +33,8 @@ from ardtk.game import (
 
 
 def words(n, *vals):
-    return frozenset(BitWord(n, v) for v in vals)
+    """The transcript tuple of the n-bit words with the given values."""
+    return tuple(BitWord(n, v) for v in sorted(set(vals)))
 
 
 def scan_first_uncovered(tr, params):
@@ -56,20 +58,6 @@ def scan_first_uncovered(tr, params):
 def reference_play(alice, params, strategy="det", seed=None):
     """Reference engine on frozensets of ints and a Counter tally, as the
     game was first written; returns (sorted values, marks, win) per move."""
-    def as_int_set(alice_set):
-        vals = set()
-        for w in alice_set:
-            if isinstance(w, BitWord):
-                if w.n != params.n:
-                    raise ValueError(f"set element has length {w.n}, expected {params.n}")
-                vals.add(w.value)
-            else:
-                v = int(w)
-                if not 0 <= v < 1 << params.n:
-                    raise ValueError("set element out of range")
-                vals.add(v)
-        return frozenset(vals)
-
     def greedy(sets):
         t = len(sets)
         block = largest_pow2_dividing(t)
@@ -97,7 +85,7 @@ def reference_play(alice, params, strategy="det", seed=None):
     counts: Counter = Counter()
     covered: "set[int]" = set()
     for raw in alice:
-        sets.append(as_int_set(raw))
+        sets.append(frozenset(w.value for w in raw))
         counts.update(sets[-1])
         t = len(sets)
         if strategy == "det":
@@ -137,22 +125,9 @@ def values(move):
     return tuple(w.value for w in move.alice_set)
 
 
-def mixed_forms(stream, rng):
-    """Each set as ints, as a list with duplicates, or as a mixed
-    int/BitWord collection, chosen at random per set."""
-    for s in stream:
-        form = rng.randrange(4)
-        if form == 0:
-            yield s
-        elif form == 1:
-            yield {w.value for w in s}
-        elif form == 2:
-            items = list(s)
-            yield items + rng.choices(items, k=len(items) // 2 + 1) if items else items
-        else:
-            yield [w.value if rng.random() < 0.5 else w for w in s] + [
-                w.value for w in s if rng.random() < 0.25
-            ]
+class SubWord(BitWord):
+    """A BitWord subclass, which neither play_game nor the verifier takes."""
+    __slots__ = ()
 
 
 class TestHelpers:
@@ -272,20 +247,17 @@ class TestDeterministicStrategy:
     def test_transcript_reuses_caller_words(self):
         p = GameParams(n=4, k=2, m=0)
         a, b = BitWord(4, 9), BitWord(4, 2)
-        tr = play_game([[a, 9, 5, b, 2, a]], p, "det")
-        (move,) = tr.moves
-        assert move.alice_set == (BitWord(4, 2), BitWord(4, 5), BitWord(4, 9))
+        alice_set = (b, BitWord(4, 5), a)
+        (move,) = play_game([alice_set], p, "det").moves
+        assert move.alice_set is alice_set
         assert move.alice_set[0] is b and move.alice_set[2] is a
-        # the first element with a value is kept, an int as a new BitWord
-        (move,) = play_game([[9, a]], p, "det").moves
-        assert move.alice_set == (a,) and move.alice_set[0] is not a
 
     def test_rejects_wrong_length_words(self):
         p = GameParams(n=3, k=2, m=1)
-        with pytest.raises(ValueError, match="length 4, expected 3"):
-            play_game([frozenset([BitWord(4, 0)])], p, "det")
-        with pytest.raises(ValueError, match="out of range"):
-            play_game([[1, 8]], p, "det")
+        with pytest.raises(ValueError, match="^move 1: .* BitWords of length 3 "):
+            play_game([(BitWord(4, 0),)], p, "det")
+        with pytest.raises(ValueError, match="^move 2: .* BitWords of length 3 "):
+            play_game([words(3, 1), (BitWord(3, 1), BitWord(4, 8))], p, "det")
 
 
 @pytest.fixture(params=["masks", "sets"])
@@ -368,8 +340,6 @@ class TestEngineForms:
                     seed = rng.randrange(1 << 16)
                     strategy = rng.choice(["det", "prob"])
                     stream = list(ADVERSARIES[name](p, seed))
-                    if rng.random() < 0.5:
-                        stream = list(mixed_forms(stream, rng))
                     tr = play_game(stream, p, strategy, seed=seed)
                     got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
                     assert got == reference_play(stream, p, strategy, seed), (n, name, p)
@@ -384,7 +354,7 @@ class TestEngineForms:
         for seed in range(30):
             k = rng.randint(5, 8)
             p = GameParams(n=rng.randint(1, 6), k=k, m=rng.randint(3, k - 2))
-            stream = list(mixed_forms(adversary_random(p, seed), rng))
+            stream = list(adversary_random(p, seed))
             tr = play_game(stream, p, "prob", seed=seed)
             got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
             assert got == reference_play(stream, p, "prob", seed)
@@ -392,8 +362,8 @@ class TestEngineForms:
         assert lost_moves >= 100
 
     def test_sets_either_side_of_mask_cut_match_reference(self, form):
-        # sets below 2^n/16 words keep their sorted values, larger ones
-        # their mask; both, with duplicates, must play as the reference
+        # sets below 2^n/16 words keep their values, larger ones their
+        # mask; both must play as the reference
         rng = random.Random(41)
         for n in (10, 11, 12):
             p = GameParams(n=n, k=5, m=rng.randint(0, 3))
@@ -401,9 +371,9 @@ class TestEngineForms:
             stream = []
             for _ in range(p.max_moves):
                 size = rng.choice([rng.randint(0, cut - 1), rng.randint(cut, 1 << n)])
-                chosen = rng.sample(range(1 << n), size)
-                stream.append([BitWord(n, v) for v in chosen] + chosen[: size // 4])
-                assert len(game._Sets.make(game._read_set(stream[-1], n)[1], n)) == size
+                chosen = sorted(rng.sample(range(1 << n), size))
+                stream.append(tuple(BitWord(n, v) for v in chosen))
+                assert game._Sets.make(game._read_set(stream[-1], n), n) == set(chosen)
             tr = play_game(stream, p, "det")
             got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
             assert got == reference_play(stream, p, "det"), n
@@ -488,26 +458,20 @@ def test_sparse_stream_allocates_no_cube_per_set(monkeypatch):
     assert large == [] and masks == []
 
 
-def refuse_as_words(alice_set, n):
-    raise AssertionError("a set already in transcript form went through _as_words")
-
-
 class TestCanonicalTuples:
-    """A tuple of BitWords of length n in ascending value order is its own
-    transcript tuple; every other set is read through _as_words."""
+    """Alice's sets are taken only as tuples of BitWords of length n in
+    strictly ascending value order, and kept as they are."""
 
     @pytest.mark.parametrize("n, k, m", [(10, 10, 4), (11, 3, 1), (12, 3, 1), (16, 2, 1)])
-    def test_random_stream_is_kept_as_drawn(self, form, monkeypatch, n, k, m):
+    def test_random_stream_is_kept_as_drawn(self, form, n, k, m):
         p = GameParams(n=n, k=k, m=m)
         stream = list(adversary_random(p, n))
-        monkeypatch.setattr(game, "_as_words", refuse_as_words)
         tr = play_game(stream, p, "det")
         assert all(mv.alice_set is s for mv, s in zip(tr.moves, stream))
         got = [(values(mv), mv.marks, mv.win) for mv in tr.moves]
         assert got == reference_play(stream, p, "det")
 
-    def test_sorted_tuples_either_side_of_mask_cut(self, form, monkeypatch):
-        monkeypatch.setattr(game, "_as_words", refuse_as_words)
+    def test_sorted_tuples_either_side_of_mask_cut(self, form):
         rng = random.Random(43)
         for n in (10, 11, 12):
             p = GameParams(n=n, k=5, m=rng.randint(0, 3))
@@ -523,46 +487,83 @@ class TestCanonicalTuples:
             assert got == reference_play(stream, p, "det"), n
 
     @pytest.mark.parametrize("n, size", [(4, 5), (10, 20), (10, 200)])
-    def test_near_canonical_tuples_fall_back(self, form, monkeypatch, n, size):
+    def test_other_sets_are_refused(self, form, monkeypatch, n, size):
+        # (10, 20) lies below the 2^n/16 cut and keeps its values; (4, 5)
+        # and (10, 200) lie above it and become masks
         base = tuple(BitWord(n, v) for v in sorted(random.Random(n).sample(range(1 << n), size)))
         first, second = base[0], base[1]
         twin = BitWord(n, first.value)
         odd = {
+            "frozenset": frozenset(base),
+            "list": list(base),
             "descending": base[::-1],
-            "twin after": (first, twin) + base[1:],
-            "twin before": (twin, first) + base[1:],
+            "unsorted": (second, first) + base[2:],
+            "duplicate": (first, twin) + base[1:],
             "int": (first, second.value) + base[2:],
             "subclass": (first, SubWord(n, second.value)) + base[2:],
-            "wrong length": base + (BitWord(n + 1, 0),),
+            "wrong length": base + (BitWord(n + 1, 1 << n),),
         }
-        read = []
-        as_words = game._as_words
-        monkeypatch.setattr(game, "_as_words", lambda s, n: read.append(s) or as_words(s, n))
         p = GameParams(n=n, k=2, m=0)
 
-        def play_one(alice_set):
-            try:
-                (move,) = play_game([alice_set], p, "det").moves
-            except ValueError as e:
-                return ("ValueError", str(e))
-            return move
+        def stream(alice_set):
+            yield base
+            yield alice_set
+            raise AssertionError("a set after the refused one was read")
 
+        def no_move(*args):
+            raise AssertionError("Bob moved")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(game, "_greedy_marks", no_move)
+            for name, alice_set in odd.items():
+                with pytest.raises(ValueError, match=f"^move 2: a set must be a tuple of "
+                                   f"BitWords of length {n} in strictly ascending"):
+                    play_game(stream(alice_set), p, "det")
+
+        (honest, move) = play_game([base, base], p, "det").moves
         for name, alice_set in odd.items():
-            # a list is read through _as_words, as every set was before
-            got, want = play_one(alice_set), play_one(list(alice_set))
-            assert read[-2:] == [alice_set, list(alice_set)], name
-            if name == "wrong length":
-                assert got == want == ("ValueError", f"set element has length {n + 1}, expected {n}")
-                continue
-            assert got == want and got.alice_set is not alice_set, name
-            # the same caller words are kept, and an int becomes a new BitWord
-            caller = {id(w) for w in alice_set}
-            assert ([id(w) in caller and id(w) for w in got.alice_set]
-                    == [id(w) in caller and id(w) for w in want.alice_set]), name
-        assert play_one(odd["twin after"]).alice_set[0] is first
-        assert play_one(odd["twin before"]).alice_set[0] is twin
-        move = play_one(())
+            made = GameTranscript("det", [honest, MoveRecord(alice_set, move.marks, move.win)])
+            got = verify_transcript(made, p)
+            if name in ("int", "subclass", "wrong length"):
+                assert got == game.VerifyResult(
+                    False, 2, None, f"set element is not a BitWord of length {n}"), name
+            else:
+                # the verifier reads the set each tuple denotes
+                assert got.ok, name
+        (move,) = play_game([()], p, "det").moves
         assert move.alice_set == () and move.marks == () and move.win
+
+
+class TestProducers:
+    """Every stream the program makes is one that play_game takes."""
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIES))
+    def test_adversary_streams_are_read(self, name):
+        for n in range(1, 9):
+            for k in (1, 3, 7):
+                for seed in range(3):
+                    for s in ADVERSARIES[name](GameParams(n=n, k=k, m=1), seed):
+                        kept = game._read_set(s, n)
+                        assert kept is not None, (name, n, k, seed, s)
+                        assert game._Sets.make(kept, n) == {w.value for w in s}
+
+    def test_adversary_file_sets_are_read(self, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_text("# repeated, unordered, comma-separated and blank sets\n"
+                        "1100 0001 1100\n"
+                        "\n"
+                        "1111,0000, 0110\n"
+                        "0101 0101,0101\n"
+                        "1000 0100 0010 0001 1000\n")
+        sets = read_adversary_file(path, 4)
+        assert [[w.to01() for w in s] for s in sets] == [
+            ["0001", "1100"], [], ["0000", "0110", "1111"], ["0101"],
+            ["0001", "0010", "0100", "1000"],
+        ]
+        assert all(game._read_set(s, 4) is not None for s in sets)
+        tr = play_game(sets, GameParams(n=4, k=3, m=1), "det")
+        assert len(tr.moves) == len(sets)
+        assert all(mv.alice_set is s for mv, s in zip(tr.moves, sets))
 
 
 class TestVerifyTranscript:
@@ -633,93 +634,20 @@ class TestVerifyTranscript:
             )
 
 
-class SubWord(BitWord):
-    """A BitWord subclass, which the verifier's one-pass read does not take."""
-    __slots__ = ()
-
-
-def reference_verify(tr, params):
-    """Reference verifier: every set read through game._as_words."""
-    n = params.n
-    if len(tr.moves) > params.max_moves:
-        return game.VerifyResult(False, params.max_moves + 1, None, "too many moves")
-    form = game._form([m.alice_set for m in tr.moves], n)
-    add = form.counter(params.frequency_threshold, n)
-    frequent, covered = form.empty(), form.empty()
-    sets = []
-    for t, move in enumerate(tr.moves, start=1):
-        sets.append(form.make(list(game._as_words(move.alice_set, n)), n))
-        frequent |= add(sets[-1])
-        for p in move.marks:
-            if not 1 <= p <= t:
-                return game.VerifyResult(False, t, None, f"mark {p} not yet produced")
-            covered |= sets[p - 1]
-        missed = form.missed(frequent, covered)
-        if missed:
-            return game.VerifyResult(False, t, BitWord(n, form.least(missed)),
-                                     "frequent element uncovered")
-        if not move.win:
-            return game.VerifyResult(False, t, None, "recorded win flag is false")
-    if tr.strategy == "det" and tr.total_marks > mark_bound(params):
-        return game.VerifyResult(False, len(tr.moves), None, "total marks exceed bound")
-    return game.VerifyResult(True)
-
-
-def hand_made(alice_set, n, rng):
-    """alice_set rewritten as ints, subclass words, duplicates, a
-    wrong-length word or an out-of-range int, chosen at random."""
-    items = list(alice_set)
-    kind = rng.randrange(7)
-    if kind == 0 or not items:
-        return tuple(items)
-    if kind == 1:
-        return tuple(w.value for w in items)
-    if kind == 2:
-        return tuple(SubWord(n, w.value) if rng.random() < 0.5 else w for w in items)
-    if kind == 3:
-        return tuple(items + rng.choices(items, k=len(items) // 2 + 1))
-    if kind == 4:
-        return tuple(w.value if rng.random() < 0.3 else w for w in items) + tuple(items[:1])
-    if kind == 5:
-        return tuple(items) + (BitWord(n + 1, 0),)
-    return tuple(items) + (1 << n,)
-
-
-def verdict(check, tr, params):
-    try:
-        return check(tr, params)
-    except ValueError as e:
-        return ("ValueError", str(e))
-
-
 class TestVerifierReadsEachSetOnce:
-    def test_hand_made_sets_match_as_words_reference(self, form):
-        rng = random.Random(29)
-        verdicts = Counter()
-        for _ in range(80):
-            k = rng.randint(2, 6)
-            n = rng.randint(1, 7)
-            p = GameParams(n=n, k=k, m=rng.randint(0, 2))
-            tr = play_game(adversary_random(p, rng.randrange(1 << 16)), p, "det")
-            moves = []
-            for mv in tr.moves:
-                alice_set = hand_made(mv.alice_set, n, rng) if rng.random() < 0.1 else mv.alice_set
-                marks = tuple(q for q in mv.marks if rng.random() < 0.6)
-                moves.append(MoveRecord(alice_set, marks, mv.win and rng.random() < 0.95))
-            made = GameTranscript("det", moves)
-            got = verdict(verify_transcript, made, p)
-            assert got == verdict(reference_verify, made, p), p
-            verdicts[got[0] if isinstance(got, tuple) else got.reason or "ok"] += 1
-        assert min(verdicts["ValueError"], verdicts["ok"],
-                   verdicts["frequent element uncovered"]) >= 5
-
     def test_single_odd_elements(self, form):
         p = GameParams(n=4, k=3, m=0)
         base = (BitWord(4, 3), BitWord(4, 9))
-        for odd in [(3, 9), (SubWord(4, 3), BitWord(4, 9)), base + base,
-                    base + (BitWord(5, 3),), base + (16,), base + (-1,)]:
-            made = GameTranscript("det", [MoveRecord(odd, (1,), True)])
-            assert verdict(verify_transcript, made, p) == verdict(reference_verify, made, p)
+        first = MoveRecord(base, (1,), True)
+        for odd in [(3, 9), (SubWord(4, 3), BitWord(4, 9)), base + (BitWord(5, 3),),
+                    (BitWord(3, 3), BitWord(4, 9))]:
+            made = GameTranscript("det", [first, MoveRecord(odd, (2,), True)])
+            assert verify_transcript(made, p) == game.VerifyResult(
+                False, 2, None, "set element is not a BitWord of length 4")
+        # the words of a set may come in any order, with repeats
+        for same in [base[::-1], base + base, (base[1], base[0], base[1])]:
+            made = GameTranscript("det", [first, MoveRecord(same, (2,), True)])
+            assert verify_transcript(made, p).ok
 
 
 class TestProbabilisticStrategy:

@@ -18,9 +18,8 @@ Two finer checks use the same readers:
   its name, f(...) or obj.f(...).
 
 The census matches names only.  A member whose name some reader reads
-on another object escapes it (BitWord.ones against np.ones), and so
-does a parameter that a call of another function of the same name
-passes.
+on another object escapes it, and so does a parameter that a call of
+another function of the same name passes.
 """
 import ast
 from pathlib import Path
